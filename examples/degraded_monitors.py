@@ -139,7 +139,7 @@ def main() -> None:
         y_aged = dataset.target(25.0, hours)[n_train:]
         for start in range(0, X_test.shape[0], 6):
             stop = min(start + 6, X_test.shape[0])
-            alarm = flow.observe(X_test[start:stop], y_aged[start:stop])
+            alarm = flow.observe(X_test[start:stop], y_aged[start:stop]).alarm
             if alarm is not None:
                 print(f"  !! {alarm.describe()} -> recalibrating online")
         print(

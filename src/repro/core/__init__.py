@@ -28,7 +28,6 @@ finite-sample quantile of Eq. 7/9), :mod:`repro.core.scores`
 from repro.core.adaptive import AdaptiveConformalPredictor
 from repro.core.calibration import (
     conformal_quantile,
-    conformal_quantile_sorted,
     effective_coverage_level,
 )
 from repro.core.cqr import ConformalizedQuantileRegressor
@@ -53,7 +52,6 @@ __all__ = [
     "SplitConformalRegressor",
     "absolute_residual_score",
     "conformal_quantile",
-    "conformal_quantile_sorted",
     "cqr_score",
     "effective_coverage_level",
     "normalized_residual_score",

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.calibration import conformal_quantile_sorted
+from repro.core.calibration import conformal_rank
 from repro.core.intervals import PredictionIntervals
 from repro.core.scores import cqr_score
 from repro.models.base import BaseRegressor, check_fitted, check_X_y
@@ -67,6 +67,19 @@ class _SortedScoreWindow:
 
     def sorted_array(self) -> np.ndarray:
         return np.asarray(self._sorted, dtype=np.float64)
+
+    def margin(self, alpha: float) -> float:
+        """The conformal quantile of the window, read off the sorted list.
+
+        The rank-``k`` element is the float
+        :func:`~repro.core.calibration.conformal_quantile` returns on the
+        materialised window; indexing the list costs O(1) where
+        :meth:`sorted_array` would copy all of it.  When the window is
+        too small for the rank, the largest score -- the most
+        conservative finite margin -- stands in for ``+inf``.
+        """
+        rank = conformal_rank(len(self._sorted), alpha)
+        return self._sorted[min(rank, len(self._sorted)) - 1]
 
     def __len__(self) -> int:
         return len(self._arrival)
@@ -182,11 +195,10 @@ class AdaptiveConformalPredictor:
         return self._alpha_t
 
     def _current_scores(self) -> np.ndarray:
-        """Windowed calibration scores, in ascending order.
+        """Windowed calibration scores, in ascending order (a copy).
 
-        The ordering changed from arrival order to ascending when the
-        buffer became sorted; every consumer (conformal quantile, max)
-        is order-independent, so the values are unchanged bit-for-bit.
+        For inspection; the margin reads the window in place (see
+        :meth:`_SortedScoreWindow.margin`).
         """
         return self._scores.sorted_array()
 
@@ -199,18 +211,22 @@ class AdaptiveConformalPredictor:
         conservative finite correction (the max score, last element of
         the sorted window) stands in.
         """
-        scores = self._current_scores()
         effective = float(np.clip(self._alpha_t, 1e-6, 1.0 - 1e-6))
-        correction = conformal_quantile_sorted(scores, effective)
-        if not np.isfinite(correction):
-            correction = float(scores[-1])
-        return correction
+        return self._scores.margin(effective)
 
-    def predict_interval(self, X: np.ndarray) -> PredictionIntervals:
-        """Interval at the *current* adapted level ``α_t``."""
+    def predict_interval(
+        self,
+        X: np.ndarray,
+        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> PredictionIntervals:
+        """Interval at the *current* adapted level ``α_t``.
+
+        ``band`` is ``band_.predict_interval(X)`` when the caller has
+        already evaluated it; ``None`` evaluates it here.
+        """
         check_fitted(self, "band_")
         correction = self._correction()
-        lower, upper = self.band_.predict_interval(X)
+        lower, upper = band if band is not None else self.band_.predict_interval(X)
         lower = lower - correction
         upper = upper + correction
         crossed = lower > upper
@@ -220,7 +236,12 @@ class AdaptiveConformalPredictor:
             upper = np.where(crossed, mid, upper)
         return PredictionIntervals(lower, upper)
 
-    def update(self, X: np.ndarray, y: np.ndarray) -> None:
+    def update(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
         """Observe true labels for ``X`` and adapt ``α_t``.
 
         Rows are processed strictly in order and each is judged against
@@ -235,10 +256,13 @@ class AdaptiveConformalPredictor:
         sorted score window keeps the per-row margin an O(log n)
         bisection rather than an O(n) partition, which is what makes
         the row-at-a-time protocol affordable.  Each row's CQR score
-        joins the calibration history as it is consumed.
+        joins the calibration history as it is consumed.  ``band`` is
+        ``band_.predict_interval(X)`` when the caller has already
+        evaluated it (the serving flow bands each labelled batch once);
+        ``None`` evaluates it here.
         """
         X, y = check_X_y(X, y)
-        lower, upper = self.band_.predict_interval(X)
+        lower, upper = band if band is not None else self.band_.predict_interval(X)
         new_scores = cqr_score(y, lower, upper)
         for i, score in enumerate(new_scores):
             correction = self._correction()

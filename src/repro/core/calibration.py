@@ -17,10 +17,21 @@ import numpy as np
 
 __all__ = [
     "conformal_quantile",
-    "conformal_quantile_sorted",
+    "conformal_rank",
     "effective_coverage_level",
     "required_calibration_size",
 ]
+
+
+def conformal_rank(n_scores: int, alpha: float) -> int:
+    """The 1-based rank ``ceil((M+1)(1−alpha))`` of the conformal quantile.
+
+    The one place the finite-sample ``+1`` is written down; a rank above
+    ``M`` means the calibration set is too small for ``alpha``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return math.ceil((n_scores + 1) * (1.0 - alpha))
 
 
 def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
@@ -40,37 +51,11 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     m = scores.size
-    rank = math.ceil((m + 1) * (1.0 - alpha))
+    rank = conformal_rank(m, alpha)
     if rank > m:
         return float("inf")
     # rank is 1-based; np.partition gives the rank-th smallest at index rank-1.
     return float(np.partition(scores, rank - 1)[rank - 1])
-
-
-def conformal_quantile_sorted(sorted_scores: np.ndarray, alpha: float) -> float:
-    """:func:`conformal_quantile` for scores already in ascending order.
-
-    The rank-``k`` smallest element of a multiset does not depend on the
-    input order, so this returns the same value bit-for-bit as
-    :func:`conformal_quantile` -- but by direct indexing instead of an
-    ``O(M)`` partition.  Callers that maintain a sorted calibration
-    buffer (see :class:`repro.core.adaptive.AdaptiveConformalPredictor`)
-    use it on every prediction; ascending order is *their* contract and
-    is not re-verified here, which is what keeps the lookup ``O(1)``.
-    """
-    sorted_scores = np.asarray(sorted_scores, dtype=np.float64)
-    if sorted_scores.ndim != 1 or sorted_scores.size == 0:
-        raise ValueError(
-            f"sorted_scores must be a non-empty 1-D array, got shape "
-            f"{sorted_scores.shape}"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    m = sorted_scores.size
-    rank = math.ceil((m + 1) * (1.0 - alpha))
-    if rank > m:
-        return float("inf")
-    return float(sorted_scores[rank - 1])
 
 
 def effective_coverage_level(n_calibration: int, alpha: float) -> float:
@@ -85,7 +70,7 @@ def effective_coverage_level(n_calibration: int, alpha: float) -> float:
         raise ValueError(f"n_calibration must be >= 1, got {n_calibration}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    rank = math.ceil((n_calibration + 1) * (1.0 - alpha))
+    rank = conformal_rank(n_calibration, alpha)
     return min(1.0, rank / (n_calibration + 1))
 
 

@@ -18,7 +18,7 @@ Table III shows exactly this correction turning 10-85 % QR coverage into
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -147,15 +147,23 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         intervals = self.predict_interval(X)
         return intervals.midpoint
 
-    def predict_interval(self, X: np.ndarray) -> PredictionIntervals:
-        """Calibrated band ``[lower − q̂_lo, upper + q̂_hi]`` (Eq. 10)."""
+    def predict_interval(
+        self,
+        X: np.ndarray,
+        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> PredictionIntervals:
+        """Calibrated band ``[lower − q̂_lo, upper + q̂_hi]`` (Eq. 10).
+
+        ``band`` is ``band_.predict_interval(X)`` when the caller has
+        already evaluated it; ``None`` evaluates it here.
+        """
         check_fitted(self, "band_")
         if not (np.isfinite(self.quantile_low_) and np.isfinite(self.quantile_high_)):
             raise RuntimeError(
                 f"calibration set of size {self.n_calibration_} is too small "
                 f"for alpha={self.alpha}; intervals would be infinite"
             )
-        lower, upper = self.band_.predict_interval(X)
+        lower, upper = band if band is not None else self.band_.predict_interval(X)
         lower = lower - self.quantile_low_
         upper = upper + self.quantile_high_
         # A strongly negative correction can push the bounds past each

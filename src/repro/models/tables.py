@@ -27,11 +27,11 @@ per-tree loop, not merely close: comparisons use the same operators on
 the same float64 values in the same order (``x <= threshold`` routing
 left for depth-wise trees, ``x > threshold`` setting the level bit for
 oblivious tables), and the boosted sum accumulates tree contributions
-*sequentially* in fitting order -- ``p += lr * v_t`` per tree -- rather
-than through ``np.sum``, whose pairwise reduction would change the
-rounding.  The test suite asserts ``np.array_equal`` (exact float
-equality) between the compiled and reference paths across random
-ensembles.
+*sequentially* in fitting order -- ``p += lr * v_t`` per tree -- as one
+``np.cumsum`` prefix sum rather than through ``np.sum``, whose pairwise
+reduction would change the rounding.  The test suite asserts
+``np.array_equal`` (exact float equality) between the compiled and
+reference paths across random ensembles.
 
 **Precision contract.**  Thresholds are stored as float64 and every
 comparison happens in float64: :func:`tree_values` casts ``X`` on
@@ -72,36 +72,41 @@ def _as_float64_2d(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _boosted_prefix(
+    tree_values: np.ndarray, base_score: float, learning_rate: float
+) -> np.ndarray:
+    """Boosted prediction after 0, 1, ..., ``n_trees`` rounds.
+
+    Row 0 is the base score and row ``t + 1`` adds ``lr * v_t`` to row
+    ``t``: one ``np.cumsum`` over the rows ``[base, lr*v_0, ...,
+    lr*v_{T-1}]``.  ``cumsum`` is ``np.add.accumulate``, which adds
+    strictly left to right, so every row is bit-identical to the
+    reference loop's ``p += lr * v_t``.  ``np.sum`` over the tree axis
+    would not be: it reduces pairwise, and floating-point addition is
+    not associative.  Shape ``(n_trees + 1, n_rows)``.
+    """
+    n_rows, n_trees = tree_values.shape
+    terms = np.empty((n_trees + 1, n_rows))
+    terms[0] = base_score
+    np.multiply(tree_values.T, learning_rate, out=terms[1:])
+    return np.cumsum(terms, axis=0, out=terms)
+
+
 def _boosted_sum(
     tree_values: np.ndarray, base_score: float, learning_rate: float
 ) -> np.ndarray:
-    """Sequentially accumulate per-tree values into the boosted prediction.
+    """The boosted prediction: the last row of :func:`_boosted_prefix`.
 
-    The per-tree loop is deliberate: the reference ``predict`` adds one
-    shrunken tree at a time, and floating-point addition is not
-    associative, so a vectorised ``np.sum`` over the tree axis (pairwise
-    reduction) would produce different low-order bits.  Looping over
-    ``n_trees`` columns of an already-materialised matrix costs
-    microseconds; walking the trees is what was slow.
+    Copied out, so a kept prediction does not pin every prefix row.
     """
-    n_rows, n_trees = tree_values.shape
-    prediction = np.full(n_rows, base_score)
-    for index in range(n_trees):
-        prediction += learning_rate * tree_values[:, index]
-    return prediction
+    return _boosted_prefix(tree_values, base_score, learning_rate)[-1].copy()
 
 
 def _boosted_stages(
     tree_values: np.ndarray, base_score: float, learning_rate: float
 ) -> np.ndarray:
-    """Prefix sums of :func:`_boosted_sum`: prediction after every round."""
-    n_rows, n_trees = tree_values.shape
-    prediction = np.full(n_rows, base_score)
-    stages = np.empty((n_trees, n_rows))
-    for index in range(n_trees):
-        prediction = prediction + learning_rate * tree_values[:, index]
-        stages[index] = prediction
-    return stages
+    """Prediction after every round, shape ``(n_trees, n_rows)``."""
+    return _boosted_prefix(tree_values, base_score, learning_rate)[1:]
 
 
 @dataclass(frozen=True)
@@ -237,15 +242,20 @@ class CompiledObliviousTables:
         """Leaf value of every tree for every row, shape ``(n, n_trees)``.
 
         Column ``t`` is bit-identical to ``trees[t].predict(X)``: the
-        leaf code accumulates one bit per level, most significant bit
-        first, from the same ``x > threshold`` test as the reference.
+        leaf code has one bit per level, most significant bit first,
+        from the same ``x > threshold`` test as the reference.  One
+        gather tests every (row, tree, level) at once, and an integer
+        product with the bit weights ``2**(depth-1), ..., 1`` packs each
+        tree's bits into its code.
         """
         X = _as_float64_2d(X)
-        index = np.zeros((X.shape[0], self.n_trees), dtype=np.int64)
-        for level in range(self.depth):
-            bit = X[:, self.features[:, level]] > self.thresholds[None, :, level]
-            index = (index << 1) | bit
-        return self.leaf_values[np.arange(self.n_trees), index]
+        n_rows, n_trees, depth = X.shape[0], self.n_trees, self.depth
+        bits = np.take(X, self.features, axis=1) > self.thresholds
+        weights = np.left_shift(1, np.arange(depth - 1, -1, -1, dtype=np.int64))
+        index = (bits.reshape(n_rows * n_trees, depth) @ weights).reshape(
+            n_rows, n_trees
+        )
+        return self.leaf_values[np.arange(n_trees), index]
 
     def predict(
         self, X: np.ndarray, base_score: float, learning_rate: float

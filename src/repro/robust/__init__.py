@@ -44,7 +44,7 @@ from repro.robust.faults import (
     TemperatureOffset,
     column_scales,
 )
-from repro.robust.flow import RobustVminFlow
+from repro.robust.flow import ObservedBatch, RobustVminFlow
 from repro.robust.guard import FeatureHealthGuard, HealthReport
 from repro.robust.imputation import TrainStatImputer
 from repro.robust.monitoring import CoverageAlarm, CoverageMonitor, CoverageTransition
@@ -65,6 +65,7 @@ __all__ = [
     "FeatureHealthGuard",
     "HealthReport",
     "NoiseBurst",
+    "ObservedBatch",
     "RobustVminFlow",
     "RowDropout",
     "StuckSensors",

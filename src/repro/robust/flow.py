@@ -15,11 +15,15 @@ monitoring, so that
 :class:`~repro.robust.fallback.DegradedPrediction` -- never an
 exception for value-level input damage -- and ``observe`` closes the
 loop when ground-truth Vmin measurements trickle back from the ATE.
+A labelled batch is sanitized and run through the primary band once:
+the intervals the monitor judges, the adaptive update and the batch's
+conformity scores all come from that one pass.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +45,7 @@ from repro.robust.monitoring import CoverageAlarm, CoverageMonitor
 from repro.shift.weighted import WeightedBandCalibrator
 from repro.shift.weights import LogisticDensityRatio
 
-__all__ = ["RobustVminFlow"]
+__all__ = ["ObservedBatch", "RobustVminFlow"]
 
 
 def _validate_columns(
@@ -56,6 +60,25 @@ def _validate_columns(
             f"[{cols.min()}, {cols.max()}]"
         )
     return cols
+
+
+@dataclass(frozen=True)
+class ObservedBatch:
+    """What one labelled batch did to a :class:`RobustVminFlow`.
+
+    Attributes
+    ----------
+    alarm:
+        The coverage alarm the batch fired, if any.
+    scores:
+        The batch's CQR conformity scores against the primary band --
+        the floats :meth:`RobustVminFlow.conformity_scores` returns for
+        it -- so the shift sentinels can consume them without scoring
+        the batch again.
+    """
+
+    alarm: Optional[CoverageAlarm]
+    scores: np.ndarray
 
 
 class RobustVminFlow:
@@ -245,32 +268,57 @@ class RobustVminFlow:
             )
         return X
 
+    def _validate_labelled(
+        self, X: np.ndarray, y: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Structure-check a labelled batch; labels must be finite."""
+        check_fitted(self, "primary_")
+        y = np.asarray(y, dtype=np.float64)
+        if y.ndim != 1:
+            raise ValueError(f"y must be 1-D, got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains NaN or infinite values")
+        X = self._validate_structure(X)
+        if X.shape[0] != y.shape[0]:
+            raise ValueError(
+                f"X and y have inconsistent lengths: {X.shape[0]} vs "
+                f"{y.shape[0]}"
+            )
+        return X, y
+
     def _sanitize(self, X: np.ndarray) -> Tuple[np.ndarray, HealthReport]:
-        """Health-assess and impute a batch; only structural errors raise."""
+        """Health-assess and impute a batch; only structural errors raise.
+
+        The guard's missing mask is handed to the imputer, so the batch
+        is scanned for non-finite values once.
+        """
         X = self._validate_structure(X)
         report = self.guard_.assess(X)
-        clean = self.imputer_.transform(X, stuck=report.stuck)
+        clean = self.imputer_.transform(
+            X, stuck=report.stuck, missing=report.missing
+        )
         return clean, report
 
-    def _empty_prediction(self) -> DegradedPrediction:
+    def _band(self, X_clean: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The primary quantile band on a sanitized batch.
+
+        Every serving calibration (split CQR, adaptive, weighted) widens
+        this same fitted band, and it never changes after ``fit``.
+        """
+        return self.primary_.cqr_.band_.predict_interval(X_clean)
+
+    def _empty_prediction(self, X: np.ndarray) -> DegradedPrediction:
         """The structured no-op answer for a zero-chip batch.
 
         A serving layer streaming wafers hits legitimately empty batches
         (a fully screened-out lot, a drained queue flush); those must
-        round-trip as zero intervals, not crash the service.
+        round-trip as zero intervals, not crash the service.  The
+        guard reports a zero-row batch all-healthy.
         """
-        d = self.n_features_in_
-        entries = np.zeros((0, d), dtype=bool)
-        columns = np.zeros(d, dtype=bool)
         return DegradedPrediction(
             intervals=PredictionIntervals(np.zeros(0), np.zeros(0)),
             status=DegradationStatus.OK,
-            health=HealthReport(
-                missing=entries,
-                out_of_range=entries,
-                stuck=columns,
-                unhealthy=columns,
-            ),
+            health=self.guard_.assess(X),
             notes=("empty batch: zero intervals served",),
         )
 
@@ -287,15 +335,26 @@ class RobustVminFlow:
         check_fitted(self, "primary_")
         return self._weighted_active
 
-    def _primary_intervals(self, X_clean: np.ndarray):
+    def _primary_intervals(
+        self,
+        X_clean: np.ndarray,
+        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> PredictionIntervals:
+        """The active calibration's margins around the primary band.
+
+        ``band`` is :meth:`_band` of ``X_clean`` when the caller already
+        evaluated it; ``None`` evaluates it here.
+        """
+        if band is None:
+            band = self._band(X_clean)
         # Weighted repair outranks the adaptive path: it is an explicit,
         # audited operator action targeting a diagnosed covariate shift,
         # whereas adaptation is the blind feedback controller.
         if self._weighted_active:
-            return self.weighted_.predict_interval(X_clean)
+            return self.weighted_.predict_interval(X_clean, band=band)
         if self._adaptive_active:
-            return self.adaptive_.predict_interval(X_clean)
-        return self.primary_.predict_interval(X_clean)
+            return self.adaptive_.predict_interval(X_clean, band=band)
+        return self.primary_.cqr_.predict_interval(X_clean, band=band)
 
     # -- shift-defense accessors ----------------------------------------------
     def calibration_scores(self) -> np.ndarray:
@@ -331,22 +390,14 @@ class RobustVminFlow:
         or weighted variants -- because the exchangeability sentinel
         compares against calibration scores from that same band; mixing
         bands would alarm on our own recalibration instead of on the
-        data.
+        data.  :meth:`observe` returns the same scores for the batch it
+        streams.  Zero labelled chips score to an empty array.
         """
-        check_fitted(self, "primary_")
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim != 1:
-            raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains NaN or infinite values")
+        X, y = self._validate_labelled(X, y)
+        if y.shape[0] == 0:
+            return np.zeros(0)
         X_clean, _ = self._sanitize(X)
-        if X_clean.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"X and y have inconsistent lengths: {X_clean.shape[0]} vs "
-                f"{y.shape[0]}"
-            )
-        lower, upper = self.primary_.cqr_.band_.predict_interval(X_clean)
-        return cqr_score(y, lower, upper)
+        return cqr_score(y, *self._band(X_clean))
 
     def recalibrate_weighted(
         self,
@@ -436,8 +487,21 @@ class RobustVminFlow:
         """
         X = self._validate_structure(X)
         if X.shape[0] == 0:
-            return self._empty_prediction()
+            return self._empty_prediction(X)
         X_clean, report = self._sanitize(X)
+        return self._serve(X_clean, report)
+
+    def _serve(
+        self,
+        X_clean: np.ndarray,
+        report: HealthReport,
+        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> DegradedPrediction:
+        """:meth:`predict_interval` of a sanitized, non-empty batch.
+
+        ``band`` is the primary band on ``X_clean`` when the caller
+        already evaluated it (see :meth:`observe`).
+        """
         # Column-level damage misses row-level faults (a dropped record
         # NaNs every feature of one chip without killing any column), so
         # degradation is charged on the worse of the two views.
@@ -460,7 +524,7 @@ class RobustVminFlow:
                     f"fallback model on {self.fallback_columns_.size} columns"
                 )
             else:
-                intervals = self._primary_intervals(X_clean)
+                intervals = self._primary_intervals(X_clean, band)
                 inflation = self.policy.max_inflation
                 notes.append(
                     f"monitor block {monitor_frac:.0%} and fallback block "
@@ -468,14 +532,14 @@ class RobustVminFlow:
                     "at maximum inflation"
                 )
         elif status is DegradationStatus.FALLBACK:
-            intervals = self._primary_intervals(X_clean)
+            intervals = self._primary_intervals(X_clean, band)
             inflation = self.policy.max_inflation
             notes.append(
                 f"monitor block {monitor_frac:.0%} unhealthy and no fallback "
                 "model fitted; served primary model at maximum inflation"
             )
         else:
-            intervals = self._primary_intervals(X_clean)
+            intervals = self._primary_intervals(X_clean, band)
             inflation = self.policy.inflation_factor(overall)
             if status is DegradationStatus.DEGRADED:
                 notes.append(
@@ -507,43 +571,37 @@ class RobustVminFlow:
         return self.predict_interval(X).intervals.midpoint
 
     # -- the feedback loop -----------------------------------------------------
-    def observe(self, X: np.ndarray, y: np.ndarray) -> Optional[CoverageAlarm]:
+    def observe(self, X: np.ndarray, y: np.ndarray) -> ObservedBatch:
         """Stream measured Vmin labels back into the serving stack.
 
-        Re-serves ``X`` exactly as :meth:`predict_interval` would,
-        scores the outcomes against ``y``, and feeds the rolling
-        coverage monitor.  On an alarm, serving switches permanently to
-        the adaptive (Gibbs-Candès) margins and every subsequent
-        observation updates them -- online recalibration.  Returns the
-        alarm fired by this batch, if any.  A zero-label batch is a
-        no-op (returns ``None`` without touching monitor or
-        recalibrator state) -- the serving layer's label feedback can
-        legitimately deliver nothing.
+        Serves ``X`` exactly as :meth:`predict_interval` would, scores
+        the outcomes against ``y``, and feeds the rolling coverage
+        monitor.  On an alarm, serving switches permanently to the
+        adaptive (Gibbs-Candès) margins and every subsequent observation
+        updates them -- online recalibration.  The batch is sanitized
+        and banded once: the served intervals, the adaptive update and
+        the returned conformity scores all come from that pass.
+
+        Returns an :class:`ObservedBatch`: the alarm fired by this batch,
+        if any, and the batch's conformity scores against the primary
+        band.  A zero-label batch is a no-op (no alarm, no scores,
+        monitor and recalibrator state untouched) -- the serving layer's
+        label feedback can legitimately deliver nothing.
         """
-        check_fitted(self, "primary_")
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim != 1:
-            raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains NaN or infinite values")
-        X = self._validate_structure(X)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"X and y have inconsistent lengths: {X.shape[0]} vs "
-                f"{y.shape[0]}"
-            )
+        X, y = self._validate_labelled(X, y)
         if y.shape[0] == 0:
-            return None
-        prediction = self.predict_interval(X)
+            return ObservedBatch(alarm=None, scores=np.zeros(0))
+        X_clean, report = self._sanitize(X)
+        band = self._band(X_clean)
+        prediction = self._serve(X_clean, report, band)
         covered = prediction.intervals.contains(y)
         alarm = self.monitor_.update(covered)
         if alarm is not None:
             self._adaptive_active = True
             self.recalibrations_ += 1
         if self._adaptive_active:
-            X_clean, _ = self._sanitize(X)
-            self.adaptive_.update(X_clean, y)
-        return alarm
+            self.adaptive_.update(X_clean, y, band=band)
+        return ObservedBatch(alarm=alarm, scores=cqr_score(y, *band))
 
     def rolling_coverage(self) -> float:
         """Rolling empirical coverage over the observation window."""

@@ -84,13 +84,18 @@ class HealthReport:
     def damaged_entry_fraction(self) -> float:
         """Fraction of individual entries that were missing or out of
         range -- catches row-level damage (dropped telemetry records)
-        that no column-level statistic would flag."""
-        return float(np.mean(self.missing | self.out_of_range))
+        that no column-level statistic would flag; 0.0 for an empty
+        batch.  The damaged count is exact, so this equals the mean of
+        the damage mask bit for bit."""
+        if self.missing.size == 0:
+            return 0.0
+        damaged = np.count_nonzero(self.missing | self.out_of_range)
+        return damaged / self.missing.size
 
     def unhealthy_fraction_of(self, columns: Sequence[int]) -> float:
         """Unhealthy fraction restricted to a column subset (e.g. the
         on-chip monitor block); 0.0 for an empty subset."""
-        cols = np.asarray(list(columns), dtype=np.int64)
+        cols = np.asarray(columns, dtype=np.int64)
         if cols.size == 0:
             return 0.0
         if cols.min() < 0 or cols.max() >= self.n_features:
@@ -175,7 +180,15 @@ class FeatureHealthGuard:
 
         Never raises on NaN/Inf/stuck/drifted *values*; only structural
         errors (wrong dimensionality or column count) raise, because
-        those are caller bugs no imputation can paper over.
+        those are caller bugs no imputation can paper over.  A zero-row
+        batch gets an all-healthy report.
+
+        One pass builds the missing mask; everything else is settled
+        per column from the finite extremes where it can be.  A column
+        whose finite min and max lie inside the bounds holds no
+        out-of-range entry, so only the columns that poke outside are
+        compared entry by entry.  The result equals the entry-wise
+        classification array for array.
         """
         check_fitted(self, "median_")
         X = np.asarray(X, dtype=np.float64)
@@ -186,27 +199,71 @@ class FeatureHealthGuard:
                 f"X has {X.shape[1]} features, guard was fitted on "
                 f"{self.n_features_in_}"
             )
-        missing = ~np.isfinite(X)
-        filled = np.where(missing, self.median_, X)
-        out_of_range = ~missing & (
-            (filled < self.lower_bound_) | (filled > self.upper_bound_)
+        n_samples, n_features = X.shape
+        columns = np.zeros(n_features, dtype=bool)
+        out_of_range = np.zeros(X.shape, dtype=bool)
+        if n_samples == 0:
+            return HealthReport(
+                missing=out_of_range,
+                out_of_range=out_of_range,
+                stuck=columns,
+                unhealthy=columns,
+            )
+        finite = np.isfinite(X)
+        missing = ~finite
+        finite_max, finite_min = _finite_extremes(X, finite)
+        # NaN extremes (all-NaN columns) compare False: never suspect.
+        suspect = np.flatnonzero(
+            (finite_min < self.lower_bound_) | (finite_max > self.upper_bound_)
         )
-        if X.shape[0] >= 2:
-            # Frozen iff every *finite* entry of the column is identical
-            # (masking non-finite entries with +/-inf keeps this pure
-            # numpy, no all-NaN-slice warnings).
-            finite_max = np.where(missing, -np.inf, X).max(axis=0)
-            finite_min = np.where(missing, np.inf, X).min(axis=0)
-            all_missing = missing.all(axis=0)
-            batch_frozen = ~all_missing & (finite_max == finite_min)  # reprolint: disable=REP102
+        broken = _column_counts(missing)
+        if suspect.size:
+            block = X[:, suspect]
+            out_of_range[:, suspect] = finite[:, suspect] & (
+                (block < self.lower_bound_[suspect])
+                | (block > self.upper_bound_[suspect])
+            )
+            broken = broken + _column_counts(out_of_range)
+        # Frozen iff every *finite* entry of the column is identical; a
+        # column with no finite entry has unequal (or NaN) extremes.
+        stuck = columns
+        if n_samples >= 2:
+            batch_frozen = finite_max == finite_min  # reprolint: disable=REP102
             stuck = batch_frozen & ~self.train_constant_
-        else:
-            stuck = np.zeros(X.shape[1], dtype=bool)
-        broken_fraction = (missing | out_of_range).mean(axis=0)
-        unhealthy = stuck | (broken_fraction > self.unhealthy_fraction)
+        # Missing and out-of-range entries are disjoint, so the summed
+        # counts over n_samples equal the mean of their union exactly.
+        unhealthy = stuck | (broken / n_samples > self.unhealthy_fraction)
         return HealthReport(
             missing=missing,
             out_of_range=out_of_range,
             stuck=stuck,
             unhealthy=unhealthy,
         )
+
+
+def _finite_extremes(X: np.ndarray, finite: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column max and min over the finite entries of a non-empty batch.
+
+    ``fmax``/``fmin`` skip NaN (an all-NaN column comes out NaN) but not
+    +/-inf, so the few columns holding an infinity are re-reduced under
+    the finite mask, where a column with no finite entry gets the
+    ``(-inf, +inf)`` identities.  Neither path copies the whole batch.
+    """
+    finite_max = np.fmax.reduce(X, axis=0)
+    finite_min = np.fmin.reduce(X, axis=0)
+    infinite = np.flatnonzero(np.isinf(finite_max) | np.isinf(finite_min))
+    if infinite.size:
+        block, keep = X[:, infinite], finite[:, infinite]
+        finite_max[infinite] = block.max(axis=0, where=keep, initial=-np.inf)
+        finite_min[infinite] = block.min(axis=0, where=keep, initial=np.inf)
+    return finite_max, finite_min
+
+
+def _column_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-column count of a non-empty (n, d) boolean mask.
+
+    Summing the mask's bytes into the smallest unsigned type that holds
+    ``n`` vectorises far better than numpy's default int64 bool sum;
+    the counts are the same integers.
+    """
+    return mask.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(mask.shape[0]))

@@ -62,7 +62,10 @@ class TrainStatImputer:
         return self
 
     def transform(
-        self, X: np.ndarray, stuck: Optional[np.ndarray] = None
+        self,
+        X: np.ndarray,
+        stuck: Optional[np.ndarray] = None,
+        missing: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Return a finite, bounded copy of ``X``.
 
@@ -74,6 +77,13 @@ class TrainStatImputer:
             Optional (n_features,) bool mask of stuck columns (from a
             :class:`~repro.robust.guard.HealthReport`); those columns
             are replaced wholesale by the training median.
+        missing:
+            Optional (n_samples, n_features) bool mask of the non-finite
+            entries of ``X`` -- the report's ``missing`` mask, so one
+            batch is scanned for NaN/Inf once; ``None`` builds it here.
+
+        Clipping runs in place and only on the columns whose extremes
+        leave the clip range; every other column is already inside it.
         """
         check_fitted(self, "median_")
         X = np.asarray(X, dtype=np.float64)
@@ -84,7 +94,15 @@ class TrainStatImputer:
                 f"X has {X.shape[1]} features, imputer was fitted on "
                 f"{self.n_features_in_}"
             )
-        out = np.where(np.isfinite(X), X, self.median_)
+        if missing is None:
+            missing = ~np.isfinite(X)
+        elif np.shape(missing) != X.shape:
+            raise ValueError(
+                f"missing mask has shape {np.shape(missing)}, expected {X.shape}"
+            )
+        else:
+            missing = np.asarray(missing, dtype=bool)
+        out = np.where(missing, self.median_, X) if missing.any() else X.copy()
         if stuck is not None:
             stuck = np.asarray(stuck, dtype=bool)
             if stuck.shape != (self.n_features_in_,):
@@ -93,6 +111,12 @@ class TrainStatImputer:
                     f"({self.n_features_in_},)"
                 )
             out[:, stuck] = self.median_[stuck]
-        if self.clip:
-            out = np.clip(out, self.lower_, self.upper_)
+        if self.clip and out.shape[0]:
+            outside = np.flatnonzero(
+                (out.min(axis=0) < self.lower_) | (out.max(axis=0) > self.upper_)
+            )
+            if outside.size:
+                out[:, outside] = np.clip(
+                    out[:, outside], self.lower_[outside], self.upper_[outside]
+                )
         return out

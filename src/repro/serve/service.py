@@ -197,6 +197,8 @@ class VminServingService:
         the execution-fault injectors of :mod:`repro.robust.faults`
         (``wrapper(fn)(request_id)``), so the soak harness can crash or
         hang scoring attempts without touching service internals.
+        Request ids number the admitted requests 0, 1, 2, ... and are
+        unique across threads; the id also keys the retry jitter.
     shift_guard:
         Optional :class:`~repro.serve.shiftguard.ShiftGuard`.  When
         given, the guard is (re-)armed on every model the fallback
@@ -228,9 +230,13 @@ class VminServingService:
         self._slots = threading.Semaphore(self.config.max_in_flight)
         self._waiting = 0
         self._waiting_lock = threading.Lock()
+        # Requests finish on many threads: the outcome counters move
+        # under their own lock, never the hot-swap one.
+        self._counts_lock = threading.Lock()
         self.n_served_ = 0
         self.n_rejected_ = 0
         self.n_overloaded_ = 0
+        self._requests_admitted = 0
         # Audit set: every version name that passed checksum verification
         # before being installed (plus the parametric marker).  The soak
         # harness asserts each ServingResult.model_version is in here --
@@ -451,15 +457,21 @@ class VminServingService:
             guard is not None and guard.armed and guard.verdict().any_alarm()
         )
 
-    def _snapshot(self) -> Tuple[RobustVminFlow, str, FallbackLevel]:
-        """Consistent (model, version, level) triple for one request."""
+    def _snapshot(self) -> Tuple[RobustVminFlow, str, FallbackLevel, int]:
+        """Consistent (model, version, level) for one request, plus its id.
+
+        The id is taken in the same critical section that freezes the
+        model, so concurrent requests never share one.
+        """
         with self._lock:
             if self._model is None:
                 raise RejectedRequest(
                     "no servable model: registry exhausted and no "
                     "parametric fallback configured"
                 )
-            return self._model, self._version, self._level
+            request_id = self._requests_admitted
+            self._requests_admitted += 1
+            return self._model, self._version, self._level, request_id
 
     # -- admission control -----------------------------------------------------
     def _admit(self) -> None:
@@ -468,7 +480,8 @@ class VminServingService:
             return
         with self._waiting_lock:
             if self._waiting >= self.config.max_waiting:
-                self.n_overloaded_ += 1
+                with self._counts_lock:
+                    self.n_overloaded_ += 1
                 raise Overloaded(
                     f"{self.config.max_in_flight} batches in flight and "
                     f"{self._waiting} waiting (max_waiting="
@@ -477,7 +490,8 @@ class VminServingService:
             self._waiting += 1
         try:
             if not self._slots.acquire(timeout=self.config.queue_timeout_s):
-                self.n_overloaded_ += 1
+                with self._counts_lock:
+                    self.n_overloaded_ += 1
                 raise Overloaded(
                     f"no execution slot within queue_timeout_s="
                     f"{self.config.queue_timeout_s:g}"
@@ -501,15 +515,15 @@ class VminServingService:
         """
         started = time.perf_counter()
         if not self.health.ready:
-            self.n_rejected_ += 1
+            with self._counts_lock:
+                self.n_rejected_ += 1
             raise RejectedRequest(
                 f"service is {self.health.state.value}, not accepting requests"
             )
         self._admit()
         try:
-            model, version, level = self._snapshot()
+            model, version, level, request_id = self._snapshot()
             state = self.health.state
-            request_id = self.n_served_ + self.n_rejected_
 
             def score_once(item: object) -> DegradedPrediction:
                 check_deadline()
@@ -531,10 +545,12 @@ class VminServingService:
                 task_key=request_id,
             )
             if not attempt.ok:
-                self.n_rejected_ += 1
+                with self._counts_lock:
+                    self.n_rejected_ += 1
                 attempt.unwrap()
             prediction = attempt.value
-            self.n_served_ += 1
+            with self._counts_lock:
+                self.n_served_ += 1
             return ServingResult(
                 prediction=prediction,
                 model_version=version,
@@ -574,16 +590,21 @@ class VminServingService:
         if model is None:
             raise RejectedRequest("no servable model to observe labels on")
         was_alarmed = self._coverage_alarmed()
-        alarm = model.observe(X, y)
+        observed = model.observe(X, y)
+        alarm = observed.alarm
         verdict: Optional[ShiftVerdict] = None
         guard = self.shift_guard
         if (
             guard is not None
             and guard.armed
             and isinstance(model, RobustVminFlow)
-            and np.asarray(y).shape[0] > 0
+            and observed.scores.shape[0] > 0
         ):
-            verdict = guard.observe(model, X, y, zones=zones)
+            # The flow scored the batch against its primary band while
+            # observing it; the sentinels take those scores as they are.
+            verdict = guard.observe(
+                model, X, y, zones=zones, scores=observed.scores
+            )
         with self._lock:
             if alarm is not None and self.health.state is ServiceState.READY:
                 self.health.transition(

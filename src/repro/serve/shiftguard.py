@@ -214,6 +214,7 @@ class ShiftGuard:
         X: np.ndarray,
         y: np.ndarray,
         zones: Optional[Sequence] = None,
+        scores: Optional[np.ndarray] = None,
     ) -> ShiftVerdict:
         """Stream one labelled batch through every sentinel.
 
@@ -224,10 +225,22 @@ class ShiftGuard:
         -- when ``zones`` labels each chip with its wafer zone -- the
         served interval's hit/miss outcome to that zone's Mondrian
         coverage monitor.  Returns the post-batch :class:`ShiftVerdict`.
+
+        ``scores`` are the batch's conformity scores when the caller
+        already has them -- :meth:`RobustVminFlow.observe` returns them
+        for the batch it streams; ``None`` scores the batch here with
+        :meth:`RobustVminFlow.conformity_scores`.  The primary band does
+        not change after fitting, so both are the same floats.
         """
         if not self.armed:
             raise RuntimeError("shift guard is not armed")
-        scores = flow.conformity_scores(X, y)
+        if scores is None:
+            scores = flow.conformity_scores(X, y)
+        elif np.shape(scores) != np.shape(y):
+            raise ValueError(
+                f"scores has shape {np.shape(scores)} for labels of shape "
+                f"{np.shape(y)}"
+            )
         self.martingale_.observe(scores)
         rows = np.asarray(X, dtype=np.float64)[:, self._columns]
         finite = np.all(np.isfinite(rows), axis=1)

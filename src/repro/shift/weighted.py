@@ -28,7 +28,7 @@ or quantile template) for offline use.
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,12 +221,20 @@ class WeightedBandCalibrator:
         features = X if self.ratio_columns is None else X[:, self.ratio_columns]
         return self.ratio.weights(features)
 
-    def predict_interval(self, X: np.ndarray) -> PredictionIntervals:
-        """Band interval widened by the per-point weighted correction."""
+    def predict_interval(
+        self,
+        X: np.ndarray,
+        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> PredictionIntervals:
+        """Band interval widened by the per-point weighted correction.
+
+        ``band`` is ``self.band.predict_interval(X)`` when the caller has
+        already evaluated it; ``None`` evaluates it here.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        lower, upper = self.band.predict_interval(X)
+        lower, upper = band if band is not None else self.band.predict_interval(X)
         corrections = _batch_corrections(
             self._sorted_scores,
             self._cumulative_weights,

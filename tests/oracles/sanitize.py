@@ -1,0 +1,61 @@
+"""Entry-wise reference bodies of the serving-side sanitize step.
+
+These are the straightforward ``FeatureHealthGuard.assess`` and
+``TrainStatImputer.transform`` computations: every mask is built entry
+by entry over the whole batch, with no column-level shortcuts.  The
+production classes in :mod:`repro.robust` settle whole columns from
+their extremes and share one missing mask between the two steps; the
+parity tests assert that their outputs equal these, array for array.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.robust.guard import FeatureHealthGuard, HealthReport
+from repro.robust.imputation import TrainStatImputer
+
+
+def assess_reference(guard: FeatureHealthGuard, X: np.ndarray) -> HealthReport:
+    """Entry-wise health classification with a fitted guard's statistics."""
+    X = np.asarray(X, dtype=np.float64)
+    missing = ~np.isfinite(X)
+    filled = np.where(missing, guard.median_, X)
+    out_of_range = ~missing & (
+        (filled < guard.lower_bound_) | (filled > guard.upper_bound_)
+    )
+    if X.shape[0] >= 2:
+        finite_max = np.where(missing, -np.inf, X).max(axis=0)
+        finite_min = np.where(missing, np.inf, X).min(axis=0)
+        all_missing = missing.all(axis=0)
+        batch_frozen = ~all_missing & (finite_max == finite_min)  # reprolint: disable=REP102
+        stuck = batch_frozen & ~guard.train_constant_
+    else:
+        stuck = np.zeros(X.shape[1], dtype=bool)
+    if X.shape[0] == 0:
+        broken_fraction = np.zeros(X.shape[1])
+    else:
+        broken_fraction = (missing | out_of_range).mean(axis=0)
+    unhealthy = stuck | (broken_fraction > guard.unhealthy_fraction)
+    return HealthReport(
+        missing=missing,
+        out_of_range=out_of_range,
+        stuck=stuck,
+        unhealthy=unhealthy,
+    )
+
+
+def transform_reference(
+    imputer: TrainStatImputer, X: np.ndarray, stuck: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Median fill, stuck-column medianisation and full-matrix clipping."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.where(np.isfinite(X), X, imputer.median_)
+    if stuck is not None:
+        stuck = np.asarray(stuck, dtype=bool)
+        out[:, stuck] = imputer.median_[stuck]
+    if imputer.clip:
+        out = np.clip(out, imputer.lower_, imputer.upper_)
+    return out

@@ -143,10 +143,7 @@ class TestSortedWindowBitIdentity:
         re-sorting a naive arrival-order trailing list at every step --
         eviction by value (not position) is where the two could diverge,
         e.g. on duplicated or near-equal floats."""
-        from repro.core.calibration import (
-            conformal_quantile,
-            conformal_quantile_sorted,
-        )
+        from repro.core.calibration import conformal_quantile
 
         X, y = stream
         window = 50
@@ -166,11 +163,13 @@ class TestSortedWindowBitIdentity:
             expected = np.sort(np.asarray(naive[-window:], dtype=np.float64))
             np.testing.assert_array_equal(aci._current_scores(), expected)
             # The margin served off the sorted mirror equals a from-scratch
-            # partition of the naive window at the same effective level.
+            # partition of the naive window at the same effective level
+            # (its largest score when the rank overflows the window).
             effective = float(np.clip(aci.alpha_t, 1e-6, 1.0 - 1e-6))
-            assert conformal_quantile_sorted(
-                expected, effective
-            ) == conformal_quantile(np.asarray(naive[-window:]), effective)
+            reference = conformal_quantile(np.asarray(naive[-window:]), effective)
+            if not np.isfinite(reference):
+                reference = float(expected[-1])
+            assert aci._correction() == reference
 
     def test_duplicate_scores_evict_correctly(self):
         """Duplicated float values exercise bisect eviction-by-value."""
@@ -181,3 +180,46 @@ class TestSortedWindowBitIdentity:
         win.append(3.0)  # evicts the 2.0
         np.testing.assert_array_equal(win.sorted_array(), [1.0, 1.0, 3.0])
         assert len(win) == 3
+
+    def test_long_stream_margin_reads_the_window_in_place(self, monkeypatch):
+        """Under the flow's default unbounded window the margin must stay
+        a direct read: every margin equals ``conformal_quantile`` on the
+        materialised window (its largest score once the rank overflows),
+        while ``_correction`` never materialises the window itself."""
+        from repro.core.adaptive import _SortedScoreWindow
+        from repro.core.calibration import conformal_quantile
+
+        class ShiftedBand:
+            def predict_interval(self, X):
+                return X[:, 0] - 1.0, X[:, 0] + 1.0
+
+        rng = np.random.default_rng(5)
+        aci = AdaptiveConformalPredictor.from_fitted(
+            ShiftedBand(), rng.normal(size=40), alpha=0.1, gamma=0.05
+        )
+        materialise = _SortedScoreWindow.sorted_array
+
+        def forbidden(window):
+            raise AssertionError("the margin materialised the score window")
+
+        monkeypatch.setattr(_SortedScoreWindow, "sorted_array", forbidden)
+        n_rows, overflowed, finite = 0, 0, 0
+        while n_rows < 2000:
+            size = int(rng.integers(1, 9))
+            X = rng.normal(size=(size, 1))
+            # Label drift sweeps alpha_t through (0, 1) and below it.
+            drift = 3.0 * np.sin(n_rows / 150.0)
+            y = X[:, 0] + drift + rng.normal(scale=0.5, size=size)
+            aci.update(X, y)
+            n_rows += size
+            window = materialise(aci._scores)
+            effective = float(np.clip(aci.alpha_t, 1e-6, 1.0 - 1e-6))
+            expected = conformal_quantile(window, effective)
+            if np.isfinite(expected):
+                finite += 1
+            else:
+                expected = float(window[-1])
+                overflowed += 1
+            assert aci._correction() == expected
+        assert len(aci._scores) == 40 + n_rows
+        assert finite and overflowed

@@ -368,3 +368,62 @@ class TestEndToEndCQRParity:
         assert np.array_equal(
             compiled.intervals.upper, loop.intervals.upper
         )
+
+
+class TestBatchEdgesAndAccumulation:
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_tiny_batches_match_loop(self, regression_data, n_rows):
+        Xtr, ytr, Xte = regression_data
+        for model in (
+            GradientBoostingRegressor(n_estimators=6, random_state=0),
+            ObliviousBoostingRegressor(n_estimators=6, random_state=0),
+        ):
+            model.fit(Xtr, ytr)
+            X = Xte[:n_rows]
+            # The models reject empty batches before scoring, so the
+            # kernel is driven directly with the model's own constants.
+            kernel = model.compiled_
+            constants = (model.base_score_, model.learning_rate)
+            prediction = kernel.predict(X, *constants)
+            assert prediction.shape == (n_rows,)
+            assert np.array_equal(prediction, model._predict_loop(X))
+            stages = kernel.staged_predict(X, *constants)
+            assert stages.shape == (6, n_rows)
+            assert np.array_equal(stages, model._staged_predict_loop(X))
+            assert kernel.tree_values(X).shape == (n_rows, 6)
+            if n_rows:
+                assert np.array_equal(model.predict(X), prediction)
+
+    def test_accumulation_is_sequential_not_pairwise(self):
+        """Sixteen tree values whose pairwise sum rounds differently.
+
+        Added left to right, every ``+1`` after ``1e16`` is lost to
+        rounding (the spacing there is 2); numpy's pairwise ``np.sum``
+        adds the ones to each other first and keeps them.  The kernel
+        must reproduce the sequential loop, not the pairwise sum.
+        """
+        values = [1e16] + [1.0] * 15
+        trees = [
+            ObliviousTree(
+                features=np.empty(0, dtype=np.int64),
+                thresholds=np.empty(0),
+                leaf_values=np.array([value]),
+            )
+            for value in values
+        ]
+        compiled = compile_oblivious(trees)
+        X = np.zeros((3, 1))
+        base_score, learning_rate = 0.0, 1.0
+        loop = np.full(3, base_score)
+        staged = []
+        for tree in trees:
+            loop += learning_rate * tree.predict(X)
+            staged.append(loop.copy())
+        terms = np.column_stack(
+            [np.full(3, base_score), learning_rate * compiled.tree_values(X)]
+        )
+        assert not np.array_equal(np.sum(terms, axis=1), loop)
+        assert np.array_equal(compiled.predict(X, base_score, learning_rate), loop)
+        assert np.array_equal(
+            compiled.staged_predict(X, base_score, learning_rate), np.array(staged)
+        )

@@ -211,10 +211,34 @@ class TestServingEdgeCases:
         X, y = _make_data(seed=5)
         flow = _fit_flow(X, y)
         before = flow.monitor_.n_observed
-        assert flow.observe(np.empty((0, D)), np.empty(0)) is None
+        observed = flow.observe(np.empty((0, D)), np.empty(0))
+        assert observed.alarm is None
+        assert observed.scores.shape == (0,)
         assert flow.monitor_.n_observed == before
         assert flow.recalibrations_ == 0
         assert not flow.adaptive_active
+
+    def test_zero_row_conformity_scores(self, serving_stack):
+        """An empty labelled batch scores to nothing instead of raising
+        (the guard used to average over zero rows)."""
+        flow, Xh, yh = serving_stack
+        scores = flow.conformity_scores(Xh[:0], yh[:0])
+        assert scores.shape == (0,)
+        report = flow.guard_.assess(Xh[:0])
+        assert report.healthy and report.unhealthy.shape == (D,)
+
+    def test_observe_returns_the_conformity_scores(self):
+        """One labelled pass: the scores observe hands on are the floats
+        conformity_scores computes, before and after adaptation."""
+        X, y = _make_data(seed=23)
+        flow = _fit_flow(X, y, monitor_min_observations=10, monitor_window=20)
+        Xh, yh = X[N_TRAIN:].copy(), y[N_TRAIN:] + 2.0
+        Xh[::7, 5] = np.nan  # damaged entries go through the same sanitize
+        for start in range(0, 200, 10):
+            rows = slice(start, start + 10)
+            expected = flow.conformity_scores(Xh[rows], yh[rows])
+            assert np.array_equal(flow.observe(Xh[rows], yh[rows]).scores, expected)
+        assert flow.adaptive_active
 
 
 class TestObserveAndRecalibration:
@@ -223,7 +247,8 @@ class TestObserveAndRecalibration:
         flow = _fit_flow(X, y, monitor_min_observations=10, monitor_window=20)
         Xh, yh = X[N_TRAIN:], y[N_TRAIN:]
         for start in range(0, 100, 10):
-            assert flow.observe(Xh[start : start + 10], yh[start : start + 10]) is None
+            observed = flow.observe(Xh[start : start + 10], yh[start : start + 10])
+            assert observed.alarm is None
         assert flow.alarms_ == []
         assert not flow.adaptive_active
         assert flow.rolling_coverage() >= 0.8
@@ -238,7 +263,7 @@ class TestObserveAndRecalibration:
         width_before = flow.predict_interval(Xh).mean_width
         alarms = []
         for start in range(0, 200, 10):
-            alarm = flow.observe(Xh[start : start + 10], yh[start : start + 10])
+            alarm = flow.observe(Xh[start : start + 10], yh[start : start + 10]).alarm
             if alarm is not None:
                 alarms.append(alarm)
         assert alarms, "coverage monitor never alarmed under a 2 V shift"

@@ -165,6 +165,8 @@ class TestTrainStatImputer:
             imputer.transform(train[:5, :3])
         with pytest.raises(ValueError, match="stuck mask"):
             imputer.transform(train[:5], stuck=np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="missing mask"):
+            imputer.transform(train[:5], missing=np.zeros((4, 6), dtype=bool))
 
     def test_unfitted_raises(self, train):
         with pytest.raises(NotFittedError):

@@ -6,6 +6,7 @@ deadline/retry handling of transient scoring faults, and the label
 feedback loop driving READY <-> DEGRADED.
 """
 
+import sys
 import threading
 import time
 
@@ -234,6 +235,68 @@ class TestAdmissionControl:
             holder.join(timeout=10.0)
         # The held request itself completed normally once released.
         assert service.n_served_ == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ServingConfig(max_in_flight=4, max_waiting=16, queue_timeout_s=30.0),
+            ServingConfig(max_in_flight=1, max_waiting=0),
+        ],
+        ids=["queued", "shedding"],
+    )
+    def test_threaded_counts_are_exact_and_ids_unique(self, tmp_path, lot, config):
+        """Concurrent requests: every outcome is counted exactly once and
+        no two admitted requests share an id (the id seeds the retry
+        jitter, so a shared id would share jitter too)."""
+        flow, Xh, _ = lot
+        service = _service(tmp_path, flow, config=config)
+        service.start()
+        ids = []
+        ids_lock = threading.Lock()
+
+        def recording(fn):
+            def worker(item):
+                with ids_lock:
+                    ids.append(item)
+                return fn(item)
+
+            return worker
+
+        service.task_wrapper = recording
+        n_threads, per_thread = 8, 25
+        outcomes = {"served": 0, "overloaded": 0}
+        outcomes_lock = threading.Lock()
+        start = threading.Barrier(n_threads)
+
+        def client():
+            start.wait()
+            for _ in range(per_thread):
+                try:
+                    service.score(Xh[:2])
+                    outcome = "served"
+                except Overloaded:
+                    outcome = "overloaded"
+                with outcomes_lock:
+                    outcomes[outcome] += 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave threads as often as possible
+        try:
+            threads = [threading.Thread(target=client) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes["served"] + outcomes["overloaded"] == n_threads * per_thread
+        assert service.n_served_ == outcomes["served"]
+        assert service.n_overloaded_ == outcomes["overloaded"]
+        assert service.n_rejected_ == 0
+        assert sorted(ids) == list(range(outcomes["served"]))
+        if config.max_waiting:
+            assert outcomes["overloaded"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_in_flight"):
