@@ -8,7 +8,10 @@ This package implements Section III of the paper:
 * :class:`~repro.core.cqr.ConformalizedQuantileRegressor` -- CQR
   (Romano et al., 2019; Eqs. 9-10): conformal calibration of a quantile
   band, keeping the band's input-adaptive shape while restoring the
-  coverage guarantee that plain QR lacks.
+  coverage guarantee that plain QR lacks.  Over a
+  :class:`~repro.core.cqr.PointBand` (a point model as the zero-width
+  band) it is split CP, which is how Mondrian calibration and the
+  weighted shift repair serve point templates.
 
 Extensions beyond the paper (exercised by the ablation benchmarks):
 
@@ -19,10 +22,11 @@ Extensions beyond the paper (exercised by the ablation benchmarks):
 * :mod:`repro.core.adaptive` -- online conformal inference for in-field
   drift (the paper's stated future work).
 
-Shared machinery lives in :mod:`repro.core.calibration` (the
-finite-sample quantile of Eq. 7/9), :mod:`repro.core.scores`
-(conformity scores), and :mod:`repro.core.intervals` (the
-:class:`PredictionIntervals` result container).
+Shared machinery lives in :mod:`repro.core.calibration` (the one
+finite-sample quantile of Eq. 7/9, unweighted or weighted),
+:mod:`repro.core.scores` (conformity scores), and
+:mod:`repro.core.intervals` (the :class:`PredictionIntervals` result
+container and the one rule for bounds a negative margin crossed).
 """
 
 from repro.core.adaptive import AdaptiveConformalPredictor
@@ -30,7 +34,7 @@ from repro.core.calibration import (
     conformal_quantile,
     effective_coverage_level,
 )
-from repro.core.cqr import ConformalizedQuantileRegressor
+from repro.core.cqr import ConformalizedQuantileRegressor, PointBand
 from repro.core.cv_plus import CVPlusRegressor, JackknifePlusRegressor
 from repro.core.intervals import PredictionIntervals
 from repro.core.mondrian import MondrianConformalRegressor, MondrianFallbackWarning
@@ -48,6 +52,7 @@ __all__ = [
     "JackknifePlusRegressor",
     "MondrianConformalRegressor",
     "MondrianFallbackWarning",
+    "PointBand",
     "PredictionIntervals",
     "SplitConformalRegressor",
     "absolute_residual_score",

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import conformal_rank
-from repro.core.intervals import PredictionIntervals
+from repro.core.intervals import PredictionIntervals, collapse_crossed
 from repro.core.scores import cqr_score
 from repro.models.base import BaseRegressor, check_fitted, check_X_y
 from repro.models.quantile import QuantileBandRegressor
@@ -227,14 +227,7 @@ class AdaptiveConformalPredictor:
         check_fitted(self, "band_")
         correction = self._correction()
         lower, upper = band if band is not None else self.band_.predict_interval(X)
-        lower = lower - correction
-        upper = upper + correction
-        crossed = lower > upper
-        if np.any(crossed):
-            mid = (lower + upper) / 2.0
-            lower = np.where(crossed, mid, lower)
-            upper = np.where(crossed, mid, upper)
-        return PredictionIntervals(lower, upper)
+        return collapse_crossed(lower - correction, upper + correction)
 
     def update(
         self,

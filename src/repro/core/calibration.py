@@ -12,6 +12,7 @@ in every predictor.
 from __future__ import annotations
 
 import math
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,7 +35,12 @@ def conformal_rank(n_scores: int, alpha: float) -> int:
     return math.ceil((n_scores + 1) * (1.0 - alpha))
 
 
-def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
+def conformal_quantile(
+    scores: np.ndarray,
+    alpha: float,
+    weights: Optional[np.ndarray] = None,
+    test_weight: Union[float, np.ndarray] = 1.0,
+) -> Union[float, np.ndarray]:
     """The finite-sample-corrected ``(1 − alpha)`` quantile of the scores.
 
     Computes the ``ceil((M+1)(1−alpha))``-th smallest score.  When the
@@ -42,6 +48,12 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
     coverage) the quantile is ``+inf``: the only interval with guaranteed
     coverage is the whole real line, and callers must handle that case
     rather than silently under-cover.
+
+    With ``weights`` (Tibshirani et al., 2019) the quantile is that of
+    the distribution placing mass ``weights[i]`` on ``scores[i]`` and
+    mass ``test_weight`` on ``+inf``; ``+inf`` again when the infinite
+    atom is needed.  Unit weights reproduce the unweighted quantile
+    exactly.  A 1-D ``test_weight`` returns one quantile per test point.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
@@ -50,12 +62,38 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
         raise ValueError("scores contain NaN")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if weights is not None:
+        return _weighted_quantile(scores, alpha, weights, test_weight)
     m = scores.size
     rank = conformal_rank(m, alpha)
     if rank > m:
         return float("inf")
     # rank is 1-based; np.partition gives the rank-th smallest at index rank-1.
     return float(np.partition(scores, rank - 1)[rank - 1])
+
+
+def _weighted_quantile(scores, alpha, weights, test_weight):
+    """Cumulative-mass search behind the weighted :func:`conformal_quantile`."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if scores.shape != weights.shape:
+        raise ValueError(
+            f"scores and weights must match, got {scores.shape} and "
+            f"{weights.shape}"
+        )
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and non-negative")
+    test_weight = np.asarray(test_weight, dtype=np.float64)
+    if not (np.all(np.isfinite(test_weight)) and np.all(test_weight >= 0)):
+        raise ValueError(f"test_weight must be finite and >= 0, got {test_weight}")
+    order = np.argsort(scores, kind="stable")
+    cumulative = np.cumsum(weights[order])
+    total = cumulative[-1] + test_weight
+    if not np.all(total > 0.0):
+        raise ValueError("weights and test_weight sum to zero")
+    index = np.searchsorted(cumulative, (1.0 - alpha) * total, side="left")
+    ranked = scores[order][np.minimum(index, scores.size - 1)]
+    quantile = np.where(index < scores.size, ranked, np.inf)
+    return float(quantile) if quantile.ndim == 0 else quantile
 
 
 def effective_coverage_level(n_calibration: int, alpha: float) -> float:

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import conformal_quantile
-from repro.core.intervals import PredictionIntervals
+from repro.core.intervals import PredictionIntervals, collapse_crossed
 from repro.core.scores import cqr_score
 from repro.core.split_cp import split_train_calibration
 from repro.models.base import (
@@ -31,10 +31,11 @@ from repro.models.base import (
     check_fitted,
     check_random_state,
     check_X_y,
+    clone,
 )
 from repro.models.quantile import QuantileBandRegressor
 
-__all__ = ["ConformalizedQuantileRegressor"]
+__all__ = ["ConformalizedQuantileRegressor", "PointBand"]
 
 
 class ConformalizedQuantileRegressor(BaseRegressor):
@@ -63,7 +64,8 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         cloneable) used instead of building a
         :class:`~repro.models.quantile.QuantileBandRegressor` from
         ``estimator``; e.g. the package-default CatBoost band of
-        :class:`~repro.models.quantile.PackageDefaultQuantileBand`.  When
+        :class:`~repro.models.quantile.PackageDefaultQuantileBand`, or
+        :class:`PointBand` for split CP around a point model.  When
         given, ``estimator`` may be ``None``.
     n_jobs:
         Concurrency for the band fit: the lo/hi quantile clones are
@@ -101,8 +103,6 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         self.band_ = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ConformalizedQuantileRegressor":
-        from repro.models.base import clone
-
         X, y = check_X_y(X, y)
         rng = check_random_state(self.random_state)
         train_idx, cal_idx = split_train_calibration(
@@ -164,14 +164,38 @@ class ConformalizedQuantileRegressor(BaseRegressor):
                 f"for alpha={self.alpha}; intervals would be infinite"
             )
         lower, upper = band if band is not None else self.band_.predict_interval(X)
-        lower = lower - self.quantile_low_
-        upper = upper + self.quantile_high_
-        # A strongly negative correction can push the bounds past each
-        # other; the empty interval is conventionally collapsed to its
-        # midpoint (it still counts as covering nothing).
-        crossed = lower > upper
-        if np.any(crossed):
-            mid = (lower + upper) / 2.0
-            lower = np.where(crossed, mid, lower)
-            upper = np.where(crossed, mid, upper)
-        return PredictionIntervals(lower, upper)
+        return collapse_crossed(lower - self.quantile_low_, upper + self.quantile_high_)
+
+
+class PointBand(BaseRegressor):
+    """A point regressor seen as the zero-width band ``[ŷ, ŷ]``.
+
+    Its CQR score ``max(ŷ − y, y − ŷ)`` equals ``|y − ŷ|`` bit for bit,
+    so a :class:`ConformalizedQuantileRegressor` with
+    ``band_template=PointBand(estimator)`` is split CP (Eqs. 7-8), and
+    every variant built on a fitted CQR (Mondrian, weighted repair)
+    serves point templates without a code path of its own.
+
+    Parameters
+    ----------
+    estimator:
+        Unfitted point regressor template; a clone is fitted.
+    """
+
+    def __init__(self, estimator: BaseRegressor) -> None:
+        self.estimator = estimator
+        self.estimator_: Optional[BaseRegressor] = None
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "PointBand":
+        self.estimator_ = clone(self.estimator).fit(X, y)
+        return self
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Point prediction of the fitted estimator."""
+        check_fitted(self, "estimator_")
+        return self.estimator_.predict(X)
+
+    def predict_interval(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The zero-width band ``(ŷ, ŷ)``."""
+        prediction = self.predict(X)
+        return prediction, prediction

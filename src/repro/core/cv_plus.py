@@ -22,12 +22,12 @@ quantiles.  Jackknife+ is the ``K = n`` special case.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 import numpy as np
 
-from repro.core.intervals import PredictionIntervals
+from repro.core.calibration import conformal_rank
+from repro.core.intervals import PredictionIntervals, collapse_crossed
 from repro.models.base import (
     BaseRegressor,
     check_fitted,
@@ -37,13 +37,6 @@ from repro.models.base import (
 )
 
 __all__ = ["CVPlusRegressor", "JackknifePlusRegressor"]
-
-
-def _upper_cv_quantile(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise ceil((n+1)(1−alpha))-th smallest value of a 2-D array."""
-    n = values.shape[1]
-    rank = min(math.ceil((n + 1) * (1.0 - alpha)), n)
-    return np.partition(values, rank - 1, axis=1)[:, rank - 1]
 
 
 class CVPlusRegressor(BaseRegressor):
@@ -110,8 +103,20 @@ class CVPlusRegressor(BaseRegressor):
         return stacked.mean(axis=0)
 
     def predict_interval(self, X: np.ndarray) -> PredictionIntervals:
-        """CV+ interval from out-of-fold residual/prediction pairs."""
+        """CV+ interval from out-of-fold residual/prediction pairs.
+
+        Raises ``RuntimeError`` when ``n`` residuals are too few for
+        ``alpha`` (rank ``ceil((n+1)(1−alpha)) > n``): the CV+ guarantee
+        then needs an infinite interval, exactly as in split CP.
+        """
         check_fitted(self, "fold_models_")
+        n = self.residuals_.size
+        rank = conformal_rank(n, self.alpha)
+        if rank > n:
+            raise RuntimeError(
+                f"calibration set of size {n} is too small for "
+                f"alpha={self.alpha}; intervals would be infinite"
+            )
         predictions = np.stack(
             [model.predict(X) for model in self.fold_models_]
         )  # (K, n_test)
@@ -119,15 +124,11 @@ class CVPlusRegressor(BaseRegressor):
         per_sample_pred = predictions[self.fold_of_sample_]  # (n_cal, n_test)
         lower_candidates = (per_sample_pred - self.residuals_[:, None]).T
         upper_candidates = (per_sample_pred + self.residuals_[:, None]).T
-        lower = -_upper_cv_quantile(-lower_candidates, self.alpha)
-        upper = _upper_cv_quantile(upper_candidates, self.alpha)
-        # Degenerate tiny-n corner: ranks can cross; collapse to midpoint.
-        crossed = lower > upper
-        if np.any(crossed):
-            mid = (lower + upper) / 2.0
-            lower = np.where(crossed, mid, lower)
-            upper = np.where(crossed, mid, upper)
-        return PredictionIntervals(lower, upper)
+        # Row-wise rank-th smallest upper candidate and rank-th largest
+        # lower one; at degenerate tiny n the two can cross.
+        lower = -np.partition(-lower_candidates, rank - 1, axis=1)[:, rank - 1]
+        upper = np.partition(upper_candidates, rank - 1, axis=1)[:, rank - 1]
+        return collapse_crossed(lower, upper)
 
 
 class JackknifePlusRegressor(CVPlusRegressor):

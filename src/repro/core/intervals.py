@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PredictionIntervals"]
+__all__ = ["PredictionIntervals", "collapse_crossed"]
 
 
 @dataclass(frozen=True)
@@ -85,3 +85,19 @@ class PredictionIntervals:
             np.clip(self.lower, minimum, maximum),
             np.clip(self.upper, minimum, maximum),
         )
+
+
+def collapse_crossed(lower: np.ndarray, upper: np.ndarray) -> PredictionIntervals:
+    """Intervals from widened bounds, crossed pairs collapsed to their midpoint.
+
+    A negative conformal correction (CQR shrinking an over-wide band) or
+    CV+'s per-point ranks can push a lower bound past its upper bound.
+    The empty interval is conventionally collapsed to its midpoint: it
+    still covers nothing, but it is a valid closed interval.
+    """
+    crossed = lower > upper
+    if np.any(crossed):
+        mid = (lower + upper) / 2.0
+        lower = np.where(crossed, mid, lower)
+        upper = np.where(crossed, mid, upper)
+    return PredictionIntervals(lower, upper)

@@ -10,9 +10,11 @@ land in each calibration group.
 
 This is an extension beyond the paper, motivated by its automotive
 setting where per-corner guarantees are the natural product requirement.
-The wrapped region predictor can be either a split-CP or a CQR model --
-anything exposing ``fit``/``predict_interval`` whose correction is a
-scalar; we re-derive group corrections from the underlying band.
+The wrapper fits one
+:class:`~repro.core.cqr.ConformalizedQuantileRegressor` -- around the
+template's quantile band, or around a :class:`~repro.core.cqr.PointBand`
+for a point template -- and replaces its one marginal margin with a
+margin per group of its calibration scores.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import conformal_quantile
-from repro.core.intervals import PredictionIntervals
-from repro.core.scores import absolute_residual_score, cqr_score
-from repro.core.split_cp import split_train_calibration
-from repro.models.base import (
-    BaseRegressor,
-    check_fitted,
-    check_random_state,
-    check_X_y,
-    clone,
-)
-from repro.models.quantile import QuantileBandRegressor
+from repro.core.cqr import ConformalizedQuantileRegressor, PointBand
+from repro.core.intervals import PredictionIntervals, collapse_crossed
+from repro.models.base import BaseRegressor, check_fitted
 
 __all__ = ["MondrianConformalRegressor", "MondrianFallbackWarning"]
 
@@ -101,29 +95,20 @@ class MondrianConformalRegressor(BaseRegressor):
         return self.estimator.get_params().get("quantile") is not None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MondrianConformalRegressor":
-        X, y = check_X_y(X, y)
-        rng = check_random_state(self.random_state)
-        train_idx, cal_idx = split_train_calibration(
-            X.shape[0], self.calibration_fraction, rng
-        )
-
-        if self._is_quantile_model:
-            self.band_ = QuantileBandRegressor(self.estimator, alpha=self.alpha)
-            self.band_.fit(X[train_idx], y[train_idx])
-            cal_lower, cal_upper = self.band_.predict_interval(X[cal_idx])
-            scores = cqr_score(y[cal_idx], cal_lower, cal_upper)
-            self.point_model_ = None
-        else:
-            self.point_model_ = clone(self.estimator).fit(X[train_idx], y[train_idx])
-            prediction = self.point_model_.predict(X[cal_idx])
-            scores = absolute_residual_score(y[cal_idx], prediction)
-            self.band_ = None
-
-        groups = np.asarray(self.group_function(X[cal_idx]))
-        if groups.shape != (cal_idx.size,):
+        quantile_model = self._is_quantile_model
+        cqr = ConformalizedQuantileRegressor(
+            self.estimator if quantile_model else None,
+            alpha=self.alpha,
+            calibration_fraction=self.calibration_fraction,
+            band_template=None if quantile_model else PointBand(self.estimator),
+            random_state=self.random_state,
+        ).fit(X, y)
+        scores = cqr.calibration_scores_
+        groups = np.asarray(self.group_function(cqr.calibration_features_))
+        if groups.shape != scores.shape:
             raise ValueError(
                 "group_function must return one key per row, got shape "
-                f"{groups.shape} for {cal_idx.size} rows"
+                f"{groups.shape} for {scores.size} rows"
             )
         quantiles: Dict[Hashable, float] = {}
         counts: Dict[Hashable, int] = {}
@@ -131,19 +116,23 @@ class MondrianConformalRegressor(BaseRegressor):
             members = groups == key
             quantiles[_hashable(key)] = conformal_quantile(scores[members], self.alpha)
             counts[_hashable(key)] = int(members.sum())
-        # Marginal fallback for groups unseen during calibration.
-        self._fallback_quantile = conformal_quantile(scores, self.alpha)
+        self.cqr_ = cqr
+        self.band_ = cqr.band_ if quantile_model else None
+        self.point_model_ = None if quantile_model else cqr.band_.estimator_
         self.group_quantiles_ = quantiles
         self.group_counts_ = counts
         return self
 
-    def _quantile_for(self, groups: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                self.group_quantiles_.get(_hashable(key), self._fallback_quantile)
-                for key in groups
-            ]
-        )
+    def _groups(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(self.group_function(np.asarray(X, dtype=np.float64)))
+
+    def _unseen(self, groups: np.ndarray) -> Tuple[Hashable, ...]:
+        unseen = {
+            _hashable(key)
+            for key in np.unique(groups)
+            if _hashable(key) not in self.group_quantiles_
+        }
+        return tuple(sorted(unseen, key=str))
 
     def unseen_group_keys(self, X: np.ndarray) -> Tuple[Hashable, ...]:
         """Group keys in ``X`` that have no calibrated quantile.
@@ -153,13 +142,7 @@ class MondrianConformalRegressor(BaseRegressor):
         Sorted by string form for determinism.
         """
         check_fitted(self, "group_quantiles_")
-        groups = np.asarray(self.group_function(np.asarray(X, dtype=np.float64)))
-        unseen = {
-            _hashable(key)
-            for key in np.unique(groups)
-            if _hashable(key) not in self.group_quantiles_
-        }
-        return tuple(sorted(unseen, key=str))
+        return self._unseen(self._groups(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "group_quantiles_")
@@ -177,40 +160,24 @@ class MondrianConformalRegressor(BaseRegressor):
         per call carrying the offending keys.
         """
         check_fitted(self, "group_quantiles_")
-        groups = np.asarray(self.group_function(np.asarray(X, dtype=np.float64)))
-        unseen = tuple(
-            sorted(
-                {
-                    _hashable(key)
-                    for key in np.unique(groups)
-                    if _hashable(key) not in self.group_quantiles_
-                },
-                key=str,
-            )
-        )
+        groups = self._groups(X)
+        unseen = self._unseen(groups)
         if unseen:
             warnings.warn(MondrianFallbackWarning(unseen), stacklevel=2)
-        corrections = self._quantile_for(groups)
+        # Groups unseen at calibration fall back to the CQR's own
+        # marginal margin.
+        fallback = self.cqr_.quantile_low_
+        corrections = np.array(
+            [self.group_quantiles_.get(_hashable(key), fallback) for key in groups]
+        )
         if not np.all(np.isfinite(corrections)):
             bad = {str(g) for g, c in zip(groups, corrections) if not np.isfinite(c)}
             raise RuntimeError(
                 f"groups {sorted(bad)} have too few calibration samples for "
                 f"alpha={self.alpha}; intervals would be infinite"
             )
-        if self.point_model_ is not None:
-            prediction = self.point_model_.predict(X)
-            return PredictionIntervals(
-                prediction - corrections, prediction + corrections
-            )
-        lower, upper = self.band_.predict_interval(X)
-        lower = lower - corrections
-        upper = upper + corrections
-        crossed = lower > upper
-        if np.any(crossed):
-            mid = (lower + upper) / 2.0
-            lower = np.where(crossed, mid, lower)
-            upper = np.where(crossed, mid, upper)
-        return PredictionIntervals(lower, upper)
+        lower, upper = self.cqr_.band_.predict_interval(X)
+        return collapse_crossed(lower - corrections, upper + corrections)
 
 
 def _hashable(key) -> Hashable:

@@ -22,7 +22,6 @@ conformity scores all come from that one pass.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,7 +41,7 @@ from repro.robust.fallback import (
 from repro.robust.guard import FeatureHealthGuard, HealthReport
 from repro.robust.imputation import TrainStatImputer
 from repro.robust.monitoring import CoverageAlarm, CoverageMonitor
-from repro.shift.weighted import WeightedBandCalibrator
+from repro.shift.weighted import WeightedBandCalibrator, weighted_band_calibrator
 from repro.shift.weights import LogisticDensityRatio
 
 __all__ = ["ObservedBatch", "RobustVminFlow"]
@@ -249,7 +248,6 @@ class RobustVminFlow:
         self.recalibrations_ = 0
         self._adaptive_active = False
         self.weighted_: Optional[WeightedBandCalibrator] = None
-        self._weighted_active = False
         return self
 
     # -- serving ---------------------------------------------------------------
@@ -333,7 +331,7 @@ class RobustVminFlow:
     def weighted_active(self) -> bool:
         """True while weighted (covariate-shift-repaired) margins serve."""
         check_fitted(self, "primary_")
-        return self._weighted_active
+        return self.weighted_ is not None
 
     def _primary_intervals(
         self,
@@ -350,7 +348,7 @@ class RobustVminFlow:
         # Weighted repair outranks the adaptive path: it is an explicit,
         # audited operator action targeting a diagnosed covariate shift,
         # whereas adaptation is the blind feedback controller.
-        if self._weighted_active:
+        if self.weighted_ is not None:
             return self.weighted_.predict_interval(X_clean, band=band)
         if self._adaptive_active:
             return self.adaptive_.predict_interval(X_clean, band=band)
@@ -409,10 +407,10 @@ class RobustVminFlow:
         """Repair coverage under covariate shift with weighted margins.
 
         Estimates the density ratio between the calibration features
-        (reference) and ``X_recent`` (the shifted serving batch), builds
-        a :class:`~repro.shift.WeightedBandCalibrator` around the primary
-        band, and switches serving to it.  Returns the effective sample
-        size of the calibration weights.
+        (reference) and ``X_recent`` (the shifted serving batch) with
+        :func:`~repro.shift.weighted_band_calibrator`, around the primary
+        band, and switches serving to the result.  Returns the effective
+        sample size of the calibration weights.
 
         Raises :class:`~repro.shift.DegenerateWeightsError` -- leaving
         the serving path unchanged -- when the weights degenerate below
@@ -445,33 +443,19 @@ class RobustVminFlow:
             if ratio_columns is not None
             else self.monitor_columns_
         )
-        features = self.calibration_features()
-        ratio = (
-            copy.deepcopy(ratio_estimator)
-            if ratio_estimator is not None
-            else LogisticDensityRatio()
-        )
-        ratio.estimate(features[:, columns], X_clean[:, columns])
-        weights = ratio.weights(features[:, columns])
-        calibrator = WeightedBandCalibrator(
+        calibrator = weighted_band_calibrator(
             self.primary_.cqr_.band_,
             self.calibration_scores(),
-            weights,
+            self.calibration_features(),
+            X_clean,
             alpha=self.alpha,
-            ratio=ratio,
+            ratio_estimator=ratio_estimator,
             ratio_columns=columns,
             min_ess=min_ess,
         )
         self.weighted_ = calibrator
-        self._weighted_active = True
         self.recalibrations_ += 1
         return calibrator.ess_
-
-    def reset_weighted(self) -> None:
-        """Return serving to the unweighted margins (e.g. after a refit)."""
-        check_fitted(self, "primary_")
-        self.weighted_ = None
-        self._weighted_active = False
 
     def predict_interval(self, X: np.ndarray) -> DegradedPrediction:
         """Serve calibrated intervals with graceful degradation.
@@ -546,7 +530,7 @@ class RobustVminFlow:
                     f"{overall:.0%} of features imputed; interval widened "
                     f"{inflation:.2f}x"
                 )
-        if self._weighted_active and not used_fallback:
+        if self.weighted_ is not None and not used_fallback:
             notes.append(
                 "weighted shift repair active "
                 f"(ESS={self.weighted_.ess_:.1f})"

@@ -10,9 +10,10 @@ makes the violation an observable event and provides the repair:
   and per-feature PSI/KS covariate-shift detectors.
 - :mod:`repro.shift.weights` -- seeded logistic density-ratio
   estimation and the Kish effective-sample-size degeneracy guard.
-- :mod:`repro.shift.weighted` -- likelihood-ratio-weighted split-CP /
-  weighted-CQR quantiles that restore approximate coverage under
-  covariate shift, refusing loudly when the weights degenerate.
+- :mod:`repro.shift.weighted` -- likelihood-ratio-weighted margins
+  around a fitted CQR band (split CP over a point band) that restore
+  approximate coverage under covariate shift, refusing loudly when the
+  weights degenerate.
 
 Serving integration lives in :mod:`repro.serve.shiftguard`; shifted
 fleet data generation in :mod:`repro.silicon.fleet`; the end-to-end
@@ -29,8 +30,7 @@ from repro.shift.sentinel import (
 from repro.shift.weighted import (
     DegenerateWeightsError,
     WeightedBandCalibrator,
-    WeightedConformalRegressor,
-    weighted_conformal_quantile,
+    weighted_band_calibrator,
 )
 from repro.shift.weights import LogisticDensityRatio, effective_sample_size
 
@@ -42,7 +42,6 @@ __all__ = [
     "ExchangeabilityAlarm",
     "LogisticDensityRatio",
     "WeightedBandCalibrator",
-    "WeightedConformalRegressor",
     "effective_sample_size",
-    "weighted_conformal_quantile",
+    "weighted_band_calibrator",
 ]

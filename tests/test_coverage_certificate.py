@@ -37,11 +37,10 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveConformalPredictor
-from repro.core.cqr import ConformalizedQuantileRegressor
+from repro.core.cqr import ConformalizedQuantileRegressor, PointBand
 from repro.core.cv_plus import CVPlusRegressor, JackknifePlusRegressor
 from repro.core.mondrian import MondrianConformalRegressor
 from repro.core.split_cp import SplitConformalRegressor, split_train_calibration
-from repro.models.base import BaseRegressor, check_fitted, clone
 from repro.models.linear import LinearRegression, QuantileLinearRegression
 from repro.shift import WeightedBandCalibrator
 
@@ -52,23 +51,6 @@ N_CAL = 19
 N_FIT = 76  # round(FRACTION * N_FIT) == N_CAL
 N_TEST = 200
 SIGMAS = 4.0
-
-
-class _PointBand(BaseRegressor):
-    """A point regressor as the zero-width band ``[y_hat, y_hat]``."""
-
-    def __init__(self, estimator: BaseRegressor) -> None:
-        self.estimator = estimator
-        self.estimator_ = None
-
-    def fit(self, X, y):
-        self.estimator_ = clone(self.estimator).fit(X, y)
-        return self
-
-    def predict_interval(self, X):
-        check_fitted(self, "estimator_")
-        prediction = self.estimator_.predict(X)
-        return prediction, prediction
 
 
 def _draw(rng, n):
@@ -131,7 +113,7 @@ def _cqr_point_band(seed, X, y, X_test):
         None,
         alpha=ALPHA,
         calibration_fraction=FRACTION,
-        band_template=_PointBand(LinearRegression()),
+        band_template=PointBand(LinearRegression()),
         random_state=seed,
     )
     return model.fit(X, y).predict_interval(X_test)
@@ -175,7 +157,7 @@ class TestSplitMethods:
 
 class TestMondrian:
     def test_every_group_matches_its_own_beta_theory(self):
-        """Two groups with a 4x noise ratio, 19 calibration rows each."""
+        """Two groups, one at 4x the scale, 19 calibration rows each."""
         rng = _rng("mondrian")
         n_fit = 2 * N_FIT
         coverage = {0: np.empty(REPS), 1: np.empty(REPS)}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.cqr import ConformalizedQuantileRegressor
+from repro.core.cqr import ConformalizedQuantileRegressor, PointBand
+from repro.core.split_cp import SplitConformalRegressor
 from repro.models.linear import LinearRegression, QuantileLinearRegression
 from repro.models.oblivious import ObliviousBoostingRegressor
 from repro.models.quantile import PackageDefaultQuantileBand
@@ -133,3 +134,29 @@ class TestCQR:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             ConformalizedQuantileRegressor(QuantileLinearRegression(), alpha=0.0)
+
+
+class TestPointBand:
+    def test_band_is_zero_width(self, rng):
+        X = rng.normal(size=(50, 2))
+        y = X[:, 0] + rng.normal(size=50)
+        band = PointBand(LinearRegression()).fit(X, y)
+        lower, upper = band.predict_interval(X)
+        assert np.array_equal(lower, band.predict(X))
+        assert np.array_equal(upper, band.predict(X))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_cqr_over_point_band_equals_split_cp(self, rng, alpha):
+        X = rng.normal(size=(300, 3))
+        y = X[:, 0] + rng.normal(size=300) * (0.2 + np.abs(X[:, 1]))
+        cqr = ConformalizedQuantileRegressor(
+            None, alpha=alpha, band_template=PointBand(LinearRegression()), random_state=3
+        ).fit(X[:200], y[:200])
+        split = SplitConformalRegressor(
+            LinearRegression(), alpha=alpha, random_state=3
+        ).fit(X[:200], y[:200])
+        assert cqr.quantile_low_ == split.quantile_
+        served = cqr.predict_interval(X[200:])
+        expected = split.predict_interval(X[200:])
+        assert np.array_equal(served.lower, expected.lower)
+        assert np.array_equal(served.upper, expected.upper)

@@ -77,3 +77,15 @@ class TestJackknifePlus:
         ).fit(X[:60], y[:60])
         coverage = model.predict_interval(X[60:]).coverage(y[60:])
         assert coverage >= 0.8
+
+    def test_overflowing_rank_refuses_like_split_cp(self, rng):
+        """Rank ceil((n+1)(1-alpha)) > n needs an infinite interval: 8
+        chips at alpha=0.1 (rank 9) refuse, at alpha=0.2 (rank 8) serve."""
+        X = rng.normal(size=(40, 2))
+        y = X[:, 0] + rng.normal(scale=0.4, size=40)
+        strict = JackknifePlusRegressor(LinearRegression(), alpha=0.1).fit(X[:8], y[:8])
+        with pytest.raises(RuntimeError, match="too small"):
+            strict.predict_interval(X[8:])
+        loose = JackknifePlusRegressor(LinearRegression(), alpha=0.2).fit(X[:8], y[:8])
+        intervals = loose.predict_interval(X[8:])
+        assert np.all(np.isfinite(intervals.lower)) and len(intervals) == 32

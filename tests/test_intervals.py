@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.intervals import PredictionIntervals
+from repro.core.intervals import PredictionIntervals, collapse_crossed
 
 
 class TestValidation:
@@ -62,3 +62,19 @@ class TestMetrics:
         assert clipped.upper.max() <= 2.4
         # original untouched (frozen dataclass semantics)
         assert intervals.upper.max() == 3.0
+
+
+class TestCollapseCrossed:
+    def test_crossed_pairs_collapse_to_their_midpoint(self):
+        lower = np.array([0.0, 3.0, 1.0])
+        upper = np.array([1.0, 1.0, 1.0])
+        intervals = collapse_crossed(lower, upper)
+        assert np.array_equal(intervals.lower, [0.0, 2.0, 1.0])
+        assert np.array_equal(intervals.upper, [1.0, 2.0, 1.0])
+
+    def test_ordered_bounds_pass_through_unchanged(self, rng):
+        lower = rng.normal(size=20)
+        upper = lower + rng.uniform(0.0, 1.0, size=20)
+        intervals = collapse_crossed(lower, upper)
+        assert np.array_equal(intervals.lower, lower)
+        assert np.array_equal(intervals.upper, upper)

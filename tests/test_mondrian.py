@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.cqr import ConformalizedQuantileRegressor
 from repro.core.mondrian import (
     MondrianConformalRegressor,
     MondrianFallbackWarning,
 )
+from repro.core.split_cp import SplitConformalRegressor
 from repro.models.linear import LinearRegression, QuantileLinearRegression
 
 
@@ -46,8 +48,6 @@ class TestMondrian:
     def test_marginal_cp_undercovers_noisy_group(self, grouped_data):
         """The motivating contrast: plain split CP's marginal interval is
         too narrow for the noisy group."""
-        from repro.core.split_cp import SplitConformalRegressor
-
         X, y = grouped_data
         marginal = SplitConformalRegressor(
             LinearRegression(), alpha=0.1, random_state=0
@@ -129,3 +129,39 @@ class TestMondrian:
         )
         with pytest.raises(ValueError, match="one key per row"):
             model.fit(X, y)
+
+
+class TestSingleGroupParity:
+    """With one group, Mondrian is exactly the marginal method it wraps."""
+
+    @staticmethod
+    def _one_group(X):
+        return np.zeros(X.shape[0], dtype=int)
+
+    def test_quantile_template_equals_cqr(self, grouped_data):
+        X, y = grouped_data
+        mondrian = MondrianConformalRegressor(
+            QuantileLinearRegression(), self._one_group, random_state=4
+        ).fit(X[:900], y[:900])
+        cqr = ConformalizedQuantileRegressor(
+            QuantileLinearRegression(), random_state=4
+        ).fit(X[:900], y[:900])
+        served = mondrian.predict_interval(X[900:])
+        expected = cqr.predict_interval(X[900:])
+        assert np.array_equal(served.lower, expected.lower)
+        assert np.array_equal(served.upper, expected.upper)
+
+    def test_point_template_equals_split_cp(self, grouped_data):
+        X, y = grouped_data
+        mondrian = MondrianConformalRegressor(
+            LinearRegression(), self._one_group, random_state=4
+        ).fit(X[:900], y[:900])
+        split = SplitConformalRegressor(LinearRegression(), random_state=4).fit(
+            X[:900], y[:900]
+        )
+        assert mondrian.group_quantiles_ == {0: split.quantile_}
+        served = mondrian.predict_interval(X[900:])
+        expected = split.predict_interval(X[900:])
+        assert np.array_equal(served.lower, expected.lower)
+        assert np.array_equal(served.upper, expected.upper)
+        assert np.array_equal(mondrian.predict(X[900:]), split.predict(X[900:]))

@@ -29,6 +29,17 @@ class TestAbsoluteResidual:
         with pytest.raises(ValueError):
             absolute_residual_score(np.zeros(3), np.zeros(2))
 
+    def test_equals_cqr_score_on_a_zero_width_band(self, rng):
+        """``max(ŷ − y, y − ŷ)`` is ``|y − ŷ|`` bit for bit, exact ties
+        included: what lets a point model calibrate as the band [ŷ, ŷ]."""
+        y = rng.normal(size=10_000)
+        prediction = rng.normal(size=10_000)
+        prediction[::7] = y[::7]  # exact ties: zero residuals
+        assert np.array_equal(
+            cqr_score(y, prediction, prediction),
+            absolute_residual_score(y, prediction),
+        )
+
 
 class TestCQRScore:
     def test_inside_band_is_negative(self):
