@@ -33,6 +33,7 @@ __all__ = [
     "BinnedDataset",
     "FeatureBinner",
     "bin_cache_stats",
+    "bin_major_prefix_sums",
     "clear_bin_cache",
     "dataset_digest",
     "disable_bin_cache",
@@ -228,6 +229,30 @@ def histogram_sums(
     return np.bincount(
         cell, weights=np.repeat(weights, n_candidates), minlength=size
     ).reshape(n_candidates, n_leaves, n_bins)
+
+
+def bin_major_prefix_sums(
+    cells: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Left-child sums of every split of a ``(F, L, B)`` histogram, bin-major.
+
+    ``out[b, l, f]`` is ``cells[f, l, 0] + ... + cells[f, l, b]`` for
+    ``b < B - 1``: the statistic of leaf ``l``'s rows that a split of
+    feature ``f`` after bin ``b`` sends left.  The adds are those of
+    ``np.cumsum(cells, axis=2)[:, :, :-1]`` in the same order, so the
+    values are bit-identical; the ``(B - 1, L, F)`` layout turns them
+    into ``B - 2`` adds of contiguous (leaf, feature) planes, and every
+    later pass of a split scan streams whole planes instead of strided
+    16-32-bin rows.  ``out`` (C-contiguous, that shape) is filled in
+    place when given.
+    """
+    n_candidates, n_leaves, n_bins = cells.shape
+    if out is None:
+        out = np.empty((n_bins - 1, n_leaves, n_candidates))
+    np.copyto(out, cells[:, :, :-1].transpose(2, 1, 0))
+    for b in range(1, n_bins - 1):
+        np.add(out[b - 1], out[b], out=out[b])
+    return out
 
 
 class BinnedDataset:

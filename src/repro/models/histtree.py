@@ -12,21 +12,88 @@ which the test suite verifies.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.models.binning import (
     BinnedDataset,
     FeatureBinner,
+    bin_major_prefix_sums,
     histogram_cells,
     histogram_sums,
 )
 from repro.models.tree import GradientTree, TreeGrowthParams, _NodeBuffers
 
-__all__ = ["grow_histogram_tree"]
+__all__ = ["best_leaf_splits", "grow_histogram_tree"]
 
-_LEAF = -1
+
+def best_leaf_splits(
+    grad_cells: np.ndarray,
+    hess_cells: np.ndarray,
+    count_cells: np.ndarray,
+    grad_leaf: np.ndarray,
+    hess_leaf: np.ndarray,
+    count_leaf: np.ndarray,
+    params: TreeGrowthParams,
+    shortlist: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Best split of every active leaf of one level.
+
+    ``*_cells`` are the level's ``(F, L, B)`` histograms (``count_cells``
+    may be ``hess_cells`` itself for unit Hessians) and ``*_leaf`` the
+    ``(L,)`` leaf totals.  Returns per leaf the best gain, the candidate
+    position of its feature and its bin, plus -- when ``shortlist`` is
+    set and below ``F`` -- the sorted positions of the top-``shortlist``
+    candidates by root gain, to which the feature positions refer.
+
+    Running sums are bin-major (:func:`~repro.models.binning.
+    bin_major_prefix_sums`) and the gain is computed in place over the
+    ``(B - 1, L, F)`` planes with the float operations of the textbook
+    expression, in its order.  The per-leaf ``argmax`` runs over a
+    feature-major copy, so exact ties keep going to the first feature,
+    then the first bin.
+    """
+    n_candidates, n_leaves, n_bins = grad_cells.shape
+    lam = params.reg_lambda
+    grad_left = bin_major_prefix_sums(grad_cells)
+    hess_left = bin_major_prefix_sums(hess_cells)
+    count_left = (
+        hess_left if count_cells is hess_cells
+        else bin_major_prefix_sums(count_cells)
+    )
+    hess_right = hess_leaf[:, None] - hess_left
+    admissible = count_left >= params.min_samples_leaf
+    admissible &= count_leaf[:, None] - count_left >= params.min_samples_leaf
+    if params.min_child_weight > 0:
+        admissible &= hess_left >= params.min_child_weight
+        admissible &= hess_right >= params.min_child_weight
+    # gain = 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)), built in place.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.square(grad_left)
+        hess_left += lam
+        gain /= hess_left
+        np.subtract(grad_leaf[:, None], grad_left, out=grad_left)
+        np.square(grad_left, out=grad_left)
+        hess_right += lam
+        grad_left /= hess_right
+        gain += grad_left
+        gain -= (grad_leaf**2 / (hess_leaf + lam))[:, None]
+        gain *= 0.5
+    np.copyto(gain, -np.inf, where=~admissible)
+
+    kept = None
+    if shortlist is not None and n_candidates > shortlist:
+        # Root-gain shortlist: deeper levels only consider the top-K
+        # features, in candidate order.
+        root_scores = gain.max(axis=(0, 1))
+        kept = np.sort(np.argsort(root_scores)[-shortlist:])
+        gain = gain[:, :, kept]
+    by_leaf = np.ascontiguousarray(gain.transpose(1, 2, 0)).reshape(n_leaves, -1)
+    best_flat = np.argmax(by_leaf, axis=1)
+    best_gain = by_leaf[np.arange(n_leaves), best_flat]
+    width = n_bins - 1
+    return best_gain, best_flat // width, best_flat % width, kept
 
 
 def grow_histogram_tree(
@@ -168,53 +235,12 @@ def grow_histogram_tree(
                 )
             )
 
-        grad_left = np.cumsum(grad_cells, axis=2)[:, :, :-1]
-        hess_left = np.cumsum(hess_cells, axis=2)[:, :, :-1]
-        count_left = (
-            hess_left if unit_hessian else np.cumsum(count_cells, axis=2)[:, :, :-1]
+        best_gain, best_feature_pos, best_bin, kept = best_leaf_splits(
+            grad_cells, hess_cells, count_cells, grad_leaf, hess_leaf,
+            count_leaf, params, feature_shortlist if depth == 0 else None,
         )
-        grad_total = grad_leaf[None, :, None]
-        hess_total = hess_leaf[None, :, None]
-        count_total = count_leaf[None, :, None]
-        grad_right = grad_total - grad_left
-        hess_right = hess_total - hess_left
-        count_right = count_total - count_left
-
-        admissible = (
-            (count_left >= params.min_samples_leaf)
-            & (count_right >= params.min_samples_leaf)
-        )
-        if params.min_child_weight > 0:
-            admissible &= (hess_left >= params.min_child_weight) & (
-                hess_right >= params.min_child_weight
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (
-                grad_left**2 / (hess_left + lam)
-                + grad_right**2 / (hess_right + lam)
-                - grad_total**2 / (hess_total + lam)
-            )
-        gain = np.where(admissible, gain, -np.inf)
-
-        if (
-            depth == 0
-            and feature_shortlist is not None
-            and candidate_features.size > feature_shortlist
-        ):
-            # Root-gain shortlist: deeper levels only consider the top-K
-            # features.  Index both arrays with the same sorted positions
-            # so gain rows stay aligned with candidate_features.
-            root_scores = gain.max(axis=(1, 2))
-            top = np.sort(np.argsort(root_scores)[-feature_shortlist:])
-            candidate_features = candidate_features[top]
-            gain = gain[top]
-        # Best (feature, bin) per active leaf.
-        flat = gain.transpose(1, 0, 2).reshape(n_active, -1)  # (L, F*(nb-1))
-        best_flat = np.argmax(flat, axis=1)
-        best_gain = flat[np.arange(n_active), best_flat]
-        width = gain.shape[2]
-        best_feature_pos = best_flat // width
-        best_bin = best_flat % width
+        if kept is not None:
+            candidate_features = candidate_features[kept]
 
         next_active: List[int] = []
         split_feature = np.full(n_active, -1, dtype=np.int64)
@@ -244,17 +270,13 @@ def grow_histogram_tree(
 
         # Re-slot samples: children occupy consecutive positions; samples in
         # unsplit leaves terminate.
-        old_slot = slot.copy()
-        for position in range(n_active):
-            members = old_slot == position
-            if split_feature[position] < 0:
-                slot[members] = -1
-                continue
-            goes_right = binned[members, split_feature[position]] > split_bin[position]
-            base = new_slot_left[position]
-            member_rows = np.flatnonzero(members)
-            slot[member_rows[~goes_right]] = base
-            slot[member_rows[goes_right]] = base + 1
+        rows = np.flatnonzero(slot >= 0)
+        position = slot[rows]
+        feature = split_feature[position]
+        goes_right = binned[rows, np.maximum(feature, 0)] > split_bin[position]
+        slot[rows] = np.where(
+            feature >= 0, new_slot_left[position] + goes_right, -1
+        )
         active_nodes = next_active
 
     tree = GradientTree(params)

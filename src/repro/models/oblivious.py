@@ -12,7 +12,8 @@ Implementation notes:
 
 * features are pre-binned into at most ``max_bins`` quantile bins once per
   fit; level-wise split search then reduces to one ``np.bincount`` over
-  ``(feature, leaf, bin)`` cells per level, fully vectorised,
+  ``(feature, leaf, bin)`` cells per level, scanned bin-major
+  (:func:`level_split_scores`) in work arrays each fit allocates once,
 * leaf values are Newton steps ``−G/(H+λ)`` with CatBoost's
   ``l2_leaf_reg`` as λ,
 * the objective is squared error or pinball (``quantile=q``), matching the
@@ -35,6 +36,7 @@ from repro.models.base import (
 )
 from repro.models.binning import (
     BinnedDataset,
+    bin_major_prefix_sums,
     histogram_cells,
     histogram_sums,
     shared_binned_dataset,
@@ -46,7 +48,99 @@ from repro.models.losses import (
 )
 from repro.models.tables import compile_oblivious
 
-__all__ = ["ObliviousBoostingRegressor", "ObliviousTree"]
+__all__ = ["ObliviousBoostingRegressor", "ObliviousTree", "level_split_scores"]
+
+_WORK_ARRAYS = 4  # bin-major (B-1, L, F) arrays one level scan writes
+
+
+def _guarded_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where the denominator is positive, else 0.
+
+    A leaf no row reaches has ``H = 0``; at ``l2_leaf_reg = 0`` its
+    Newton terms would be 0/0.  With λ > 0 every denominator is positive
+    and this is the plain quotient, bit for bit (``-0.0`` included).
+    """
+    return np.divide(
+        numerator, denominator, out=np.zeros_like(denominator),
+        where=denominator > 0,
+    )
+
+
+def level_split_scores(
+    grad_cells: np.ndarray,
+    hess_cells: np.ndarray,
+    splittable: np.ndarray,
+    lam: float,
+    work: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, float]:
+    """Summed leaf gain of every (feature, bin) split of one tree level.
+
+    ``grad_cells``/``hess_cells`` are the level's ``(F, L, B)``
+    histograms.  Returns the ``(F, B - 1)`` C-ordered scores
+    ``Σ_leaves GL²/(HL+λ) + GR²/(HR+λ)`` -- ``-inf`` where
+    ``splittable`` is False -- and the no-split baseline
+    ``Σ_leaves G²/(H+λ)``.  ``work`` is a ``(4, n)`` float array with
+    ``n >= (B - 1)·L·F``, reused across levels; one is allocated when
+    omitted.
+
+    The scan runs bin-major over ``(B - 1, L, F)`` planes
+    (:func:`~repro.models.binning.bin_major_prefix_sums`) with the float
+    operations, and the reductions, of a scan over the ``(F, L, B)``
+    histograms themselves:
+
+    * leaf totals are ``cells.sum(axis=2)`` on the ``(F, L, B)`` arrays
+      -- numpy sums a contiguous axis pairwise, which no other layout
+      reproduces;
+    * the sum over leaves is a middle-axis reduction, which numpy does
+      sequentially in both layouts unless one of the other two axes has
+      length 1; those shapes reduce the ``(F, L, B - 1)`` copy itself;
+    * the scores come back feature-major, the order the score noise and
+      the first-max ``argmax`` depend on.
+    """
+    n_candidates, n_leaves, n_bins = grad_cells.shape
+    grad_total = grad_cells.sum(axis=2)
+    hess_total = hess_cells.sum(axis=2)
+    # grad_total is the same for every candidate feature; read the
+    # baseline off the first one.
+    baseline = float(
+        np.sum(_guarded_divide(grad_total[0] ** 2, hess_total[0] + lam))
+    )
+    shape = (n_bins - 1, n_leaves, n_candidates)
+    size = shape[0] * n_leaves * n_candidates
+    if work is None:
+        work = np.empty((_WORK_ARRAYS, size))
+    grad_left, hess_left, score, scratch = (
+        flat[:size].reshape(shape) for flat in work
+    )
+    bin_major_prefix_sums(grad_cells, out=grad_left)
+    bin_major_prefix_sums(hess_cells, out=hess_left)
+    # The parent term is the same for every candidate, so it is dropped
+    # from the argmax.  reg > 0 keeps every denominator positive.
+    reg = max(lam, 1e-12)
+    np.square(grad_left, out=score)
+    np.add(hess_left, reg, out=scratch)
+    score /= scratch
+    np.subtract(np.ascontiguousarray(grad_total.T), grad_left, out=grad_left)
+    np.square(grad_left, out=grad_left)
+    np.subtract(np.ascontiguousarray(hess_total.T), hess_left, out=scratch)
+    scratch += reg
+    grad_left /= scratch
+    score += grad_left
+    n_splits = shape[0]
+    if n_splits > 1 and n_candidates > 1:
+        # Sum over leaves, then turn feature-major, in the spent
+        # hess_left and scratch storage.
+        by_bin = work[1][: n_splits * n_candidates].reshape(n_splits, n_candidates)
+        summed = work[3][: n_splits * n_candidates].reshape(n_candidates, n_splits)
+        np.copyto(summed, np.sum(score, axis=1, out=by_bin).T)
+    else:
+        # A length-1 inner axis makes numpy reduce the leaves pairwise;
+        # reducing the (F, L, B - 1) copy does so exactly as that layout.
+        summed = np.ascontiguousarray(score.transpose(2, 1, 0)).sum(axis=1)
+    # A split must route at least one row each way; otherwise it is a
+    # no-op, and its bin may not even map to a real threshold.
+    np.copyto(summed, -np.inf, where=~splittable)
+    return summed, baseline
 
 
 @dataclass
@@ -235,30 +329,36 @@ class ObliviousBoostingRegressor(BaseRegressor):
         if self.quantile is None:
             grad_leaf = np.bincount(leaf_idx, weights=gradients, minlength=n_leaves)
             hess_leaf = np.bincount(leaf_idx, weights=hessians, minlength=n_leaves)
-            return -grad_leaf / (hess_leaf + self.l2_leaf_reg)
-        residuals = y - prediction
-        values = np.zeros(n_leaves)
+            return _guarded_divide(-grad_leaf, hess_leaf + self.l2_leaf_reg)
+        # One np.quantile call per distinct leaf size: the residuals of
+        # equally large leaves are stacked row-wise, each row in its rows'
+        # original order, and quantiled along axis 1 -- the same values
+        # as one call per leaf.
+        residuals = (y - prediction)[np.argsort(leaf_idx, kind="stable")]
         counts = np.bincount(leaf_idx, minlength=n_leaves)
-        for leaf in np.flatnonzero(counts):
-            members = residuals[leaf_idx == leaf]
+        starts = np.cumsum(counts) - counts
+        values = np.zeros(n_leaves)
+        for size in np.unique(counts[counts > 0]):
+            leaves = np.flatnonzero(counts == size)
+            block = residuals[starts[leaves, None] + np.arange(size)]
+            steps = np.quantile(block, self.quantile, axis=1)
             # Shrink toward zero with the same λ convention as Newton
             # leaves so l2_leaf_reg keeps meaning "resist tiny leaves".
-            step = float(np.quantile(members, self.quantile))
-            values[leaf] = step * counts[leaf] / (counts[leaf] + self.l2_leaf_reg)
+            values[leaves] = steps * size / (size + self.l2_leaf_reg)
         return values
 
     # -- level-wise split search --------------------------------------------
     def _best_level_split(
         self,
-        binned: np.ndarray,
+        dataset: BinnedDataset,
         leaf_idx: np.ndarray,
         gradients: np.ndarray,
         hessians: np.ndarray,
         n_leaves: int,
         candidate_features: np.ndarray,
-        rng=None,
-        n_bins: Optional[int] = None,
-        dataset: Optional[BinnedDataset] = None,
+        rng,
+        splittable: np.ndarray,
+        work: np.ndarray,
     ) -> Tuple[int, int, float, np.ndarray]:
         """Pick the (feature, bin-threshold) with maximal summed leaf gain.
 
@@ -268,25 +368,20 @@ class ObliviousBoostingRegressor(BaseRegressor):
         splitting.  ``per_feature_scores`` (aligned with
         ``candidate_features``) feeds the root-gain shortlist.
 
-        ``n_bins`` is round-invariant (``codes.max() + 1``), so callers
-        fitting many rounds pass it in rather than re-scanning the code
-        matrix per level.  ``dataset`` enables the level-0 histogram
-        cache: when the candidates span every column of its codes and a
-        single leaf is active, the cell index (and, for unit Hessians,
-        the Hessian histogram) comes from
-        :meth:`BinnedDataset.root_level` -- bit-identical by
+        ``splittable`` is the fit's ``(n_features, n_bins - 1)`` mask of
+        splits that send at least one row each way, and ``work`` the
+        fit's scan arrays (see :func:`level_split_scores`).  When the
+        candidates span every column and a single leaf is active, the
+        cell index (and, for unit Hessians, the Hessian histogram) comes
+        from :meth:`BinnedDataset.root_level` -- bit-identical by
         construction.
         """
-        lam = self.l2_leaf_reg
-        if n_bins is None:
-            n_bins = int(binned.max()) + 1 if binned.size else 1
-        best_feature, best_bin, best_score = -1, -1, -np.inf
-
+        binned = dataset.codes
+        n_bins = splittable.shape[1] + 1
         n_candidates = candidate_features.size
         root_unit = None
         if (
-            dataset is not None
-            and n_leaves == 1
+            n_leaves == 1
             and n_candidates == binned.shape[1]
             and np.array_equal(candidate_features, np.arange(binned.shape[1]))
         ):
@@ -302,36 +397,9 @@ class ObliviousBoostingRegressor(BaseRegressor):
             hess_cells = histogram_sums(
                 cell, hessians, n_leaves, n_bins, n_candidates
             )
-
-        grad_left = np.cumsum(grad_cells, axis=2)[:, :, :-1]
-        hess_left = np.cumsum(hess_cells, axis=2)[:, :, :-1]
-        grad_total = grad_cells.sum(axis=2, keepdims=True)
-        hess_total = hess_cells.sum(axis=2, keepdims=True)
-
-        # Score = Σ_leaves GL²/(HL+λ) + GR²/(HR+λ); the parent term is the
-        # same for every candidate so it can be dropped from the argmax.
-        # With λ > 0 every denominator is strictly positive, so the
-        # arithmetic below is NaN-free by construction; the in-place ops
-        # keep temporary traffic down on the (F, L, bins) arrays.
-        reg = max(lam, 1e-12)
-        score = np.square(grad_left)
-        score /= hess_left + reg
-        grad_right = grad_total - grad_left
-        right_term = np.square(grad_right)
-        right_term /= hess_total - hess_left + reg
-        score += right_term
-        score = score.sum(axis=1)  # (F, n_bins-1)
-        # A split must route at least one sample each way globally;
-        # otherwise it is a no-op (and its bin index may not even map to a
-        # real threshold for features with few distinct values).
-        left_mass = hess_left.sum(axis=1)  # (F, n_bins-1)
-        right_mass = hess_total.sum(axis=1) - left_mass
-        score = np.where((left_mass > 0) & (right_mass > 0), score, -np.inf)
-        # No-split reference: sum of G²/(H+λ) over the current leaves;
-        # grad_total is identical for every candidate feature, so read it
-        # off the first candidate only.
-        baseline = float(
-            np.sum(grad_total[0, :, 0] ** 2 / (hess_total[0, :, 0] + lam))
+        score, baseline = level_split_scores(
+            grad_cells, hess_cells, splittable[candidate_features],
+            self.l2_leaf_reg, work,
         )
         if score.size == 0:
             return -1, -1, -np.inf, np.full(n_candidates, -np.inf)
@@ -352,10 +420,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
         per_feature = score.max(axis=1)
         if best <= baseline + 1e-12:
             return -1, -1, -np.inf, per_feature
-        best_feature = int(candidate_features[feature_pos])
-        best_bin = int(bin_pos)
-        best_score = best
-        return best_feature, best_bin, best_score, per_feature
+        return int(candidate_features[feature_pos]), int(bin_pos), best, per_feature
 
     # -- fitting ---------------------------------------------------------------
     def fit(
@@ -382,6 +447,26 @@ class ObliviousBoostingRegressor(BaseRegressor):
         else:
             self.base_score_ = float(np.quantile(y, self.quantile))
 
+        # Splits that send at least one row each way, counted on the codes
+        # (some row at or below the bin, some above).  Hessian mass is no
+        # count: bootstrap weights make it non-integral, and a right-hand
+        # mass a few ulps above zero past a feature's last edge would let
+        # a bin with no threshold behind it win.
+        bins = np.arange(n_bins - 1)
+        splittable = (binned.min(axis=0)[:, None] <= bins) & (
+            binned.max(axis=0)[:, None] > bins
+        )
+        # Scan arrays for the largest level, reused by every level of every
+        # round; local to this fit, so concurrent fits never share them.
+        n_root = max(1, int(round(self.rsm * n_features)))
+        n_deep = (
+            n_root if self.feature_shortlist is None
+            else min(n_root, self.feature_shortlist)
+        )
+        work = np.empty(
+            (_WORK_ARRAYS, bins.size * max(n_root, 2 ** (self.depth - 1) * n_deep))
+        )
+
         prediction = np.full(n_samples, self.base_score_)
         trees: List[ObliviousTree] = []
         for _ in range(self.n_estimators):
@@ -406,13 +491,12 @@ class ObliviousBoostingRegressor(BaseRegressor):
                 if shortlist is not None:
                     candidates = shortlist
                 elif self.rsm < 1.0:
-                    n_cols = max(1, int(round(self.rsm * n_features)))
-                    candidates = rng.choice(n_features, size=n_cols, replace=False)
+                    candidates = rng.choice(n_features, size=n_root, replace=False)
                 else:
                     candidates = np.arange(n_features)
                 feature, bin_index, _score, feature_scores = self._best_level_split(
-                    binned, leaf_idx, weighted_grad, weighted_hess, n_leaves,
-                    candidates, rng, n_bins=n_bins, dataset=dataset,
+                    dataset, leaf_idx, weighted_grad, weighted_hess, n_leaves,
+                    candidates, rng, splittable, work,
                 )
                 if (
                     shortlist is None

@@ -129,6 +129,34 @@ class TestHistogramGrower:
         used = set(tree.feature_[tree.feature_ >= 0].tolist())
         assert 7 in used
 
+    @pytest.mark.parametrize("unit_hessian", [True, False])
+    def test_leaf_values_are_newton_steps_of_their_rows(self, rng, unit_hessian):
+        """Rows re-slotted level by level land where the tree routes them:
+        every leaf's value is -G/(H+λ) over exactly the training rows that
+        reach it, including leaves that stopped splitting early."""
+        X = rng.normal(size=(150, 6))
+        X[:, 0] = np.round(X[:, 0])
+        grads = np.sign(X[:, 0]) + rng.normal(scale=0.5, size=150)
+        hess = np.ones(150) if unit_hessian else rng.uniform(0.5, 2.0, size=150)
+        params = TreeGrowthParams(max_depth=5, reg_lambda=1.0, gamma=2.0)
+        binner = FeatureBinner(max_bins=16)
+        tree = grow_histogram_tree(
+            binner.fit_transform(X), binner, grads, hess, params
+        )
+        node = np.zeros(150, dtype=np.int64)
+        depth = np.zeros(150, dtype=np.int64)
+        while np.any(tree.feature_[node] >= 0):
+            rows = np.flatnonzero(tree.feature_[node] >= 0)
+            split = node[rows]
+            goes_left = X[rows, tree.feature_[split]] <= tree.threshold_[split]
+            node[rows] = np.where(goes_left, tree.left_[split], tree.right_[split])
+            depth[rows] += 1
+        assert depth.min() < depth.max() <= params.max_depth
+        leaves = np.unique(node)
+        g = np.bincount(node, weights=grads)[leaves]
+        h = np.bincount(node, weights=hess)[leaves]
+        np.testing.assert_array_equal(tree.value_[leaves], -g / (h + 1.0))
+
     def test_rejects_bad_gradient_shapes(self, rng):
         X = rng.normal(size=(10, 2))
         binner = FeatureBinner()

@@ -78,7 +78,7 @@ class TestPointObjective:
         Xtr, ytr, Xte, _ = boost_data
         a = ObliviousBoostingRegressor(random_state=3).fit(Xtr, ytr)
         b = ObliviousBoostingRegressor(random_state=3).fit(Xtr, ytr)
-        np.testing.assert_allclose(a.predict(Xte), b.predict(Xte))
+        np.testing.assert_array_equal(a.predict(Xte), b.predict(Xte))
 
     def test_seeds_give_different_models(self, boost_data):
         Xtr, ytr, Xte, _ = boost_data
@@ -244,3 +244,66 @@ class TestRegressionGuards:
                 n_estimators=10, random_state=seed
             ).fit(X, y)  # IndexError before the fix
             assert np.all(np.isfinite(model.predict(X)))
+
+
+def rounded_first_column(seed):
+    """40 rows, 6 columns, the first rounded to a handful of values."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 6))
+    X[:, 0] = np.round(X[:, 0])
+    y = X[:, 1] + rng.normal(scale=0.1, size=40)
+    return X, y
+
+
+class TestSplitMaskAndEmptyLeaves:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bootstrap_weights_never_pick_a_bin_past_the_last_edge(self, seed):
+        """Bootstrap weights make the Hessian mass non-integral, so the
+        right-hand mass past a feature's last edge could sit a few ulps
+        above zero; a mask built on it let such a bin win (IndexError).
+        The mask counts rows instead."""
+        X, y = rounded_first_column(seed)
+        model = ObliviousBoostingRegressor(
+            n_estimators=20, bagging_temperature=1.0, random_state=0
+        ).fit(X, y)
+        edges = model._bin_features(X).binner.edges_
+        for tree in model.trees_:
+            for feature, threshold in zip(tree.features, tree.thresholds):
+                assert threshold in edges[feature]
+                goes_right = X[:, feature] > threshold
+                assert 0 < goes_right.sum() < X.shape[0]
+
+    def test_zero_l2_leaf_reg_serves_finite_predictions(self):
+        """With l2_leaf_reg=0 an empty leaf's Newton step and its no-split
+        baseline term were 0/0: NaN leaves, and a NaN baseline that let
+        every split through.  Runs under the suite's RuntimeWarning-as-
+        error filter, so the fit must also be warning-free."""
+        X, y = rounded_first_column(0)
+        model = ObliviousBoostingRegressor(
+            n_estimators=20, l2_leaf_reg=0.0, random_state=0
+        ).fit(X, y)
+        fresh = np.random.default_rng(1).normal(size=(200, 6))
+        assert np.all(np.isfinite(model.predict(fresh)))
+        assert all(np.all(np.isfinite(t.leaf_values)) for t in model.trees_)
+
+    @pytest.mark.parametrize("quantile", [0.05, 0.5, 0.95])
+    def test_exact_leaves_equal_one_quantile_per_leaf(self, rng, quantile):
+        """Leaves grouped by size and quantiled in one call per size give
+        the per-leaf np.quantile values bit for bit."""
+        model = ObliviousBoostingRegressor(quantile=quantile, l2_leaf_reg=3.0)
+        for n_leaves in (1, 2, 16, 64):
+            y = rng.normal(size=150)
+            y[::7] = 0.0
+            prediction = np.where(rng.random(150) < 0.2, y, rng.normal(size=150))
+            leaf_idx = rng.integers(0, n_leaves, size=150)
+            leaf_idx[leaf_idx == n_leaves - 1] = 0  # at least one empty leaf
+            values = model._leaf_values(
+                y, prediction, None, None, leaf_idx, n_leaves
+            )
+            expected = np.zeros(n_leaves)
+            counts = np.bincount(leaf_idx, minlength=n_leaves)
+            for leaf in np.flatnonzero(counts):
+                step = float(np.quantile((y - prediction)[leaf_idx == leaf], quantile))
+                expected[leaf] = step * counts[leaf] / (counts[leaf] + 3.0)
+            np.testing.assert_array_equal(values, expected)
+            np.testing.assert_array_equal(np.signbit(values), np.signbit(expected))
