@@ -16,8 +16,8 @@ for the schema) with:
   and the service ending the campaign ``READY``.
 
 A second, throughput section times the compiled decision-table kernel
-(:mod:`repro.models.tables`) against the per-tree reference loop on the
-Table-III-sized holdout batch: best-of-N wall times for both paths,
+(:mod:`repro.models.tables`) against the per-tree oracle loop
+(``tests/oracles/trees.py``) on the Table-III-sized holdout batch: best-of-N wall times for both paths,
 chips/s plus p50/p99 batch latency for the compiled path, and the
 ``compiled_batch_predict`` speedup ratio.  Two checks guard the
 contract -- the compiled path must be bit-identical to the loop and at
@@ -39,6 +39,7 @@ from repro.eval.stress import run_serving_campaign
 from repro.models import ObliviousBoostingRegressor
 from repro.perf.bench import BenchRecorder
 from repro.robust import RobustVminFlow
+from tests.oracles.trees import predict_loop
 
 N_TRAIN = 110
 
@@ -136,10 +137,10 @@ def test_serving_soak(dataset, profile, tmp_path):
     recorder.check("ends_ready", report.final_state == "ready")
 
     # --- compiled-kernel throughput on the Table-III-sized holdout ----
-    # The band models are the hot path of interval scoring; each carries
-    # a compiled_ decision-table kernel (predict) next to the per-tree
-    # reference loop (_predict_loop), so the same objects give an
-    # apples-to-apples single-thread comparison.  The pair is fitted at
+    # The band models are the hot path of interval scoring; each scores
+    # through its compiled_ decision-table kernel (predict), and the
+    # per-tree oracle loop (predict_loop) walks the same objects, so the
+    # two give an apples-to-apples single-thread comparison.  The pair is fitted at
     # the paper's ensemble size regardless of REPRO_BENCH so the
     # recorded speedup is profile-independent (the smoke soak shrinks
     # its models, which would dilute the ratio).
@@ -155,7 +156,7 @@ def test_serving_soak(dataset, profile, tmp_path):
 
     loop_result = recorder.timed(
         "batch_predict_loop",
-        lambda: (lower._predict_loop(X_holdout), upper._predict_loop(X_holdout)),
+        lambda: (predict_loop(lower, X_holdout), predict_loop(upper, X_holdout)),
         repeats=repeats,
         n_chips=n_chips,
     )

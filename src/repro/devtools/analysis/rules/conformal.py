@@ -37,7 +37,7 @@ __all__ = ["CalibrationLeakRule", "RefitAfterCalibrateRule"]
 # Functions whose call means "training happens here".  ``calibrate`` is
 # deliberately absent: feeding calibration data to calibrate() is the
 # whole point of split CP.
-_FIT_SINKS = frozenset({"fit", "fit_binned", "partial_fit", "train_on"})
+_FIT_SINKS = frozenset({"fit", "fit_binned", "fit_gradients", "partial_fit", "train_on"})
 
 # Seam functions returning (train, calibration) index/array tuples,
 # mapped to the tuple positions that carry calibration data.

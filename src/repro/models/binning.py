@@ -29,6 +29,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.models.base import check_fitted
+
 __all__ = [
     "BinnedDataset",
     "FeatureBinner",
@@ -39,31 +41,10 @@ __all__ = [
     "disable_bin_cache",
     "histogram_cells",
     "histogram_sums",
-    "quantile_bin_edges",
+    "resolve_binned_dataset",
     "seed_bin_cache",
     "shared_binned_dataset",
 ]
-
-
-def quantile_bin_edges(column: np.ndarray, max_bins: int) -> np.ndarray:
-    """Candidate split thresholds for one feature column.
-
-    Returns a strictly increasing array of at most ``max_bins - 1``
-    thresholds.  When the column has few distinct values, thresholds are
-    the midpoints between consecutive distinct values (exact search);
-    otherwise they are interior quantiles.  Constant columns yield an
-    empty array -- they can never split.
-    """
-    if max_bins < 2:
-        raise ValueError(f"max_bins must be >= 2, got {max_bins}")
-    unique = np.unique(column)
-    if unique.size <= 1:
-        return np.empty(0)
-    midpoints = (unique[:-1] + unique[1:]) / 2.0
-    if midpoints.size <= max_bins - 1:
-        return midpoints
-    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    return np.unique(np.quantile(column, quantiles))
 
 
 class FeatureBinner:
@@ -79,7 +60,7 @@ class FeatureBinner:
         if max_bins < 2:
             raise ValueError(f"max_bins must be >= 2, got {max_bins}")
         self.max_bins = max_bins
-        self.edges_: List[np.ndarray] = []
+        self.edges_: Optional[List[np.ndarray]] = None
         self._n_bins: Optional[int] = None
 
     @classmethod
@@ -104,17 +85,15 @@ class FeatureBinner:
         self._n_bins = None
         n_samples, n_features = X.shape
         if n_samples == 0 or n_features == 0:
-            self.edges_ = [
-                quantile_bin_edges(X[:, j], self.max_bins)
-                for j in range(n_features)
-            ]
+            self.edges_ = [np.empty(0) for _ in range(n_features)]
             return self
-        # Vectorised equivalent of calling quantile_bin_edges per column
-        # (kept above as the reference oracle): one column-wise sort finds
-        # every column's distinct values, and the interior quantiles of
-        # all many-valued columns are computed in a single np.quantile
-        # call -- which is bit-identical to the per-column call, as the
-        # parity tests assert.
+        # Per column: the midpoints between distinct values when there
+        # are at most max_bins of them, else the distinct interior
+        # quantiles; a constant column gets no edges.  One column-wise
+        # sort finds every column's distinct values, and the interior
+        # quantiles of all many-valued columns come from a single
+        # np.quantile call -- bit-identical to one call per column, as
+        # the parity tests assert against the per-column oracle.
         sorted_X = np.sort(X, axis=0)
         distinct_mask = np.empty(X.shape, dtype=bool)
         distinct_mask[0] = True
@@ -138,8 +117,7 @@ class FeatureBinner:
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if not self.edges_ and self.edges_ != []:
-            raise RuntimeError("FeatureBinner is not fitted")
+        check_fitted(self, "edges_")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.edges_):
             raise ValueError(
@@ -181,6 +159,7 @@ class FeatureBinner:
         A sample goes right iff its bin code exceeds ``bin_index``, i.e.
         iff its raw value exceeds ``edges[feature][bin_index]``.
         """
+        check_fitted(self, "edges_")
         edges = self.edges_[feature]
         if not 0 <= bin_index < edges.size:
             raise IndexError(
@@ -268,9 +247,9 @@ class BinnedDataset:
     histogram (sample counts, which double as the Hessian histogram for
     the unit-Hessian squared-error/pinball objectives).
 
-    Row-subset views via :meth:`take` are only valid *within* one fit
-    (boosting row subsampling): a CV fold must not slice a full-dataset
-    code matrix, because a binner fitted on the fold's rows has different
+    Row subsets of ``codes`` are only valid *within* one fit (boosting
+    row subsampling): a CV fold must not slice a full-dataset code
+    matrix, because a binner fitted on the fold's rows has different
     edges.  Fold sharing happens one level up, in
     :func:`shared_binned_dataset`, which memoises one ``BinnedDataset``
     per distinct row subset by content.
@@ -307,10 +286,6 @@ class BinnedDataset:
     @property
     def max_bins(self) -> int:
         return int(self.binner.max_bins)
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """Row-subset codes for in-fit subsampling (same binner edges)."""
-        return self.codes[rows]
 
     def root_level(self, n_bins: int) -> Tuple[np.ndarray, np.ndarray]:
         """Level-0 ``(cell, unit_histogram)`` over *all* features.
@@ -392,6 +367,30 @@ def shared_binned_dataset(X: np.ndarray, max_bins: int) -> BinnedDataset:
         while len(_CACHE) > _CACHE_CAPACITY:
             _CACHE.popitem(last=False)
     return winner
+
+
+def resolve_binned_dataset(
+    X: np.ndarray, max_bins: int, binned: Optional[BinnedDataset] = None
+) -> BinnedDataset:
+    """The bundle a booster fits ``X`` on: the caller's, else the shared one.
+
+    A caller-provided ``binned`` must have been built from this very
+    ``X`` at this ``max_bins``; it is checked for shape and resolution
+    and used as-is.  Without one, :func:`shared_binned_dataset` supplies
+    the memoised bundle.
+    """
+    if binned is None:
+        return shared_binned_dataset(X, max_bins)
+    if binned.codes.shape != X.shape:
+        raise ValueError(
+            f"binned dataset has shape {binned.codes.shape}, X has {X.shape}"
+        )
+    if binned.max_bins != max_bins:
+        raise ValueError(
+            f"binned dataset was built with max_bins={binned.max_bins}, "
+            f"model wants {max_bins}"
+        )
+    return binned
 
 
 def seed_bin_cache(entries: Mapping[str, BinnedDataset]) -> None:

@@ -27,7 +27,7 @@ from repro.models.base import (
     check_X,
     check_X_y,
 )
-from repro.models.binning import BinnedDataset, shared_binned_dataset
+from repro.models.binning import BinnedDataset, resolve_binned_dataset
 from repro.models.histtree import grow_histogram_tree
 from repro.models.losses import (
     mse_gradient_hessian,
@@ -62,8 +62,11 @@ class GradientBoostingRegressor(BaseRegressor):
         objective to the pinball loss for that quantile.
     tree_method:
         ``"hist"`` (default) grows trees on quantile-binned features with
-        level-batched histogram split search; ``"exact"`` uses the
-        per-node exact greedy reference grower (slow on wide data).
+        level-batched histogram split search
+        (:func:`~repro.models.histtree.grow_histogram_tree`); ``"exact"``
+        grows them node by node with exact greedy search
+        (:meth:`~repro.models.tree.GradientTree.fit_gradients`, slow on
+        wide data).
     max_bins:
         Histogram resolution for ``tree_method="hist"``.
     feature_shortlist:
@@ -218,20 +221,7 @@ class GradientBoostingRegressor(BaseRegressor):
 
         n_samples, n_features = X.shape
         if self.tree_method == "hist":
-            if binned is not None:
-                if binned.codes.shape != X.shape:
-                    raise ValueError(
-                        f"binned dataset has shape {binned.codes.shape}, "
-                        f"X has {X.shape}"
-                    )
-                if binned.max_bins != self.max_bins:
-                    raise ValueError(
-                        f"binned dataset was built with max_bins="
-                        f"{binned.max_bins}, model wants {self.max_bins}"
-                    )
-                dataset = binned
-            else:
-                dataset = shared_binned_dataset(X, self.max_bins)
+            dataset = resolve_binned_dataset(X, self.max_bins, binned)
             binner = dataset.binner
             codes = dataset.codes
         else:
@@ -310,35 +300,33 @@ class GradientBoostingRegressor(BaseRegressor):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Boosted prediction for every row of ``X``.
 
-        Scores through the compiled decision-table kernel when the fit
-        produced one (``compiled_``), falling back to the per-tree
-        reference loop for models unpickled from older bundles.  The two
-        paths are bit-identical; comparisons always happen in float64
-        regardless of the dtype of ``X``.
+        Scores through the compiled decision-table kernel (``compiled_``),
+        bit-identical to accumulating the trees one by one; comparisons
+        always happen in float64 regardless of the dtype of ``X``.
         """
         check_fitted(self, "trees_")
         X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.predict(X, self.base_score_, self.learning_rate)
-        return self._predict_loop(X)
+        return self.compiled_.predict(X, self.base_score_, self.learning_rate)
 
     def staged_predict(self, X: np.ndarray) -> np.ndarray:
         """Predictions after each boosting round, shape (n_estimators, n).
 
         Useful for picking an early-stopping round and for the learning-
         curve diagnostics in the benchmarks.  Uses the compiled kernel
-        when available, like :meth:`predict`; the last stage always
-        equals ``predict(X)`` exactly.
+        like :meth:`predict`; the last stage always equals ``predict(X)``
+        exactly.
         """
         check_fitted(self, "trees_")
         X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.staged_predict(
-                X, self.base_score_, self.learning_rate
-            )
-        return self._staged_predict_loop(X)
+        return self.compiled_.staged_predict(
+            X, self.base_score_, self.learning_rate
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle, compiling the kernel a pre-kernel bundle lacks."""
+        self.__dict__.update(state)
+        if self.trees_ is not None and getattr(self, "compiled_", None) is None:
+            self.compiled_ = compile_depthwise(self.trees_)
 
     def _check_predict_X(self, X: np.ndarray) -> np.ndarray:
         X = check_X(X)
@@ -348,23 +336,6 @@ class GradientBoostingRegressor(BaseRegressor):
                 f"{self.n_features_in_}"
             )
         return X
-
-    def _predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree accumulation: the parity oracle for
-        ``compiled_`` and the fallback for pre-kernel pickles."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        for tree in self.trees_:
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
-
-    def _staged_predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-round accumulation matching ``_predict_loop``."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        stages = np.empty((len(self.trees_), X.shape[0]))
-        for i, tree in enumerate(self.trees_):
-            prediction = prediction + self.learning_rate * tree.predict(X)
-            stages[i] = prediction
-        return stages
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -6,8 +6,9 @@ all leaves of a level processed in one ``np.bincount`` pass (the LightGBM
 ``depth-wise`` strategy).  On the paper's 1800-feature parametric block
 this is what makes fitting a 100-tree boosting model interactive instead
 of minutes-long; with ``max_bins`` at least the number of distinct feature
-values it is exactly equivalent to the exact-greedy reference grower,
-which the test suite verifies.
+values its training predictions equal those of the exact grower
+(:meth:`~repro.models.tree.GradientTree.fit_gradients`), which the test
+suite verifies.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ def grow_histogram_tree(
         for position, node_id in enumerate(active_nodes):
             buffers.value[node_id] = -grad_leaf[position] / (hess_leaf[position] + lam)
 
-        if depth == params.max_depth:
+        # One bin (every column constant, or none at all) leaves no
+        # boundary to split on: the root stays the only leaf.
+        if depth == params.max_depth or n_bins < 2:
             break
 
         # Avoid materialising full-matrix copies while every sample is
@@ -279,11 +282,4 @@ def grow_histogram_tree(
         )
         active_nodes = next_active
 
-    tree = GradientTree(params)
-    tree.feature_ = np.asarray(buffers.feature, dtype=np.int64)
-    tree.threshold_ = np.asarray(buffers.threshold, dtype=np.float64)
-    tree.left_ = np.asarray(buffers.left, dtype=np.int64)
-    tree.right_ = np.asarray(buffers.right, dtype=np.int64)
-    tree.value_ = np.asarray(buffers.value, dtype=np.float64)
-    tree.n_features_in_ = int(n_features)
-    return tree
+    return GradientTree(params)._set_nodes(buffers, n_features)

@@ -39,7 +39,7 @@ from repro.models.binning import (
     bin_major_prefix_sums,
     histogram_cells,
     histogram_sums,
-    shared_binned_dataset,
+    resolve_binned_dataset,
 )
 from repro.models.losses import (
     mse_gradient_hessian,
@@ -278,32 +278,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
         self.random_state = random_state
         self.trees_: Optional[List[ObliviousTree]] = None
 
-    # -- binning -----------------------------------------------------------
-    def _bin_features(
-        self, X: np.ndarray, dataset: Optional[BinnedDataset] = None
-    ) -> BinnedDataset:
-        """Digitise every column into a shared :class:`BinnedDataset`.
-
-        The single binning code path for both boosting models: delegates
-        to :func:`~repro.models.binning.shared_binned_dataset`, so repeat
-        fits on the same matrix (the CQR lo/hi pair, CV folds, grid
-        cells) reuse one binning pass.  A caller-provided ``dataset`` is
-        validated against ``X`` and used as-is.
-        """
-        if dataset is not None:
-            if dataset.codes.shape != X.shape:
-                raise ValueError(
-                    f"binned dataset has shape {dataset.codes.shape}, "
-                    f"X has {X.shape}"
-                )
-            if dataset.max_bins != self.max_bins:
-                raise ValueError(
-                    f"binned dataset was built with max_bins="
-                    f"{dataset.max_bins}, model wants {self.max_bins}"
-                )
-            return dataset
-        return shared_binned_dataset(X, self.max_bins)
-
     def _gradients(self, y: np.ndarray, prediction: np.ndarray):
         if self.quantile is None:
             return mse_gradient_hessian(y, prediction)
@@ -436,7 +410,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
         X, y = check_X_y(X, y)
         self.n_features_in_ = X.shape[1]
         rng = check_random_state(self.random_state)
-        dataset = self._bin_features(X, dataset=binned)
+        dataset = resolve_binned_dataset(X, self.max_bins, binned)
         binned = dataset.codes
         edges = dataset.binner.edges_
         n_bins = dataset.codes_max + 1
@@ -541,19 +515,14 @@ class ObliviousBoostingRegressor(BaseRegressor):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Boosted prediction for every row of ``X``.
 
-        Scores through the compiled decision-table kernel when the fit
-        produced one (``compiled_``,
-        :class:`~repro.models.tables.CompiledObliviousTables`), falling
-        back to the per-tree reference loop for models unpickled from
-        older bundles.  The two paths are bit-identical; comparisons
+        Scores through the compiled decision-table kernel (``compiled_``,
+        :class:`~repro.models.tables.CompiledObliviousTables`),
+        bit-identical to accumulating the trees one by one; comparisons
         always happen in float64 regardless of the dtype of ``X``.
         """
         check_fitted(self, "trees_")
         X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.predict(X, self.base_score_, self.learning_rate)
-        return self._predict_loop(X)
+        return self.compiled_.predict(X, self.base_score_, self.learning_rate)
 
     def staged_predict(self, X: np.ndarray) -> np.ndarray:
         """Predictions after each boosting round, shape (n_trees, n).
@@ -564,12 +533,15 @@ class ObliviousBoostingRegressor(BaseRegressor):
         """
         check_fitted(self, "trees_")
         X = self._check_predict_X(X)
-        compiled = getattr(self, "compiled_", None)
-        if compiled is not None:
-            return compiled.staged_predict(
-                X, self.base_score_, self.learning_rate
-            )
-        return self._staged_predict_loop(X)
+        return self.compiled_.staged_predict(
+            X, self.base_score_, self.learning_rate
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle, compiling the kernel a pre-kernel bundle lacks."""
+        self.__dict__.update(state)
+        if self.trees_ is not None and getattr(self, "compiled_", None) is None:
+            self.compiled_ = compile_oblivious(self.trees_)
 
     def _check_predict_X(self, X: np.ndarray) -> np.ndarray:
         X = check_X(X)
@@ -579,24 +551,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
                 f"{self.n_features_in_}"
             )
         return X
-
-    def _predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree accumulation: the parity oracle for
-        ``compiled_`` and the fallback for pre-kernel pickles.  Depth-0
-        tables predict like any other tree (see :class:`ObliviousTree`)."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        for tree in self.trees_:
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
-
-    def _staged_predict_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-round accumulation matching ``_predict_loop``."""
-        prediction = np.full(X.shape[0], self.base_score_)
-        stages = np.empty((len(self.trees_), X.shape[0]))
-        for i, tree in enumerate(self.trees_):
-            prediction = prediction + self.learning_rate * tree.predict(X)
-            stages[i] = prediction
-        return stages
 
     @property
     def feature_importances_(self) -> np.ndarray:

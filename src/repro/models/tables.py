@@ -1,9 +1,9 @@
 """Compiled decision-table inference kernels for fitted tree ensembles.
 
-The boosting models fit trees one at a time, and their reference
-``predict`` walks them one at a time too -- a Python loop over 100
-trees per batch.  Once ``repro.serve`` made ``predict`` a long-lived
-hot path, that loop became the dominant serving cost.  This module
+The boosting models fit trees one at a time, and walking them one at
+a time at predict time is a Python loop over 100 trees per batch.  Once
+``repro.serve`` made ``predict`` a long-lived hot path, that loop
+became the dominant serving cost.  This module
 compiles a *fitted* ensemble into flat numpy tensors -- decision tables
 -- that score a whole batch across **all trees at once**, with no
 per-tree Python recursion:
@@ -30,8 +30,8 @@ oblivious tables), and the boosted sum accumulates tree contributions
 *sequentially* in fitting order -- ``p += lr * v_t`` per tree -- as one
 ``np.cumsum`` prefix sum rather than through ``np.sum``, whose pairwise
 reduction would change the rounding.  The test suite asserts
-``np.array_equal`` (exact float equality) between the compiled and
-reference paths across random ensembles.
+``np.array_equal`` (exact float equality) between the compiled path and
+the per-tree loop of ``tests/oracles/trees.py`` across random ensembles.
 
 **Precision contract.**  Thresholds are stored as float64 and every
 comparison happens in float64: :func:`tree_values` casts ``X`` on
@@ -43,8 +43,9 @@ values between a threshold's float32 neighbours differently.
 Compilation happens at ``fit`` time (the boosting models store the
 result as a ``compiled_`` fitted attribute), never inside ``predict``
 -- prediction stays read-only.  Bundles pickled before this module
-existed simply lack the attribute and keep using the reference loop;
-:func:`repro.serve.compiled.ensure_compiled` upgrades them on load.
+existed lack the attribute; the boosting models' ``__setstate__``
+compiles it when such a bundle is unpickled, so ``predict`` always has
+a kernel to score through.
 """
 
 from __future__ import annotations

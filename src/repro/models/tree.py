@@ -1,6 +1,7 @@
 """Regression trees fitted to per-sample gradients and Hessians.
 
-This is the shared tree machinery underneath both boosting models:
+This is the tree machinery underneath the XGBoost-style booster
+(:mod:`repro.models.gbm`):
 
 * :class:`GradientTree` grows a depth-wise binary tree by greedy search
   maximising the XGBoost split gain
@@ -11,14 +12,13 @@ This is the shared tree machinery underneath both boosting models:
           + \\frac{G_R^2}{H_R+\\lambda}
           - \\frac{(G_L+G_R)^2}{H_L+H_R+\\lambda}\\Big] - \\gamma,
 
-  with Newton-optimal leaf values :math:`w = -G/(H+\\lambda)`.  Two split
-  finders are available: :meth:`GradientTree.fit_gradients` scans every
-  candidate boundary exactly with one batched prefix-sum pass over all
-  features at once, and :meth:`GradientTree.fit_binned` scans a pre-binned
-  integer code matrix (see :mod:`repro.models.binning`) with one histogram
-  + cumulative-sum pass per node.  Both finders break gain ties
-  deterministically (lowest feature position, then lowest boundary), so a
-  fit is bit-identical across runs and across ``n_jobs`` settings.
+  with Newton-optimal leaf values :math:`w = -G/(H+\\lambda)`.
+  :meth:`GradientTree.fit_gradients` is the exact grower: every node
+  scans every candidate boundary of every feature in one batched
+  prefix-sum pass, and gain ties break deterministically (lowest feature
+  position, then lowest boundary), so a fit is bit-identical across runs
+  and across ``n_jobs`` settings.  The histogram grower over pre-binned
+  features is :func:`repro.models.histtree.grow_histogram_tree`.
 
 * :class:`DecisionTreeRegressor` is the stand-alone estimator: fitting a
   single gradient tree to the squared loss from a zero base score makes
@@ -32,7 +32,7 @@ value) so prediction is an iterative descent without Python recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -104,65 +104,6 @@ class _NodeBuffers:
         return len(self.feature) - 1
 
 
-def _best_split_for_feature(
-    values: np.ndarray,
-    gradients: np.ndarray,
-    hessians: np.ndarray,
-    params: TreeGrowthParams,
-) -> Tuple[float, float]:
-    """Return (gain, threshold) of the best split on one feature column.
-
-    Legacy *reference* finder: sort by feature value, take prefix sums of
-    gradients/Hessians, and evaluate the gain at every boundary between
-    distinct values.  Returns ``(-inf, nan)`` when no admissible split
-    exists.  Production growth goes through the batched
-    :func:`_best_split_all_features` scan instead; this single-column
-    version is kept as the ground truth the equivalence tests compare
-    against.
-    """
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    grad_prefix = np.cumsum(gradients[order])
-    hess_prefix = np.cumsum(hessians[order])
-    total_grad = grad_prefix[-1]
-    total_hess = hess_prefix[-1]
-    n = values.shape[0]
-
-    # Candidate split after position i keeps samples [0..i] on the left.
-    positions = np.arange(n - 1)
-    distinct = sorted_values[positions] < sorted_values[positions + 1]
-    left_count = positions + 1
-    right_count = n - left_count
-    admissible = (
-        distinct
-        & (left_count >= params.min_samples_leaf)
-        & (right_count >= params.min_samples_leaf)
-    )
-    if not np.any(admissible):
-        return -np.inf, float("nan")
-
-    g_left = grad_prefix[positions]
-    h_left = hess_prefix[positions]
-    g_right = total_grad - g_left
-    h_right = total_hess - h_left
-    admissible &= (h_left >= params.min_child_weight) & (
-        h_right >= params.min_child_weight
-    )
-    if not np.any(admissible):
-        return -np.inf, float("nan")
-
-    lam = params.reg_lambda
-    gain = 0.5 * (
-        g_left**2 / (h_left + lam)
-        + g_right**2 / (h_right + lam)
-        - total_grad**2 / (total_hess + lam)
-    )
-    gain = np.where(admissible, gain, -np.inf)
-    best = int(np.argmax(gain))
-    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
-    return float(gain[best]), threshold
-
-
 def _node_view(
     columns: np.ndarray,
     gradients: np.ndarray,
@@ -190,12 +131,12 @@ def _best_split_all_features(
 
     Batched exact greedy: one ``argsort`` + ``take_along_axis`` +
     ``cumsum`` pass over the whole ``(n_node, n_features)`` block replaces
-    the per-feature Python loop.  Column-wise the arithmetic is the exact
-    sequence :func:`_best_split_for_feature` performs, so gains are
-    bit-identical to the reference finder; the flat feature-major
-    ``argmax`` reproduces its deterministic tie-breaking (lowest feature
-    position wins, then the lowest boundary).  Returns
-    ``(-inf, -1, nan)`` when no admissible split exists.
+    the seed's per-feature Python loop.  Column-wise the arithmetic is
+    that loop's exact sequence, so gains are bit-identical to it; the
+    flat feature-major ``argmax`` reproduces its deterministic
+    tie-breaking (lowest feature position wins, then the lowest
+    boundary).  Returns ``(-inf, -1, nan)`` when no admissible split
+    exists.
     """
     n, n_features = node_columns.shape
     if n < 2:
@@ -244,66 +185,6 @@ def _best_split_all_features(
     return float(gain[boundary, feature_pos]), int(feature_pos), float(threshold)
 
 
-def _best_split_binned(
-    node_codes: np.ndarray,
-    gradients: np.ndarray,
-    hessians: np.ndarray,
-    n_bins: int,
-    params: TreeGrowthParams,
-) -> Tuple[float, int, int]:
-    """Best (gain, feature position, bin) on pre-binned integer codes.
-
-    One histogram accumulation (shared with
-    :func:`repro.models.binning.histogram_sums`) followed by one
-    cumulative-sum scan across bins evaluates every (feature, boundary)
-    candidate of the node simultaneously.  Splitting at bin ``b`` sends
-    codes ``<= b`` left.  Ties break on the flat feature-major ``argmax``
-    (lowest feature position, then lowest bin), matching the exact
-    finders.  Returns ``(-inf, -1, -1)`` when no admissible split exists.
-    """
-    from repro.models.binning import histogram_cells, histogram_sums
-
-    n, n_features = node_codes.shape
-    if n < 2 or n_bins < 2:
-        return -np.inf, -1, -1
-    one_leaf = np.zeros(n, dtype=np.int64)
-    all_columns = np.arange(n_features)
-    cell = histogram_cells(node_codes, one_leaf, 1, n_bins, all_columns)
-    grad_cells = histogram_sums(cell, gradients, 1, n_bins, n_features)[:, 0, :]
-    hess_cells = histogram_sums(cell, hessians, 1, n_bins, n_features)[:, 0, :]
-    count_cells = histogram_sums(cell, np.ones(n), 1, n_bins, n_features)[:, 0, :]
-
-    g_left = np.cumsum(grad_cells, axis=1)[:, :-1]
-    h_left = np.cumsum(hess_cells, axis=1)[:, :-1]
-    count_left = np.cumsum(count_cells, axis=1)[:, :-1]
-    total_grad = grad_cells.sum(axis=1, keepdims=True)
-    total_hess = hess_cells.sum(axis=1, keepdims=True)
-    count_right = n - count_left
-    g_right = total_grad - g_left
-    h_right = total_hess - h_left
-
-    admissible = (
-        (count_left >= params.min_samples_leaf)
-        & (count_right >= params.min_samples_leaf)
-        & (h_left >= params.min_child_weight)
-        & (h_right >= params.min_child_weight)
-    )
-    if not np.any(admissible):
-        return -np.inf, -1, -1
-
-    lam = params.reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 0.5 * (
-            g_left**2 / (h_left + lam)
-            + g_right**2 / (h_right + lam)
-            - total_grad**2 / (total_hess + lam)
-        )
-    gain = np.where(admissible, gain, -np.inf)
-    flat = int(np.argmax(gain))
-    feature_pos, bin_index = divmod(flat, n_bins - 1)
-    return float(gain[feature_pos, bin_index]), int(feature_pos), int(bin_index)
-
-
 class GradientTree:
     """A single Newton-boosting tree over (gradient, Hessian) statistics."""
 
@@ -317,64 +198,6 @@ class GradientTree:
         self.n_features_in_: Optional[int] = None
 
     # -- growing ----------------------------------------------------------
-    def _grow(
-        self,
-        n_samples: int,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        find_split: Callable[
-            [np.ndarray, np.ndarray, np.ndarray],
-            Tuple[float, int, float, np.ndarray],
-        ],
-    ) -> None:
-        """Depth-first growth skeleton shared by both split finders.
-
-        ``find_split(node_columns, node_gradients, node_hessians)`` must
-        return ``(gain, global_feature, threshold, goes_left)``; a
-        non-positive-past-``gamma`` gain or feature ``-1`` terminates the
-        node as a leaf.  Node data is materialised via :func:`_node_view`
-        exactly once per node.
-        """
-        buffers = _NodeBuffers()
-        root = buffers.new_node()
-        # Work stack of (node_id, row_indices, depth); iterative to avoid
-        # recursion limits on deep trees.
-        stack = [(root, np.arange(n_samples), 0)]
-        lam = self.params.reg_lambda
-        columns = self._columns
-        while stack:
-            node_id, rows, depth = stack.pop()
-            node_columns, node_grad, node_hess = _node_view(
-                columns, gradients, hessians, rows
-            )
-            grad_sum = float(node_grad.sum())
-            hess_sum = float(node_hess.sum())
-            buffers.value[node_id] = -grad_sum / (hess_sum + lam)
-
-            if depth >= self.params.max_depth or rows.size < 2 * self.params.min_samples_leaf:
-                continue
-
-            gain, feature, threshold, goes_left = find_split(
-                node_columns, node_grad, node_hess
-            )
-            if feature == _LEAF or gain <= self.params.gamma:
-                continue
-
-            left_id = buffers.new_node()
-            right_id = buffers.new_node()
-            buffers.feature[node_id] = feature
-            buffers.threshold[node_id] = threshold
-            buffers.left[node_id] = left_id
-            buffers.right[node_id] = right_id
-            stack.append((left_id, rows[goes_left], depth + 1))
-            stack.append((right_id, rows[~goes_left], depth + 1))
-
-        self.feature_ = np.asarray(buffers.feature, dtype=np.int64)
-        self.threshold_ = np.asarray(buffers.threshold, dtype=np.float64)
-        self.left_ = np.asarray(buffers.left, dtype=np.int64)
-        self.right_ = np.asarray(buffers.right, dtype=np.int64)
-        self.value_ = np.asarray(buffers.value, dtype=np.float64)
-
     def fit_gradients(
         self,
         X: np.ndarray,
@@ -384,13 +207,14 @@ class GradientTree:
     ) -> "GradientTree":
         """Grow the tree on ``X`` against per-sample gradients/Hessians.
 
-        Exact greedy search: every node scans all candidate boundaries of
-        all candidate features in one batched prefix-sum pass
-        (:func:`_best_split_all_features`), which is bit-identical to the
-        historical per-feature loop but slices the node's rows once
-        instead of once per feature.  ``feature_indices`` restricts split
-        search to a column subset (used by the boosting layer's
-        ``colsample`` option); leaf values are always Newton steps
+        Exact greedy search, depth first: every node scans all candidate
+        boundaries of all candidate features in one batched prefix-sum
+        pass (:func:`_best_split_all_features`) over its rows, sliced once
+        through :func:`_node_view`.  A node stays a leaf at ``max_depth``,
+        below ``2 * min_samples_leaf`` rows, or when no split gains more
+        than ``gamma``.  ``feature_indices`` restricts split search to a
+        column subset (used by the boosting layer's ``colsample``
+        option); leaf values are always Newton steps
         :math:`-G/(H+\\lambda)`.
         """
         X = np.asarray(X, dtype=np.float64)
@@ -405,79 +229,51 @@ class GradientTree:
         feature_indices = np.asarray(feature_indices, dtype=np.int64)
         # Restrict to the candidate columns once per fit; per-node work
         # then only ever touches the (n_node, n_candidates) block.
-        self._columns = X if feature_indices.size == X.shape[1] and bool(
+        columns = X if feature_indices.size == X.shape[1] and bool(
             np.all(feature_indices == np.arange(X.shape[1]))
         ) else np.ascontiguousarray(X[:, feature_indices])
         params = self.params
 
-        def find_split(node_columns, node_grad, node_hess):
+        buffers = _NodeBuffers()
+        # Work stack of (node_id, row_indices, depth); iterative to avoid
+        # recursion limits on deep trees.
+        stack = [(buffers.new_node(), np.arange(X.shape[0]), 0)]
+        while stack:
+            node_id, rows, depth = stack.pop()
+            node_columns, node_grad, node_hess = _node_view(
+                columns, gradients, hessians, rows
+            )
+            grad_sum = float(node_grad.sum())
+            hess_sum = float(node_hess.sum())
+            buffers.value[node_id] = -grad_sum / (hess_sum + params.reg_lambda)
+
+            if depth >= params.max_depth or rows.size < 2 * params.min_samples_leaf:
+                continue
             gain, feature_pos, threshold = _best_split_all_features(
                 node_columns, node_grad, node_hess, params
             )
-            if feature_pos < 0:
-                return gain, _LEAF, threshold, np.empty(0, dtype=bool)
+            if feature_pos < 0 or gain <= params.gamma:
+                continue
+
             goes_left = node_columns[:, feature_pos] <= threshold
-            return gain, int(feature_indices[feature_pos]), threshold, goes_left
+            left_id = buffers.new_node()
+            right_id = buffers.new_node()
+            buffers.feature[node_id] = int(feature_indices[feature_pos])
+            buffers.threshold[node_id] = threshold
+            buffers.left[node_id] = left_id
+            buffers.right[node_id] = right_id
+            stack.append((left_id, rows[goes_left], depth + 1))
+            stack.append((right_id, rows[~goes_left], depth + 1))
+        return self._set_nodes(buffers, X.shape[1])
 
-        self._grow(X.shape[0], gradients, hessians, find_split)
-        del self._columns
-        self.n_features_in_ = int(X.shape[1])
-        return self
-
-    def fit_binned(
-        self,
-        binned: np.ndarray,
-        binner,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        feature_indices: Optional[np.ndarray] = None,
-    ) -> "GradientTree":
-        """Grow the tree on a pre-binned integer code matrix.
-
-        ``binned`` holds bin codes from ``binner.transform`` (computed
-        once per boosting run and sliced per node here); ``binner`` is the
-        fitted :class:`~repro.models.binning.FeatureBinner` that maps
-        chosen bin boundaries back to raw-unit thresholds, so the fitted
-        tree predicts directly on raw feature matrices.  Split search is
-        one histogram + cumulative-sum scan per node over all candidate
-        features (:func:`_best_split_binned`); with ``max_bins`` at least
-        the number of distinct values per feature it is exactly
-        equivalent to :meth:`fit_gradients`.
-        """
-        binned = np.asarray(binned)
-        gradients = np.asarray(gradients, dtype=np.float64)
-        hessians = np.asarray(hessians, dtype=np.float64)
-        if binned.ndim != 2:
-            raise ValueError(f"binned must be 2-D, got shape {binned.shape}")
-        if gradients.shape != (binned.shape[0],) or hessians.shape != (
-            binned.shape[0],
-        ):
-            raise ValueError(
-                "gradients/hessians must be 1-D with len(binned) entries"
-            )
-        if feature_indices is None:
-            feature_indices = np.arange(binned.shape[1])
-        feature_indices = np.asarray(feature_indices, dtype=np.int64)
-        self._columns = binned if feature_indices.size == binned.shape[1] and bool(
-            np.all(feature_indices == np.arange(binned.shape[1]))
-        ) else np.ascontiguousarray(binned[:, feature_indices])
-        n_bins = binner.n_bins
-        params = self.params
-
-        def find_split(node_codes, node_grad, node_hess):
-            gain, feature_pos, bin_index = _best_split_binned(
-                node_codes, node_grad, node_hess, n_bins, params
-            )
-            if feature_pos < 0:
-                return gain, _LEAF, float("nan"), np.empty(0, dtype=bool)
-            feature = int(feature_indices[feature_pos])
-            threshold = binner.threshold(feature, bin_index)
-            goes_left = node_codes[:, feature_pos] <= bin_index
-            return gain, feature, threshold, goes_left
-
-        self._grow(binned.shape[0], gradients, hessians, find_split)
-        del self._columns
-        self.n_features_in_ = int(binned.shape[1])
+    def _set_nodes(self, buffers: _NodeBuffers, n_features: int) -> "GradientTree":
+        """Freeze grown node lists into the flat arrays ``predict`` walks."""
+        self.feature_ = np.asarray(buffers.feature, dtype=np.int64)
+        self.threshold_ = np.asarray(buffers.threshold, dtype=np.float64)
+        self.left_ = np.asarray(buffers.left, dtype=np.int64)
+        self.right_ = np.asarray(buffers.right, dtype=np.int64)
+        self.value_ = np.asarray(buffers.value, dtype=np.float64)
+        self.n_features_in_ = int(n_features)
         return self
 
     # -- prediction --------------------------------------------------------
@@ -542,13 +338,8 @@ class DecisionTreeRegressor(BaseRegressor):
     Implemented as a single :class:`GradientTree` on squared-loss statistics
     (gradient ``−y``, Hessian ``1`` from a zero base score) with
     ``reg_lambda = 0``, which makes each leaf predict the mean target of its
-    samples -- exactly CART with variance-reduction splits.
-
-    ``splitter="exact"`` (default) scans every boundary between distinct
-    values; ``splitter="hist"`` pre-bins each column into at most
-    ``max_bins`` quantile bins and scans bin boundaries instead -- far
-    faster on wide or long data, and exactly equivalent whenever columns
-    have fewer than ``max_bins`` distinct values.
+    samples -- exactly CART with variance-reduction splits.  Splits are
+    searched exactly (:meth:`GradientTree.fit_gradients`).
     """
 
     def __init__(
@@ -556,18 +347,10 @@ class DecisionTreeRegressor(BaseRegressor):
         max_depth: int = 6,
         min_samples_leaf: int = 1,
         min_gain: float = 0.0,
-        splitter: str = "exact",
-        max_bins: int = 32,
     ) -> None:
-        if splitter not in ("exact", "hist"):
-            raise ValueError(
-                f"splitter must be 'exact' or 'hist', got {splitter!r}"
-            )
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.tree_: Optional[GradientTree] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
@@ -580,15 +363,7 @@ class DecisionTreeRegressor(BaseRegressor):
             reg_lambda=0.0,
             gamma=self.min_gain,
         )
-        tree = GradientTree(params)
-        if self.splitter == "hist":
-            from repro.models.binning import shared_binned_dataset
-
-            dataset = shared_binned_dataset(X, self.max_bins)
-            tree.fit_binned(dataset.codes, dataset.binner, -y, np.ones_like(y))
-        else:
-            tree.fit_gradients(X, -y, np.ones_like(y))
-        self.tree_ = tree
+        self.tree_ = GradientTree(params).fit_gradients(X, -y, np.ones_like(y))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -29,18 +29,17 @@ has been fitted.  Four layers, each usable on its own:
   ``COVARIATE_SHIFT`` downgrades and
   :meth:`VminServingService.repair_shift` as the weighted-conformal
   recovery (or refusal) path;
-* :mod:`repro.serve.compiled` -- the decision-table kernel adapter:
-  :func:`ensure_compiled` upgrades loaded bundles onto the batch-at-once
-  inference kernels of :mod:`repro.models.tables`, and
-  :func:`compiled_summary` records the kernels in every published
-  manifest.
+* :mod:`repro.serve.compiled` -- :func:`compiled_summary` records the
+  batch-at-once inference kernels (:mod:`repro.models.tables`) of a
+  flow's boosting ensembles in every published manifest; the ensembles
+  compile them at ``fit`` and, for pre-kernel bundles, on unpickle.
 
 The soak harness (:func:`repro.eval.stress.run_serving_campaign`)
 exercises all four under injected artifact corruption, worker crashes,
 and covariate drift; ``python -m repro serve`` is the CLI entry point.
 """
 
-from repro.serve.compiled import compiled_summary, ensure_compiled
+from repro.serve.compiled import compiled_summary
 from repro.serve.health import (
     FallbackLevel,
     HealthStateMachine,
@@ -86,5 +85,4 @@ __all__ = [
     "StateTransition",
     "VminServingService",
     "compiled_summary",
-    "ensure_compiled",
 ]

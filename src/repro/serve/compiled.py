@@ -1,29 +1,15 @@
-"""Compiled-kernel plumbing between the registry and the scoring path.
+"""Which compiled kernels a served model scores through.
 
 The boosting models compile themselves into decision tables at ``fit``
-time (:mod:`repro.models.tables`), but a serving deployment also loads
-bundles *pickled before that existed*: a registry is append-only, and
-quarantine rollbacks deliberately reach back to old versions.  This
-module closes that gap from the serving side:
-
-* :func:`ensure_compiled` walks a fitted flow to every boosting
-  ensemble inside it (primary and fallback flows, the CQR band's lower
-  and upper quantile models, feature-selection wrappers) and compiles
-  any ensemble that lacks a ``compiled_`` kernel -- so a verified load
-  of a pre-kernel bundle still scores batch-at-once.  The walk is a
-  no-op on ensembles already compiled and on objects it does not
-  recognise, which keeps it safe to run on anything the registry can
-  store.
-* :func:`compiled_summary` reports the kernels a model will score
-  through, in manifest-ready JSON.  ``ModelRegistry.publish`` records
-  it so the manifest documents *how* a version scores, not just what
-  it is, and the CLI/soak harness can surface it without unpickling.
-
-``ensure_compiled`` mutates the model (it attaches fitted attributes),
-which is exactly why it lives here and not inside any ``predict``: the
-repository's read-only-predict convention (REP106) reserves prediction
-methods from state changes, so compilation happens at load/publish
-time instead.
+time (:mod:`repro.models.tables`), and compile again when unpickled from
+a bundle that predates the kernels (their ``__setstate__``), so every
+ensemble a registry load hands to the service already carries one.
+:func:`compiled_summary` walks a fitted flow to every boosting ensemble
+inside it (primary and fallback flows, the CQR band's lower and upper
+quantile models, feature-selection wrappers) and reports their kernels
+in manifest-ready JSON.  ``ModelRegistry.publish`` records it, so the
+manifest documents *how* a version scores, not just what it is, and the
+CLI/soak harness can surface it without unpickling.
 """
 
 from __future__ import annotations
@@ -32,14 +18,13 @@ from typing import Any, Dict, Iterator, List
 
 from repro.models.gbm import GradientBoostingRegressor
 from repro.models.oblivious import ObliviousBoostingRegressor
-from repro.models.tables import compile_depthwise, compile_oblivious
 
-__all__ = ["compiled_summary", "ensure_compiled"]
+__all__ = ["compiled_summary"]
 
 # Fitted-attribute edges the walk follows from a flow object down to
 # its boosting ensembles.  Templates (unfitted ``estimator`` params)
 # are deliberately not walked: only models that actually score traffic
-# need kernels.
+# have kernels to report.
 _CHILD_ATTRIBUTES = (
     "primary_",   # RobustVminFlow -> VminPredictionFlow
     "fallback_",  # RobustVminFlow -> monitor-only VminPredictionFlow
@@ -57,7 +42,7 @@ def _iter_ensembles(model: Any) -> Iterator[Any]:
     Depth-first over the known fitted-attribute edges, cycle-safe (a
     visited set on object identity), and silent on unknown objects --
     the registry stores arbitrary picklables and the walk must never
-    make loading one fail.
+    make publishing one fail.
     """
     stack = [model]
     seen = set()
@@ -75,28 +60,6 @@ def _iter_ensembles(model: Any) -> Iterator[Any]:
             child = getattr(obj, name, None)
             if child is not None:
                 stack.append(child)
-
-
-def ensure_compiled(model: Any) -> int:
-    """Compile every fitted-but-uncompiled ensemble inside ``model``.
-
-    Returns the number of ensembles newly compiled (0 when everything
-    already carries a kernel, the model holds no ensembles, or the
-    object is not a recognised flow at all).  Unfitted ensembles are
-    left alone -- they cannot score traffic anyway.
-    """
-    compiled = 0
-    for ensemble in _iter_ensembles(model):
-        if ensemble.trees_ is None:
-            continue
-        if getattr(ensemble, "compiled_", None) is not None:
-            continue
-        if isinstance(ensemble, ObliviousBoostingRegressor):
-            ensemble.compiled_ = compile_oblivious(ensemble.trees_)
-        else:
-            ensemble.compiled_ = compile_depthwise(ensemble.trees_)
-        compiled += 1
-    return compiled
 
 
 def compiled_summary(model: Any) -> List[Dict[str, Any]]:

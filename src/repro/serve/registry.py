@@ -55,7 +55,7 @@ from repro.runtime.artifacts import (
     write_json_atomic,
     write_text_atomic,
 )
-from repro.serve.compiled import compiled_summary, ensure_compiled
+from repro.serve.compiled import compiled_summary
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "ModelRegistry", "ModelVersion", "RegistryError"]
 
@@ -226,14 +226,13 @@ class ModelRegistry:
 
         Notes
         -----
-        Publishing compiles the model's boosting ensembles into
-        decision-table kernels first
-        (:func:`~repro.serve.compiled.ensure_compiled`), so the pickled
-        bundle is self-contained: a service that loads it scores
-        batch-at-once without recompiling.  The manifest's ``compiled``
-        key records the kernels (one summary per ensemble; empty for
-        models without any), making the scoring path auditable without
-        unpickling the bundle.
+        The boosting ensembles inside ``model`` are pickled with the
+        decision-table kernels their ``fit`` compiled, so a service that
+        loads the bundle scores batch-at-once without recompiling.  The
+        manifest's ``compiled`` key records the kernels
+        (:func:`~repro.serve.compiled.compiled_summary`: one summary per
+        ensemble; empty for models without any), making the scoring path
+        auditable without unpickling the bundle.
         """
         with self._lock:
             if parent is not None and not (self.versions_dir / parent).is_dir():
@@ -250,7 +249,6 @@ class ModelRegistry:
             path = self.versions_dir / name
             path.mkdir(parents=False, exist_ok=False)
 
-            ensure_compiled(model)
             bundle_path = path / _BUNDLE_NAME
             with atomic_path(bundle_path) as tmp:
                 tmp.write_bytes(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))

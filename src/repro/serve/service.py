@@ -54,7 +54,6 @@ from repro.robust.flow import RobustVminFlow
 from repro.runtime.artifacts import ArtifactError
 from repro.runtime.retry import RetryPolicy, run_attempts
 from repro.runtime.watchdog import check_deadline, deadline_scope
-from repro.serve.compiled import ensure_compiled
 from repro.serve.health import (
     FallbackLevel,
     HealthStateMachine,
@@ -323,10 +322,6 @@ class VminServingService:
                     f"{name}: {error}",
                 )
                 continue  # registry repointed LATEST; try the next one
-            # Bundles published before the decision-table kernels existed
-            # carry plain per-tree ensembles; compile them once at load
-            # so every served batch goes through the fast path.
-            ensure_compiled(model)
             self._model = model
             self._version = record.name
             self.verified_versions_.add(record.name)
@@ -344,7 +339,6 @@ class VminServingService:
             self._arm_shift_guard()
             return self._level
         if self.parametric_model is not None:
-            ensure_compiled(self.parametric_model)
             self._model = self.parametric_model
             self._version = PARAMETRIC_VERSION
             self._level = FallbackLevel.PARAMETRIC

@@ -231,6 +231,17 @@ class TestRuleUnits:
         )
         assert [d.rule_id for d in findings] == ["REP301"]
 
+    def test_rep301_gradient_tree_fit_is_a_sink(self):
+        # GradientTree.fit_gradients trains a tree exactly like fit().
+        findings = _analyze_source(
+            """
+            def grow(tree, X_cal, g, h):
+                tree.fit_gradients(X_cal, g, h)
+            """
+        )
+        assert [d.rule_id for d in findings] == ["REP301"]
+        assert "X_cal" in findings[0].message
+
     def test_rep201_requires_submission(self):
         # Mutating a captured list from a nested function that is NOT
         # submitted anywhere is ordinary Python.

@@ -33,7 +33,6 @@ from repro.models.binning import (
     clear_bin_cache,
     dataset_digest,
     disable_bin_cache,
-    quantile_bin_edges,
     seed_bin_cache,
     shared_binned_dataset,
 )
@@ -43,6 +42,7 @@ from repro.models.quantile import QuantileBandRegressor
 from repro.perf import gate
 from repro.perf.bench import BenchRecorder, _git_sha_fallback, peak_rss_mb
 from repro.perf.shm import ArraySpec, SharedArrayBundle, attach_array, detach_all
+from tests.oracles.binning import quantile_bin_edges
 
 SMOKE = ExperimentProfile.smoke()
 

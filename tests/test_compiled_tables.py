@@ -1,13 +1,16 @@
 """Bit-identity of the compiled decision-table kernels.
 
 The compiled fast path is only admissible because it is *exactly* the
-reference per-tree loop, not an approximation of it: every test here
-asserts ``np.array_equal`` (same floats, bit for bit), never
-``allclose``.  Coverage spans both ensemble families, both split
-finders, depths 0-8, early-stopped models, float32 boundary inputs,
-the serve-side ``ensure_compiled`` upgrade, and an end-to-end CQR
-interval comparison through :class:`~repro.robust.flow.RobustVminFlow`.
+per-tree loop (:mod:`tests.oracles.trees`), not an approximation of it:
+every test here asserts ``np.array_equal`` (same floats, bit for bit),
+never ``allclose``.  Coverage spans both ensemble families, both
+growers, depths 0-8, early-stopped models, float32 boundary inputs,
+compile-on-unpickle of pre-kernel bundles (directly and through the
+model registry), and an end-to-end CQR interval comparison through
+:class:`~repro.robust.flow.RobustVminFlow`.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -21,16 +24,14 @@ from repro.models.tables import (
     compile_oblivious,
 )
 from repro.models.tree import GradientTree
-from repro.serve.compiled import compiled_summary, ensure_compiled
+from repro.serve.compiled import _iter_ensembles, compiled_summary
+from tests.oracles.trees import predict_loop, staged_predict_loop
 
 
 def _strip_compiled(model):
-    """Remove every compiled kernel so predict uses the reference loop."""
-    from repro.serve.compiled import _iter_ensembles
-
+    """Remove every kernel, as in a bundle pickled before they existed."""
     for ensemble in _iter_ensembles(model):
-        if hasattr(ensemble, "compiled_"):
-            del ensemble.compiled_
+        del ensemble.compiled_
     return model
 
 
@@ -55,7 +56,7 @@ class TestDepthwiseParity:
             random_state=0,
         ).fit(Xtr, ytr)
         assert isinstance(model.compiled_, CompiledDepthwiseTables)
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), predict_loop(model, Xte))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_ensembles_with_sampling(self, rng, seed):
@@ -68,7 +69,7 @@ class TestDepthwiseParity:
             random_state=seed,
         ).fit(X, y)
         Xte = rng.normal(size=(40, 7))
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), predict_loop(model, Xte))
 
     def test_staged_predict_bit_identical(self, regression_data):
         Xtr, ytr, Xte = regression_data
@@ -76,7 +77,7 @@ class TestDepthwiseParity:
             n_estimators=10, random_state=0
         ).fit(Xtr, ytr)
         stages = model.staged_predict(Xte)
-        assert np.array_equal(stages, model._staged_predict_loop(Xte))
+        assert np.array_equal(stages, staged_predict_loop(model, Xte))
         assert np.array_equal(stages[-1], model.predict(Xte))
 
     def test_tree_values_columns_match_per_tree_predict(self, regression_data):
@@ -100,7 +101,7 @@ class TestDepthwiseParity:
         assert len(model.trees_) < 100
         assert model.compiled_.n_trees == len(model.trees_)
         Xte = rng.normal(size=(30, 5))
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), predict_loop(model, Xte))
 
 
 class TestObliviousParity:
@@ -111,7 +112,7 @@ class TestObliviousParity:
             n_estimators=12, depth=depth, random_state=0
         ).fit(Xtr, ytr)
         assert isinstance(model.compiled_, CompiledObliviousTables)
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), predict_loop(model, Xte))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_ensembles_quantile_objective(self, rng, seed):
@@ -121,7 +122,7 @@ class TestObliviousParity:
             n_estimators=15, quantile=0.9, random_state=seed
         ).fit(X, y)
         Xte = rng.normal(size=(40, 7))
-        assert np.array_equal(model.predict(Xte), model._predict_loop(Xte))
+        assert np.array_equal(model.predict(Xte), predict_loop(model, Xte))
 
     def test_staged_predict_bit_identical(self, regression_data):
         Xtr, ytr, Xte = regression_data
@@ -129,7 +130,7 @@ class TestObliviousParity:
             n_estimators=10, random_state=0
         ).fit(Xtr, ytr)
         stages = model.staged_predict(Xte)
-        assert np.array_equal(stages, model._staged_predict_loop(Xte))
+        assert np.array_equal(stages, staged_predict_loop(model, Xte))
         assert np.array_equal(stages[-1], model.predict(Xte))
 
     def test_tree_values_columns_match_per_tree_predict(self, regression_data):
@@ -190,7 +191,7 @@ class TestDepthZeroTables:
         assert all(tree.features.size == 0 for tree in model.trees_)
         Xte = rng.normal(size=(20, 4))
         prediction = model.predict(Xte)
-        assert np.array_equal(prediction, model._predict_loop(Xte))
+        assert np.array_equal(prediction, predict_loop(model, Xte))
         np.testing.assert_allclose(prediction, 3.25)
 
     def test_compiled_depth_zero_ensemble(self):
@@ -306,23 +307,56 @@ class TestCompileValidation:
 
 
 class TestEnsureCompiled:
+    """Every ensemble that can score traffic carries its kernel: ``fit``
+    compiles it, and unpickling a bundle that predates the kernels
+    compiles it too."""
+
     def test_upgrades_stripped_model_and_restores_fast_path(self, rng):
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
-        model = ObliviousBoostingRegressor(
-            n_estimators=5, random_state=0
-        ).fit(X, y)
-        reference = model.predict(X)
-        _strip_compiled(model)
-        assert ensure_compiled(model) == 1
-        assert np.array_equal(model.predict(X), reference)
-        # Idempotent: a second pass finds nothing to do.
-        assert ensure_compiled(model) == 0
+        for model in (
+            GradientBoostingRegressor(n_estimators=5, random_state=0),
+            ObliviousBoostingRegressor(n_estimators=5, random_state=0),
+        ):
+            model.fit(X, y)
+            kernel_type = type(model.compiled_)
+            del model.compiled_
+            loaded = pickle.loads(pickle.dumps(model))
+            assert isinstance(loaded.compiled_, kernel_type)
+            assert np.array_equal(loaded.predict(X), predict_loop(model, X))
+            assert np.array_equal(
+                loaded.staged_predict(X), staged_predict_loop(model, X)
+            )
 
     def test_safe_on_arbitrary_objects(self):
-        assert ensure_compiled({"not": "a model"}) == 0
-        assert ensure_compiled(None) == 0
+        assert compiled_summary({"not": "a model"}) == []
+        assert compiled_summary(None) == []
         assert compiled_summary("just a string") == []
+        assert pickle.loads(pickle.dumps(GradientBoostingRegressor())).trees_ is None
+
+    def test_registry_round_trip_compiles_stripped_flow(self, rng, tmp_path):
+        from repro.robust import RobustVminFlow
+        from repro.serve.registry import ModelRegistry
+
+        X = rng.normal(size=(120, 6))
+        y = X[:, 0] + rng.normal(scale=0.3, size=120)
+        flow = RobustVminFlow(
+            base_model=GradientBoostingRegressor(
+                n_estimators=5, quantile=0.5, random_state=0
+            ),
+            alpha=0.2,
+            random_state=0,
+        ).fit(X[:90], y[:90])
+        expected = flow.predict_interval(X[90:])
+        registry = ModelRegistry(tmp_path)
+        registry.publish(_strip_compiled(flow), reason="pre-kernel")
+        loaded, _ = registry.load()
+        summaries = compiled_summary(loaded)
+        assert len(summaries) >= 2
+        assert all(entry["kernel"] == "depthwise" for entry in summaries)
+        served = loaded.predict_interval(X[90:])
+        assert np.array_equal(served.intervals.lower, expected.intervals.lower)
+        assert np.array_equal(served.intervals.upper, expected.intervals.upper)
 
     def test_summary_lists_every_ensemble_in_flow(self, rng):
         from repro.robust import RobustVminFlow
@@ -345,7 +379,9 @@ class TestEnsureCompiled:
 
 
 class TestEndToEndCQRParity:
-    def test_flow_intervals_identical_with_and_without_kernel(self, rng):
+    def test_flow_intervals_identical_with_and_without_kernel(
+        self, rng, monkeypatch
+    ):
         from repro.robust import RobustVminFlow
 
         X = rng.normal(size=(160, 8))
@@ -360,8 +396,16 @@ class TestEndToEndCQRParity:
         ).fit(X[:120], y[:120])
         Xte = X[120:]
         compiled = flow.predict_interval(Xte)
-        _strip_compiled(flow)
+        calls = []
+
+        def loop_predict(model, X):
+            calls.append(model)
+            return predict_loop(model, X)
+
+        for booster in (GradientBoostingRegressor, ObliviousBoostingRegressor):
+            monkeypatch.setattr(booster, "predict", loop_predict)
         loop = flow.predict_interval(Xte)
+        assert calls
         assert np.array_equal(
             compiled.intervals.lower, loop.intervals.lower
         )
@@ -386,10 +430,10 @@ class TestBatchEdgesAndAccumulation:
             constants = (model.base_score_, model.learning_rate)
             prediction = kernel.predict(X, *constants)
             assert prediction.shape == (n_rows,)
-            assert np.array_equal(prediction, model._predict_loop(X))
+            assert np.array_equal(prediction, predict_loop(model, X))
             stages = kernel.staged_predict(X, *constants)
             assert stages.shape == (6, n_rows)
-            assert np.array_equal(stages, model._staged_predict_loop(X))
+            assert np.array_equal(stages, staged_predict_loop(model, X))
             assert kernel.tree_values(X).shape == (n_rows, 6)
             if n_rows:
                 assert np.array_equal(model.predict(X), prediction)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.models.binning import FeatureBinner, quantile_bin_edges
+from repro.models.base import NotFittedError
+from repro.models.binning import FeatureBinner
+from repro.models.gbm import GradientBoostingRegressor
 from repro.models.histtree import grow_histogram_tree
 from repro.models.tree import GradientTree, TreeGrowthParams
+from tests.oracles.binning import quantile_bin_edges
 
 
 class TestQuantileBinEdges:
@@ -63,6 +66,18 @@ class TestFeatureBinner:
         binner = FeatureBinner(max_bins=4).fit(rng.normal(size=(10, 1)))
         with pytest.raises(IndexError):
             binner.threshold(0, 99)
+
+    def test_unfitted_binner_raises_not_fitted(self, rng):
+        binner = FeatureBinner()
+        with pytest.raises(NotFittedError):
+            binner.transform(rng.normal(size=(3, 2)))
+        with pytest.raises(NotFittedError):
+            binner.threshold(0, 0)
+
+    def test_zero_column_fit_still_transforms(self):
+        binner = FeatureBinner().fit(np.empty((5, 0)))
+        assert binner.edges_ == []
+        assert binner.transform(np.empty((3, 0))).shape == (3, 0)
 
 
 class TestHistogramGrower:
@@ -156,6 +171,20 @@ class TestHistogramGrower:
         g = np.bincount(node, weights=grads)[leaves]
         h = np.bincount(node, weights=hess)[leaves]
         np.testing.assert_array_equal(tree.value_[leaves], -g / (h + 1.0))
+
+    def test_constant_matrix_grows_root_only_trees(self, rng):
+        """Every column constant: one bin, no split candidates.  The
+        level scan used to take an argmax over zero boundaries."""
+        X = np.full((30, 4), 2.5)
+        y = rng.normal(size=30)
+        hist = GradientBoostingRegressor(n_estimators=5).fit(X, y)
+        exact = GradientBoostingRegressor(
+            n_estimators=5, tree_method="exact"
+        ).fit(X, y)
+        assert all(tree.n_nodes == 1 for tree in hist.trees_)
+        np.testing.assert_allclose(
+            hist.predict(X), exact.predict(X), rtol=0.0, atol=1e-12
+        )
 
     def test_rejects_bad_gradient_shapes(self, rng):
         X = rng.normal(size=(10, 2))

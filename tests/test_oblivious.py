@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.models.binning import shared_binned_dataset
 from repro.models.oblivious import ObliviousBoostingRegressor, ObliviousTree
 
 
@@ -266,7 +267,7 @@ class TestSplitMaskAndEmptyLeaves:
         model = ObliviousBoostingRegressor(
             n_estimators=20, bagging_temperature=1.0, random_state=0
         ).fit(X, y)
-        edges = model._bin_features(X).binner.edges_
+        edges = shared_binned_dataset(X, model.max_bins).binner.edges_
         for tree in model.trees_:
             for feature, threshold in zip(tree.features, tree.thresholds):
                 assert threshold in edges[feature]

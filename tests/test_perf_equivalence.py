@@ -3,12 +3,12 @@
 Three contracts, each load-bearing for the perf work staying honest:
 
 * the batched exact finder grows *identical* trees to the legacy
-  per-feature reference scan,
-* the histogram (binned) finder matches the exact finder's training
-  predictions to 1e-12 on randomised fixtures and its full structure on
-  shallow fixed-seed fixtures (thresholds agree up to bin edges, so test
-  routing between bin edge and exact midpoint may differ -- training
-  partitions cannot),
+  per-feature reference scan (:mod:`tests.oracles.trees`),
+* the histogram grower (:func:`~repro.models.histtree.grow_histogram_tree`)
+  matches the exact grower's training predictions to 1e-12 on
+  randomised fixtures and its full structure on shallow fixed-seed
+  fixtures (thresholds agree up to bin edges, so test routing between
+  bin edge and exact midpoint may differ -- training partitions cannot),
 * cross-validation harnesses return bit-identical results for every
   ``n_jobs``.
 
@@ -28,15 +28,15 @@ from repro.eval.crossval import (
 )
 from repro.models import tree as tree_mod
 from repro.models.binning import FeatureBinner
+from repro.models.histtree import grow_histogram_tree
 from repro.models.linear import LinearRegression, QuantileLinearRegression
 from repro.models.quantile import QuantileBandRegressor
 from repro.models.tree import (
-    DecisionTreeRegressor,
     GradientTree,
     TreeGrowthParams,
     _best_split_all_features,
-    _best_split_for_feature,
 )
+from tests.oracles.trees import best_split_for_feature, best_split_loop
 
 
 def _random_problem(seed, n=80, n_features=6, duplicates=False):
@@ -49,27 +49,22 @@ def _random_problem(seed, n=80, n_features=6, duplicates=False):
     return X, gradients, hessians
 
 
-def _legacy_fit(X, gradients, hessians, params):
-    """The seed's per-feature split loop, reimplemented as ground truth."""
-    tree = GradientTree(params)
+def _leaves(tree, X):
+    """The leaf node every row of ``X`` reaches."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while np.any(tree.feature_[node] >= 0):
+        rows = np.flatnonzero(tree.feature_[node] >= 0)
+        split = node[rows]
+        goes_left = X[rows, tree.feature_[split]] <= tree.threshold_[split]
+        node[rows] = np.where(goes_left, tree.left_[split], tree.right_[split])
+    return node
 
-    def find_split(node_columns, node_grad, node_hess):
-        best_gain, best_feature, best_threshold = -np.inf, -1, float("nan")
-        for feature in range(node_columns.shape[1]):
-            gain, threshold = _best_split_for_feature(
-                node_columns[:, feature], node_grad, node_hess, params
-            )
-            if gain > best_gain:
-                best_gain, best_feature, best_threshold = gain, feature, threshold
-        if best_feature < 0:
-            return best_gain, -1, best_threshold, np.empty(0, dtype=bool)
-        goes_left = node_columns[:, best_feature] <= best_threshold
-        return best_gain, best_feature, best_threshold, goes_left
 
-    tree._columns = X.astype(np.float64)
-    tree._grow(X.shape[0], gradients, hessians, find_split)
-    del tree._columns
-    return tree
+def _hist_fit(X, gradients, hessians, params):
+    binner = FeatureBinner(max_bins=256)
+    return grow_histogram_tree(
+        binner.fit_transform(X), binner, gradients, hessians, params
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +74,12 @@ def _legacy_fit(X, gradients, hessians, params):
 class TestBatchedExactEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("duplicates", [False, True])
-    def test_identical_trees(self, seed, duplicates):
+    def test_identical_trees(self, monkeypatch, seed, duplicates):
         X, gradients, hessians = _random_problem(seed, duplicates=duplicates)
         params = TreeGrowthParams(max_depth=5, min_samples_leaf=2)
         fast = GradientTree(params).fit_gradients(X, gradients, hessians)
-        legacy = _legacy_fit(X, gradients, hessians, params)
+        monkeypatch.setattr(tree_mod, "_best_split_all_features", best_split_loop)
+        legacy = GradientTree(params).fit_gradients(X, gradients, hessians)
         np.testing.assert_array_equal(fast.feature_, legacy.feature_)
         np.testing.assert_array_equal(fast.threshold_, legacy.threshold_)
         np.testing.assert_array_equal(fast.value_, legacy.value_)
@@ -91,7 +87,7 @@ class TestBatchedExactEquivalence:
     def test_single_column_matches_reference_finder(self):
         X, gradients, hessians = _random_problem(3, n_features=1)
         params = TreeGrowthParams()
-        gain_ref, thr_ref = _best_split_for_feature(
+        gain_ref, thr_ref = best_split_for_feature(
             X[:, 0], gradients, hessians, params
         )
         gain, pos, thr = _best_split_all_features(X, gradients, hessians, params)
@@ -108,7 +104,7 @@ class TestBatchedExactEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# histogram finder vs exact finder
+# histogram grower vs exact grower
 # ---------------------------------------------------------------------------
 
 class TestBinnedEquivalence:
@@ -117,10 +113,7 @@ class TestBinnedEquivalence:
         X, gradients, hessians = _random_problem(seed, n=120)
         params = TreeGrowthParams(max_depth=5, min_samples_leaf=2)
         exact = GradientTree(params).fit_gradients(X, gradients, hessians)
-        binner = FeatureBinner(max_bins=256)
-        hist = GradientTree(params).fit_binned(
-            binner.fit_transform(X), binner, gradients, hessians
-        )
+        hist = _hist_fit(X, gradients, hessians, params)
         # With >= one bin per distinct value the partitions are identical;
         # last-ulp gain ties may pick a different but equivalent split, so
         # the contract is on training predictions, not node layout.
@@ -129,37 +122,26 @@ class TestBinnedEquivalence:
         )
 
     def test_shallow_structure_identical(self):
-        # Shallow + well-separated data: structure matches exactly too
-        # (the tests/test_histtree.py convention).
+        # Shallow + well-separated data: both growers make the same
+        # splits.  The exact grower numbers nodes depth first and the
+        # histogram grower level by level, so the node arrays are
+        # permutations of each other.
         X, gradients, hessians = _random_problem(2024, n=64, n_features=4)
         params = TreeGrowthParams(max_depth=3, min_samples_leaf=2)
         exact = GradientTree(params).fit_gradients(X, gradients, hessians)
-        binner = FeatureBinner(max_bins=256)
-        hist = GradientTree(params).fit_binned(
-            binner.fit_transform(X), binner, gradients, hessians
+        hist = _hist_fit(X, gradients, hessians, params)
+        np.testing.assert_array_equal(
+            np.sort(hist.feature_), np.sort(exact.feature_)
         )
-        np.testing.assert_array_equal(hist.feature_, exact.feature_)
-        np.testing.assert_array_equal(hist.left_, exact.left_)
-        np.testing.assert_array_equal(hist.right_, exact.right_)
         # Thresholds agree "up to bin edges": the stored cut points differ
-        # (bin edge vs node-local midpoint) but every training row lands
-        # in the same leaf, so leaf values -- and therefore training
-        # predictions -- are bit-identical.
-        np.testing.assert_array_equal(hist.predict(X), exact.predict(X))
-
-    def test_decision_tree_splitter_equivalence(self, linear_data):
-        X, y, _, _ = linear_data
-        exact = DecisionTreeRegressor(max_depth=4, splitter="exact").fit(X, y)
-        hist = DecisionTreeRegressor(
-            max_depth=4, splitter="hist", max_bins=256
-        ).fit(X, y)
+        # (bin edge vs node-local midpoint) but the training rows fall
+        # into the same leaves -- one-to-one.  Leaf sums differ only in
+        # addition order (np.bincount vs ndarray.sum), a last-ulp effect.
+        pairs = set(zip(_leaves(exact, X), _leaves(hist, X)))
+        assert len(pairs) == exact.n_leaves == hist.n_leaves
         np.testing.assert_allclose(
-            hist.predict(X), exact.predict(X), rtol=0.0, atol=1e-12
+            hist.predict(X), exact.predict(X), rtol=0.0, atol=1e-15
         )
-
-    def test_invalid_splitter_rejected(self):
-        with pytest.raises(ValueError, match="splitter"):
-            DecisionTreeRegressor(splitter="sorted")
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +166,6 @@ class TestNodeSlicingRegression:
         # features, the historical per-feature slicing would have made
         # ~5x as many.
         assert len(calls) == tree.n_nodes
-
-    def test_reference_finder_not_used_in_production_fit(self, monkeypatch):
-        X, gradients, hessians = _random_problem(1)
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError(
-                "_best_split_for_feature is the legacy reference; "
-                "production fits must use the batched finders"
-            )
-
-        monkeypatch.setattr(tree_mod, "_best_split_for_feature", forbidden)
-        GradientTree(TreeGrowthParams(max_depth=4)).fit_gradients(
-            X, gradients, hessians
-        )
-        binner = FeatureBinner(max_bins=32)
-        GradientTree(TreeGrowthParams(max_depth=4)).fit_binned(
-            binner.fit_transform(X), binner, gradients, hessians
-        )
 
 
 # ---------------------------------------------------------------------------
