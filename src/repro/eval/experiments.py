@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -735,28 +735,24 @@ class _GridCellTask:
             raise RuntimeError(
                 "process-grid worker state missing: _init_grid_worker never ran"
             )
-        name, temperature, hours = cell
-        if self.kind == "point":
-            return run_point_experiment(
-                state["dataset"], name, temperature, hours,
-                n_jobs=1, **self.kwargs,
-            )
-        return run_region_experiment(
-            state["dataset"], name, temperature, hours,
-            n_jobs=1, **self.kwargs,
-        )
+        return _run_cell(self.kind, state["dataset"], cell, self.kwargs)
+
+
+def _run_cell(
+    kind: str, dataset: SiliconDataset, cell: GridCell, kwargs: Dict[str, Any]
+) -> GridCVResult:
+    """One grid cell, its CV folds serial: nesting parallelism would
+    oversubscribe the pool the cells fan out over."""
+    name, temperature, hours = cell
+    experiment = run_point_experiment if kind == "point" else run_region_experiment
+    return experiment(dataset, name, temperature, hours, n_jobs=1, **kwargs)
 
 
 @contextmanager
 def _process_grid_session(
     dataset: SiliconDataset,
     kind: str,
-    names: Sequence[str],
-    read_points: Sequence[int],
-    feature_set: FeatureSet,
-    profile: ExperimentProfile,
-    seed: int,
-    calibration_fraction: float,
+    cells: Sequence[GridCell],
     kwargs: Dict[str, Any],
 ):
     """Stand up the shared-memory transport for one process-backend grid.
@@ -772,8 +768,15 @@ def _process_grid_session(
     """
     global _WORKER_GRID_STATE
     entries = _grid_bin_subsets(
-        dataset, kind, names, read_points, feature_set, profile, seed,
-        calibration_fraction,
+        dataset,
+        kind,
+        list(dict.fromkeys(name for name, _, _ in cells)),
+        list(dict.fromkeys(hours for _, _, hours in cells)),
+        kwargs["feature_set"],
+        kwargs["profile"],
+        kwargs["seed"],
+        # Only region grids fit on a proper-training split.
+        kwargs.get("calibration_fraction", 0.25),
     )
     with SharedArrayBundle() as bundle:
         shared_entries: List[_SharedBinEntry] = []
@@ -799,8 +802,10 @@ def _process_grid_session(
 
 
 def _run_grid(
+    kind: str,
+    dataset: SiliconDataset,
     cells: Sequence[GridCell],
-    run_cell: Callable[[GridCell], GridCVResult],
+    cell_kwargs: Dict[str, Any],
     fingerprints: Mapping[GridCell, str],
     to_payload: Callable[[GridCVResult], Dict[str, Any]],
     journal: Optional[RunJournal],
@@ -809,28 +814,31 @@ def _run_grid(
     on_error: str,
     n_jobs: Optional[int],
     task_wrapper: Optional[Callable[[Callable], Callable]],
-    backend: str = "thread",
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
+    backend: str,
 ) -> GridResult:
     """Shared resilient driver behind both grid runners.
 
-    Completed cells found in ``journal`` are reused (their payloads
-    round-trip floats exactly, so a resumed grid is bit-identical to an
-    uninterrupted one); pending cells fan out through
+    Every cell is ``run_<kind>_experiment(dataset, *cell, n_jobs=1,
+    **cell_kwargs)``.  Completed cells found in ``journal`` are reused
+    (their payloads round-trip floats exactly, so a resumed grid is
+    bit-identical to an uninterrupted one); pending cells fan out through
     :func:`~repro.perf.parallel.parallel_map_outcomes` and are journaled
     the moment they succeed -- before any failure can abort the run.
 
-    ``backend="process"`` weakens the journal guarantee: workers cannot
-    share the parent's journal file handle, so completed cells are
-    recorded in the parent as their outcomes drain, and a parent killed
-    mid-grid loses the cells whose outcomes it had not drained yet.
-    Resume still works -- those cells simply re-run.
+    ``backend="process"`` runs the cells in worker processes set up by
+    :func:`_process_grid_session` and refuses ``task_wrapper``.  It
+    weakens the journal guarantee: workers cannot share the parent's
+    journal file handle, so completed cells are recorded in the parent
+    as their outcomes drain, and a parent killed mid-grid loses the
+    cells whose outcomes it had not drained yet.  Resume still works --
+    those cells simply re-run.
     """
     if on_error not in ("raise", "capture"):
         raise ValueError(
             f"on_error must be 'raise' or 'capture', got {on_error!r}"
         )
+    if backend == "process" and task_wrapper is not None:
+        raise ValueError("task_wrapper (fault injection) requires backend='thread'")
     results: Dict[GridCell, GridCVResult] = {}
     pending: List[GridCell] = list(cells)
     if journal is not None:
@@ -842,25 +850,36 @@ def _run_grid(
                 results[cell] = _result_from_payload(entry["payload"])
             else:
                 pending.append(cell)
-    fn = run_cell if task_wrapper is None else task_wrapper(run_cell)
-    journal_in_task = journal is not None and backend != "process"
-    if journal_in_task:
-        # Record from inside the task, not after the fan-out returns:
-        # a SIGKILL mid-grid must only ever lose cells still in flight.
-        inner, recording_journal = fn, journal
-
-        def fn(cell: GridCell) -> GridCVResult:
-            value = inner(cell)
-            recording_journal.record(
-                fingerprints[cell], list(cell), to_payload(value)
+    with ExitStack() as stack:
+        if backend == "process":
+            fn, initializer, initargs = stack.enter_context(
+                _process_grid_session(dataset, kind, cells, cell_kwargs)
             )
-            return value
+        else:
+            def fn(cell: GridCell) -> GridCVResult:
+                return _run_cell(kind, dataset, cell, cell_kwargs)
 
-    outcomes = parallel_map_outcomes(
-        fn, pending, n_jobs=n_jobs, backend=backend,
-        retry_policy=retry_policy, timeout=timeout,
-        initializer=initializer, initargs=initargs,
-    )
+            if task_wrapper is not None:
+                fn = task_wrapper(fn)
+            initializer, initargs = None, ()
+        journal_in_task = journal is not None and backend != "process"
+        if journal_in_task:
+            # Record from inside the task, not after the fan-out returns:
+            # a SIGKILL mid-grid must only ever lose cells still in flight.
+            inner, recording_journal = fn, journal
+
+            def fn(cell: GridCell) -> GridCVResult:
+                value = inner(cell)
+                recording_journal.record(
+                    fingerprints[cell], list(cell), to_payload(value)
+                )
+                return value
+
+        outcomes = parallel_map_outcomes(
+            fn, pending, n_jobs=n_jobs, backend=backend,
+            retry_policy=retry_policy, timeout=timeout,
+            initializer=initializer, initargs=initargs,
+        )
     failures: List[FailureRecord] = []
     attempts: Dict[GridCell, int] = {}
     first_error: Optional[BaseException] = None
@@ -944,48 +963,11 @@ def run_point_grid(
     fingerprints = _grid_fingerprints(
         "point", cells, feature_set, profile, seed, extra={}
     )
-    if backend == "process":
-        if task_wrapper is not None:
-            raise ValueError(
-                "task_wrapper (fault injection) requires backend='thread'"
-            )
-        kwargs = dict(feature_set=feature_set, profile=profile, seed=seed)
-        with _process_grid_session(
-            dataset, "point", model_names, read_points, feature_set,
-            profile, seed, calibration_fraction=0.25, kwargs=kwargs,
-        ) as (task, initializer, initargs):
-            return _run_grid(
-                cells,
-                task,
-                fingerprints,
-                _point_payload,
-                journal=journal,
-                retry_policy=retry_policy,
-                timeout=timeout,
-                on_error=on_error,
-                n_jobs=n_jobs,
-                task_wrapper=None,
-                backend="process",
-                initializer=initializer,
-                initargs=initargs,
-            )
-
-    def run_cell(cell: GridCell) -> PointCVResult:
-        name, temperature, hours = cell
-        return run_point_experiment(
-            dataset,
-            name,
-            temperature,
-            hours,
-            feature_set=feature_set,
-            profile=profile,
-            seed=seed,
-            n_jobs=1,
-        )
-
     return _run_grid(
+        "point",
+        dataset,
         cells,
-        run_cell,
+        dict(feature_set=feature_set, profile=profile, seed=seed),
         fingerprints,
         _point_payload,
         journal=journal,
@@ -1047,59 +1029,19 @@ def run_region_grid(
             "cfs_k": int(cfs_k),
         },
     )
-    if backend == "process":
-        if task_wrapper is not None:
-            raise ValueError(
-                "task_wrapper (fault injection) requires backend='thread'"
-            )
-        kwargs = dict(
-            feature_set=feature_set,
-            alpha=alpha,
-            calibration_fraction=calibration_fraction,
-            cfs_k=cfs_k,
-            profile=profile,
-            seed=seed,
-        )
-        with _process_grid_session(
-            dataset, "region", method_names, read_points, feature_set,
-            profile, seed, calibration_fraction=calibration_fraction,
-            kwargs=kwargs,
-        ) as (task, initializer, initargs):
-            return _run_grid(
-                cells,
-                task,
-                fingerprints,
-                _interval_payload,
-                journal=journal,
-                retry_policy=retry_policy,
-                timeout=timeout,
-                on_error=on_error,
-                n_jobs=n_jobs,
-                task_wrapper=None,
-                backend="process",
-                initializer=initializer,
-                initargs=initargs,
-            )
-
-    def run_cell(cell: GridCell) -> IntervalCVResult:
-        name, temperature, hours = cell
-        return run_region_experiment(
-            dataset,
-            name,
-            temperature,
-            hours,
-            feature_set=feature_set,
-            alpha=alpha,
-            calibration_fraction=calibration_fraction,
-            cfs_k=cfs_k,
-            profile=profile,
-            seed=seed,
-            n_jobs=1,
-        )
-
+    cell_kwargs = dict(
+        feature_set=feature_set,
+        alpha=alpha,
+        calibration_fraction=calibration_fraction,
+        cfs_k=cfs_k,
+        profile=profile,
+        seed=seed,
+    )
     return _run_grid(
+        "region",
+        dataset,
         cells,
-        run_cell,
+        cell_kwargs,
         fingerprints,
         _interval_payload,
         journal=journal,

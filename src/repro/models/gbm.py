@@ -5,7 +5,9 @@ the paper with its default hyper-parameters: 100 boosting rounds of
 depth-6 trees, learning rate 0.3, L2 leaf regularisation λ=1.  Each round
 fits a :class:`~repro.models.tree.GradientTree` to the per-sample gradient
 and Hessian of the objective at the current prediction and takes a
-shrunken Newton step.
+shrunken Newton step.  A round that samples no rows or columns and
+repeats an earlier round's gradient and Hessian bytes reuses that
+round's tree, which is the tree it would grow.
 
 Two objectives are supported, selected by the ``quantile`` parameter:
 
@@ -16,7 +18,8 @@ Two objectives are supported, selected by the ``quantile`` parameter:
 
 from __future__ import annotations
 
-from typing import List, Optional
+import hashlib
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,6 +41,17 @@ from repro.models.tables import compile_depthwise
 from repro.models.tree import GradientTree, TreeGrowthParams
 
 __all__ = ["GradientBoostingRegressor"]
+
+
+def _round_digest(gradients: np.ndarray, hessians: np.ndarray) -> bytes:
+    """SHA-256 of one boosting round's gradient and Hessian bytes.
+
+    Bytes, not values: ``-0.0 == 0.0``, yet the two can grow leaf values
+    of opposite sign bit.
+    """
+    digest = hashlib.sha256(np.ascontiguousarray(gradients, dtype=np.float64).data)
+    digest.update(np.ascontiguousarray(hessians, dtype=np.float64).data)
+    return digest.digest()
 
 
 class GradientBoostingRegressor(BaseRegressor):
@@ -94,10 +108,13 @@ class GradientBoostingRegressor(BaseRegressor):
         feature_shortlist: Optional[int] = 256,
         random_state: Optional[int] = None,
     ) -> None:
-        if n_estimators < 1:
+        # Every range check is written to fail on NaN.
+        if not n_estimators >= 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if not 0 < learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {learning_rate}"
+            )
         if not 0.0 < subsample <= 1.0:
             raise ValueError(f"subsample must be in (0, 1], got {subsample}")
         if not 0.0 < colsample_bytree <= 1.0:
@@ -110,7 +127,7 @@ class GradientBoostingRegressor(BaseRegressor):
             raise ValueError(
                 f"tree_method must be 'hist' or 'exact', got {tree_method!r}"
             )
-        if feature_shortlist is not None and feature_shortlist < 1:
+        if feature_shortlist is not None and not feature_shortlist >= 1:
             raise ValueError(
                 f"feature_shortlist must be >= 1 or None, got {feature_shortlist}"
             )
@@ -133,6 +150,45 @@ class GradientBoostingRegressor(BaseRegressor):
         if self.quantile is None:
             return mse_gradient_hessian(y, prediction)
         return pinball_gradient_hessian(y, prediction, self.quantile)
+
+    def _grow(
+        self,
+        X: np.ndarray,
+        dataset: Optional[BinnedDataset],
+        gradients: np.ndarray,
+        hessians: np.ndarray,
+        params: TreeGrowthParams,
+        rng: np.random.Generator,
+    ) -> GradientTree:
+        """One round's tree, on this round's row and column draws."""
+        n_samples, n_features = X.shape
+        if self.subsample < 1.0:
+            n_rows = max(1, int(round(self.subsample * n_samples)))
+            rows = rng.choice(n_samples, size=n_rows, replace=False)
+        else:
+            # Full-matrix round: no row copy, no RNG draw (the draw
+            # never happened on this branch, so seeds are unchanged).
+            rows = None
+        if self.colsample_bytree < 1.0:
+            n_cols = max(1, int(round(self.colsample_bytree * n_features)))
+            cols = rng.choice(n_features, size=n_cols, replace=False)
+        else:
+            cols = np.arange(n_features)
+
+        if dataset is not None:
+            if rows is None:
+                return grow_histogram_tree(
+                    dataset.codes, dataset.binner, gradients, hessians,
+                    params, cols, self.feature_shortlist, dataset=dataset,
+                )
+            return grow_histogram_tree(
+                dataset.codes[rows], dataset.binner, gradients[rows],
+                hessians[rows], params, cols, self.feature_shortlist,
+            )
+        tree = GradientTree(params)
+        if rows is None:
+            return tree.fit_gradients(X, gradients, hessians, cols)
+        return tree.fit_gradients(X[rows], gradients[rows], hessians[rows], cols)
 
     def _loss(self, y: np.ndarray, prediction: np.ndarray) -> float:
         from repro.models.losses import mse_loss, pinball_loss
@@ -219,15 +275,11 @@ class GradientBoostingRegressor(BaseRegressor):
             gamma=self.gamma,
         )
 
-        n_samples, n_features = X.shape
-        if self.tree_method == "hist":
-            dataset = resolve_binned_dataset(X, self.max_bins, binned)
-            binner = dataset.binner
-            codes = dataset.codes
-        else:
-            dataset = None
-            binner = None
-            codes = None
+        n_samples = X.shape[0]
+        dataset = (
+            resolve_binned_dataset(X, self.max_bins, binned)
+            if self.tree_method == "hist" else None
+        )
 
         prediction = np.full(n_samples, self.base_score_)
         trees: List[GradientTree] = []
@@ -237,39 +289,22 @@ class GradientBoostingRegressor(BaseRegressor):
         )
         best_round = 0
         best_loss = np.inf
+        # A round that draws no rows and no columns grows a tree that
+        # depends on its gradient and Hessian vectors alone: the codes,
+        # params and candidates are fixed for the fit, and neither grower
+        # draws random numbers.  Pinball gradients take two values, so
+        # such rounds often repeat an earlier round's vectors byte for
+        # byte; those append the tree already grown for them.
+        reusable = self.subsample == 1.0 and self.colsample_bytree == 1.0
+        grown: Dict[bytes, GradientTree] = {}
         for round_index in range(self.n_estimators):
             gradients, hessians = self._gradients(y, prediction)
-
-            if self.subsample < 1.0:
-                n_rows = max(1, int(round(self.subsample * n_samples)))
-                rows = rng.choice(n_samples, size=n_rows, replace=False)
-            else:
-                # Full-matrix round: no row copy, no RNG draw (the draw
-                # never happened on this branch, so seeds are unchanged).
-                rows = None
-            if self.colsample_bytree < 1.0:
-                n_cols = max(1, int(round(self.colsample_bytree * n_features)))
-                cols = rng.choice(n_features, size=n_cols, replace=False)
-            else:
-                cols = np.arange(n_features)
-
-            if self.tree_method == "hist":
-                if rows is None:
-                    tree = grow_histogram_tree(
-                        codes, binner, gradients, hessians,
-                        params, cols, self.feature_shortlist, dataset=dataset,
-                    )
-                else:
-                    tree = grow_histogram_tree(
-                        codes[rows], binner, gradients[rows], hessians[rows],
-                        params, cols, self.feature_shortlist,
-                    )
-            elif rows is None:
-                tree = GradientTree(params)
-                tree.fit_gradients(X, gradients, hessians, cols)
-            else:
-                tree = GradientTree(params)
-                tree.fit_gradients(X[rows], gradients[rows], hessians[rows], cols)
+            key = _round_digest(gradients, hessians) if reusable else None
+            tree = grown.get(key)
+            if tree is None:
+                tree = self._grow(X, dataset, gradients, hessians, params, rng)
+                if reusable:
+                    grown[key] = tree
             trees.append(tree)
             prediction += self.learning_rate * tree.predict(X)
 

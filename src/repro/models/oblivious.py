@@ -12,7 +12,8 @@ Implementation notes:
 
 * features are pre-binned into at most ``max_bins`` quantile bins once per
   fit; level-wise split search then reduces to one ``np.bincount`` over
-  ``(feature, leaf, bin)`` cells per level, scanned bin-major
+  ``(feature, leaf, bin)`` cells per level -- over the leaves that hold
+  a row, empty ones dropped -- scanned bin-major
   (:func:`level_split_scores`) in work arrays each fit allocates once,
 * leaf values are Newton steps ``−G/(H+λ)`` with CatBoost's
   ``l2_leaf_reg`` as λ,
@@ -66,12 +67,21 @@ def _guarded_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarra
     )
 
 
+def _on_all_leaves(values: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """``values`` over the occupied leaves (axis 1) put back on all
+    ``occupied.size`` leaves, the empty ones as ``+0.0``."""
+    full = np.zeros(values.shape[:1] + occupied.shape + values.shape[2:])
+    full[:, occupied] = values
+    return full
+
+
 def level_split_scores(
     grad_cells: np.ndarray,
     hess_cells: np.ndarray,
     splittable: np.ndarray,
     lam: float,
     work: Optional[np.ndarray] = None,
+    occupied: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float]:
     """Summed leaf gain of every (feature, bin) split of one tree level.
 
@@ -82,6 +92,14 @@ def level_split_scores(
     ``Σ_leaves G²/(H+λ)``.  ``work`` is a ``(4, n)`` float array with
     ``n >= (B - 1)·L·F``, reused across levels; one is allocated when
     omitted.
+
+    ``occupied``, when given, is the level's boolean leaf mask and the
+    histograms hold only its True leaves, in order.  The results equal
+    the scan of the full ``(F, occupied.size, B)`` histograms bit for
+    bit: an empty leaf's score and baseline terms are ``+0.0``, which
+    the sequential leaf sum skips exactly, and the pairwise sums (the
+    baseline, and the shapes below that reduce leaves pairwise) get the
+    zeros put back first.
 
     The scan runs bin-major over ``(B - 1, L, F)`` planes
     (:func:`~repro.models.binning.bin_major_prefix_sums`) with the float
@@ -102,9 +120,10 @@ def level_split_scores(
     hess_total = hess_cells.sum(axis=2)
     # grad_total is the same for every candidate feature; read the
     # baseline off the first one.
-    baseline = float(
-        np.sum(_guarded_divide(grad_total[0] ** 2, hess_total[0] + lam))
-    )
+    leaf_terms = _guarded_divide(grad_total[:1] ** 2, hess_total[:1] + lam)
+    if occupied is not None:
+        leaf_terms = _on_all_leaves(leaf_terms, occupied)
+    baseline = float(np.sum(leaf_terms[0]))
     shape = (n_bins - 1, n_leaves, n_candidates)
     size = shape[0] * n_leaves * n_candidates
     if work is None:
@@ -136,7 +155,10 @@ def level_split_scores(
     else:
         # A length-1 inner axis makes numpy reduce the leaves pairwise;
         # reducing the (F, L, B - 1) copy does so exactly as that layout.
-        summed = np.ascontiguousarray(score.transpose(2, 1, 0)).sum(axis=1)
+        by_leaf = score.transpose(2, 1, 0)
+        if occupied is not None:
+            by_leaf = _on_all_leaves(by_leaf, occupied)
+        summed = np.ascontiguousarray(by_leaf).sum(axis=1)
     # A split must route at least one row each way; otherwise it is a
     # no-op, and its bin may not even map to a real threshold.
     np.copyto(summed, -np.inf, where=~splittable)
@@ -239,29 +261,33 @@ class ObliviousBoostingRegressor(BaseRegressor):
         quantile: Optional[float] = None,
         random_state: Optional[int] = None,
     ) -> None:
-        if n_estimators < 1:
+        # Every range check is written to fail on NaN.
+        if not n_estimators >= 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if depth < 1:
+        if not 0 < learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {learning_rate}"
+            )
+        if not depth >= 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        if l2_leaf_reg < 0:
+        if not l2_leaf_reg >= 0:
             raise ValueError(f"l2_leaf_reg must be >= 0, got {l2_leaf_reg}")
-        if max_bins < 2:
+        if not max_bins >= 2:
             raise ValueError(f"max_bins must be >= 2, got {max_bins}")
         if not 0.0 < rsm <= 1.0:
             raise ValueError(f"rsm must be in (0, 1], got {rsm}")
-        if feature_shortlist is not None and feature_shortlist < 1:
+        if feature_shortlist is not None and not feature_shortlist >= 1:
             raise ValueError(
                 f"feature_shortlist must be >= 1 or None, got {feature_shortlist}"
             )
-        if random_strength < 0:
+        if not 0 <= random_strength < np.inf:
             raise ValueError(
-                f"random_strength must be >= 0, got {random_strength}"
+                f"random_strength must be >= 0 and finite, got {random_strength}"
             )
-        if bagging_temperature < 0:
+        if not 0 <= bagging_temperature < np.inf:
             raise ValueError(
-                f"bagging_temperature must be >= 0, got {bagging_temperature}"
+                "bagging_temperature must be >= 0 and finite, "
+                f"got {bagging_temperature}"
             )
         if quantile is not None:
             quantile = validate_quantile(quantile)
@@ -348,12 +374,15 @@ class ObliviousBoostingRegressor(BaseRegressor):
         candidates span every column and a single leaf is active, the
         cell index (and, for unit Hessians, the Hessian histogram) comes
         from :meth:`BinnedDataset.root_level` -- bit-identical by
-        construction.
+        construction.  Deeper levels histogram only the leaves some row
+        reaches, and the scan puts the empty ones back where its sums
+        need them.
         """
         binned = dataset.codes
         n_bins = splittable.shape[1] + 1
         n_candidates = candidate_features.size
         root_unit = None
+        occupied = None
         if (
             n_leaves == 1
             and n_candidates == binned.shape[1]
@@ -361,6 +390,13 @@ class ObliviousBoostingRegressor(BaseRegressor):
         ):
             cell, root_unit = dataset.root_level(n_bins)
         else:
+            # Deep levels of small fits leave many leaves without a row:
+            # build and scan histograms over the occupied leaves only.
+            counts = np.bincount(leaf_idx, minlength=n_leaves)
+            if not counts.all():
+                occupied = counts > 0
+                leaf_idx = (np.cumsum(occupied) - 1)[leaf_idx]
+                n_leaves = int(np.count_nonzero(occupied))
             cell = histogram_cells(
                 binned, leaf_idx, n_leaves, n_bins, candidate_features
             )
@@ -373,7 +409,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
             )
         score, baseline = level_split_scores(
             grad_cells, hess_cells, splittable[candidate_features],
-            self.l2_leaf_reg, work,
+            self.l2_leaf_reg, work, occupied=occupied,
         )
         if score.size == 0:
             return -1, -1, -np.inf, np.full(n_candidates, -np.inf)

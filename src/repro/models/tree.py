@@ -69,19 +69,20 @@ class TreeGrowthParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0:
+        # Every check is written to fail on NaN; +inf stays a valid limit.
+        if not self.max_depth >= 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
+        if not self.min_samples_leaf >= 1:
             raise ValueError(
                 f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
             )
-        if self.min_child_weight < 0:
+        if not self.min_child_weight >= 0:
             raise ValueError(
                 f"min_child_weight must be >= 0, got {self.min_child_weight}"
             )
-        if self.reg_lambda < 0:
+        if not self.reg_lambda >= 0:
             raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 

@@ -30,8 +30,17 @@ def oblivious_level_scores(
     splittable: np.ndarray,
     lam: float,
     work: Optional[np.ndarray] = None,
+    occupied: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float]:
-    """``(F, B - 1)`` summed leaf gains and the no-split baseline."""
+    """``(F, B - 1)`` summed leaf gains and the no-split baseline.
+
+    Histograms over the ``occupied`` leaves only get the empty leaves
+    back as zero rows, and the scan runs over the full leaf axis.
+    """
+    if occupied is not None:
+        grad_cells, hess_cells = (
+            _with_empty_leaves(cells, occupied) for cells in (grad_cells, hess_cells)
+        )
     grad_left = np.cumsum(grad_cells, axis=2)[:, :, :-1]
     hess_left = np.cumsum(hess_cells, axis=2)[:, :, :-1]
     grad_total = grad_cells.sum(axis=2, keepdims=True)
@@ -52,6 +61,12 @@ def oblivious_level_scores(
         out=np.zeros_like(denominator), where=denominator > 0,
     )
     return score, float(np.sum(leaf_terms))
+
+
+def _with_empty_leaves(cells: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    full = np.zeros((cells.shape[0], occupied.size, cells.shape[2]))
+    full[:, occupied] = cells
+    return full
 
 
 def histtree_leaf_splits(

@@ -24,6 +24,7 @@ from repro.models import (
     QuantileLinearRegression,
 )
 from repro.models.base import check_X
+from repro.models.tree import TreeGrowthParams
 
 MODEL_FACTORIES = {
     "LinearRegression": lambda: LinearRegression(),
@@ -104,6 +105,60 @@ class TestNonFiniteInputsRejected:
         out = _predict(model.fit(X, y), X)
         flat = np.concatenate([np.asarray(o).ravel() for o in np.atleast_1d(out)])
         assert np.isfinite(flat).all()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteHyperparametersRejected:
+    """A NaN (or, where no limit makes sense, infinite) booster knob is a
+    ``ValueError`` naming it, not a fit that predicts NaN."""
+
+    @pytest.mark.parametrize(
+        "factory, name, value",
+        [
+            (GradientBoostingRegressor, "learning_rate", NAN),
+            (GradientBoostingRegressor, "learning_rate", INF),
+            (GradientBoostingRegressor, "reg_lambda", NAN),
+            (GradientBoostingRegressor, "gamma", NAN),
+            (GradientBoostingRegressor, "min_child_weight", NAN),
+            (ObliviousBoostingRegressor, "learning_rate", NAN),
+            (ObliviousBoostingRegressor, "learning_rate", INF),
+            (ObliviousBoostingRegressor, "l2_leaf_reg", NAN),
+            (ObliviousBoostingRegressor, "random_strength", NAN),
+            (ObliviousBoostingRegressor, "random_strength", INF),
+            (ObliviousBoostingRegressor, "bagging_temperature", NAN),
+            (ObliviousBoostingRegressor, "bagging_temperature", INF),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_booster_refuses(self, data, factory, name, value):
+        X, y = data
+        with pytest.raises(ValueError, match=name):
+            factory(n_estimators=3, random_state=0, **{name: value}).fit(X, y)
+
+    @pytest.mark.parametrize(
+        "name", ["max_depth", "min_samples_leaf", "min_child_weight",
+                 "reg_lambda", "gamma"],
+    )
+    def test_growth_params_refuse_nan(self, name):
+        with pytest.raises(ValueError, match=name):
+            TreeGrowthParams(**{name: NAN})
+
+    @pytest.mark.parametrize(
+        "factory, name",
+        [
+            (GradientBoostingRegressor, "reg_lambda"),
+            (GradientBoostingRegressor, "gamma"),
+            (GradientBoostingRegressor, "min_child_weight"),
+            (ObliviousBoostingRegressor, "l2_leaf_reg"),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_infinite_limit_still_fits(self, data, factory, name):
+        X, y = data
+        model = factory(n_estimators=3, random_state=0, **{name: INF}).fit(X, y)
+        assert np.isfinite(model.predict(X)).all()
 
 
 class TestCheckXColumnReporting:

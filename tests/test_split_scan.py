@@ -115,6 +115,37 @@ class TestObliviousScan:
                 assert_bits_equal(score, want_score)
                 assert_bits_equal(baseline, want_baseline)
 
+    @pytest.mark.parametrize("quantile", LOSSES)
+    @pytest.mark.parametrize("n_bins", N_BINS)
+    def test_occupied_leaf_scan_matches_full_leaf_axis(self, quantile, n_bins):
+        """Histograms over the occupied leaves only score like the full
+        leaf axis, in every shape: the sequential leaf sum and the
+        pairwise ones (one candidate, two bins, the baseline)."""
+        for case, (n_leaves, n_features) in enumerate(
+            (leaves, features) for leaves in (8, 64, 256) for features in (1, 2, 7)
+        ):
+            codes, leaf_idx, grad, hess = level_problem(
+                case, n_features, n_leaves, n_bins, quantile, n_rows=40
+            )
+            # Leaf 0 empty too: the leaf sum then starts on an occupied leaf.
+            leaf_idx = np.maximum(leaf_idx, 1)
+            occupied = np.bincount(leaf_idx, minlength=n_leaves) > 0
+            assert not occupied.all()
+            grad_cells = cells(codes, leaf_idx, grad, n_leaves, n_bins)
+            hess_cells = cells(codes, leaf_idx, hess, n_leaves, n_bins)
+            splittable = splittable_mask(codes, n_bins)
+            for lam in LAMBDAS:
+                want_score, want_baseline = oblivious_level_scores(
+                    grad_cells, hess_cells, splittable, lam
+                )
+                compact = [grad_cells[:, occupied], hess_cells[:, occupied]]
+                for scan in (level_split_scores, oblivious_level_scores):
+                    score, baseline = scan(
+                        *compact, splittable, lam, occupied=occupied
+                    )
+                    assert_bits_equal(score, want_score)
+                    assert_bits_equal(baseline, want_baseline)
+
     def test_work_buffers_are_reused_without_leaking_between_levels(self):
         """One work array serves levels of different shapes in turn."""
         work = np.empty((4, 31 * 8 * 7))
@@ -256,6 +287,52 @@ class TestFitParity:
         got = fit()
         monkeypatch.setattr(oblivious, "level_split_scores", oblivious_level_scores)
         assert_same_trees(got, fit(), X_test)
+
+    @pytest.mark.parametrize("quantile", [None, 0.05, 0.95])
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"max_bins": 2}, {"one_candidate": True}, {"l2_leaf_reg": 0.0},
+         {"bagging_temperature": 1.0}],
+        ids=["default", "2-bins", "one-candidate", "lambda-0", "bagging"],
+    )
+    def test_deep_oblivious_fit_on_few_rows_matches_oracle_scan(
+        self, monkeypatch, quantile, params
+    ):
+        """Depth 8 on 40 rows leaves most deep leaves empty: the scans of
+        the occupied leaves grow the trees the full leaf axis grows."""
+        params = {"max_bins": 32, **params}
+        X, y, X_test = wide_problem(n_rows=40, n_features=60, seed=5)
+        if params.pop("one_candidate", False):
+            X, X_test = X[:, 40:41], X_test[:, 40:41]
+
+        def fit():
+            return ObliviousBoostingRegressor(
+                n_estimators=8, depth=8, quantile=quantile, random_state=4,
+                **params,
+            ).fit(X, y)
+
+        got = fit()
+        monkeypatch.setattr(oblivious, "level_split_scores", oblivious_level_scores)
+        assert_same_trees(got, fit(), X_test)
+
+    def test_deep_levels_scan_only_occupied_leaves(self, monkeypatch):
+        X, y, _ = wide_problem(n_rows=40, n_features=60, seed=5)
+        scanned = []
+        scan = oblivious.level_split_scores
+
+        def spy(grad_cells, *args, **kwargs):
+            occupied = kwargs.get("occupied")
+            n_leaves = grad_cells.shape[1]
+            scanned.append((n_leaves, n_leaves if occupied is None else occupied.size))
+            return scan(grad_cells, *args, **kwargs)
+
+        monkeypatch.setattr(oblivious, "level_split_scores", spy)
+        ObliviousBoostingRegressor(
+            n_estimators=4, depth=8, quantile=0.05, random_state=4
+        ).fit(X, y)
+        assert all(leaves <= 40 for leaves, _ in scanned)
+        assert any(leaves < level_leaves for leaves, level_leaves in scanned)
+        assert max(level_leaves for _, level_leaves in scanned) == 2 ** 7
 
     @pytest.mark.parametrize("quantile", [None, 0.05, 0.95])
     @pytest.mark.parametrize(
