@@ -16,9 +16,9 @@ Four commands cover the non-programmatic workflows:
   coverage-monitored scoring; ``--bootstrap`` fits and publishes a
   first version.  Exits 0 when the service ends ``READY``, 1 when it
   ends degraded, 2 on error,
-* ``analyze`` -- whole-program static analysis (concurrency/determinism
-  races, conformal calibration hygiene); delegated to
-  :mod:`repro.devtools.analysis.cli` with its own options.
+* ``analyze`` -- reprolint static analysis (per-module contracts,
+  concurrency/determinism races, conformal calibration hygiene);
+  delegated to :mod:`repro.devtools.cli` with its own options.
 
 The CLI exists so a test-floor engineer can produce and inspect data
 without writing Python; everything it does is a thin shim over the
@@ -423,7 +423,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # Imported lazily: the analysis stack is only needed for this command.
-    from repro.devtools.analysis.cli import main as analyze_main
+    from repro.devtools.cli import main as analyze_main
 
     return analyze_main(list(args.rest))
 
@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     # richer option set); this stub keeps it visible in --help.
     analyze = commands.add_parser(
         "analyze",
-        help="whole-program static analysis (REP2xx/REP3xx deep pass)",
+        help="reprolint static analysis (REP1xx-REP3xx rules)",
         add_help=False,
     )
     analyze.add_argument("rest", nargs=argparse.REMAINDER)

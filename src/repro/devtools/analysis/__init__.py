@@ -1,31 +1,16 @@
-"""Whole-program static analysis (reprolint's deep pass).
+"""The project model and flow framework reprolint's rules run on.
 
-Where :mod:`repro.devtools` lints one file at a time, this package
-sees the project as a program: a module/function symbol table with
-resolved imports (:mod:`.project`), per-function control-flow graphs
-(:mod:`.cfg`), reaching-definitions and labelled taint over them
-(:mod:`.dataflow`), a best-effort call graph (:mod:`.callgraph`), and
-inter-procedural source-to-sink summaries (:mod:`.interproc`).  Two
-rule packs run on top: REP2xx concurrency/determinism and REP3xx
-conformal calibration hygiene (:mod:`.rules`).
-
-Entry points: ``python -m repro analyze`` (:mod:`.cli`) or
-:func:`analyze_paths` programmatically.
+Every file of a run is parsed once into a :class:`Project`: a module
+table with resolved imports (:mod:`.project`).  The whole-program rules
+build on per-function control-flow graphs (:mod:`.cfg`),
+reaching-definitions and labelled taint over them (:mod:`.dataflow`),
+a best-effort call graph (:mod:`.callgraph`), and inter-procedural
+source-to-sink summaries (:mod:`.interproc`).  Two rule packs run on
+top: REP2xx concurrency/determinism and REP3xx conformal calibration
+hygiene (:mod:`repro.devtools.rules`), run by :mod:`repro.devtools.engine`
+beside the per-module REP1xx rules.
 """
 
-from repro.devtools.analysis.engine import (
-    AnalysisEngine,
-    AnalysisResult,
-    analyze_paths,
-)
 from repro.devtools.analysis.project import Project
-from repro.devtools.analysis.rules import ALL_ANALYSIS_RULES, get_analysis_rule
 
-__all__ = [
-    "ALL_ANALYSIS_RULES",
-    "AnalysisEngine",
-    "AnalysisResult",
-    "Project",
-    "analyze_paths",
-    "get_analysis_rule",
-]
+__all__ = ["Project"]

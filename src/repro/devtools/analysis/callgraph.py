@@ -20,8 +20,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.devtools.analysis.project import FunctionInfo, Project
-from repro.devtools.rules.base import dotted_name
+from repro.devtools.analysis.project import FunctionInfo, Project, dotted_name
 
 __all__ = [
     "CallGraph",

@@ -43,6 +43,7 @@ __all__ = [
     "TaintAnalysis",
     "TaintState",
     "assigned_names",
+    "call_name",
     "reaching_definitions",
 ]
 
@@ -191,7 +192,7 @@ class TaintAnalysis:
         if isinstance(expr, ast.Name):
             labels |= state.get(expr.id, frozenset())
         elif isinstance(expr, ast.Call):
-            func_name = _call_name(expr)
+            func_name = call_name(expr)
             if func_name not in _SANITIZERS:
                 for arg in expr.args:
                     labels |= self.expr_labels(arg, state)
@@ -293,10 +294,6 @@ class TaintAnalysis:
             state = self.transfer(stmt, state)
         return state
 
-    def block_entry(self, block_id: int) -> TaintState:
-        """Taint state at a block's entry after :meth:`run`."""
-        return dict(self._entry_states.get(block_id, {}))
-
     def visit_statements(
         self, visit: Callable[[ast.stmt, TaintState], None]
     ) -> None:
@@ -307,19 +304,8 @@ class TaintAnalysis:
                 visit(stmt, state)
                 state = self.transfer(stmt, state)
 
-    def call_argument_labels(
-        self, call: ast.Call, state: TaintState
-    ) -> List[Tuple[Optional[str], FrozenSet[Label]]]:
-        """Per-argument labels of a call: ``(kwarg-name-or-None, labels)``."""
-        out: List[Tuple[Optional[str], FrozenSet[Label]]] = []
-        for arg in call.args:
-            out.append((None, self.expr_labels(arg, state)))
-        for keyword in call.keywords:
-            out.append((keyword.arg, self.expr_labels(keyword.value, state)))
-        return out
 
-
-def _call_name(call: ast.Call) -> str:
+def call_name(call: ast.Call) -> str:
     """Terminal callee name: ``len`` for ``len(x)``, ``fit`` for ``m.fit(x)``."""
     func = call.func
     if isinstance(func, ast.Name):

@@ -19,6 +19,8 @@ graph:
 Sinks are described by a :class:`SinkSpec`: terminal callee names
 (``fit`` matches both ``model.fit(...)`` and a bare ``fit(...)``) plus
 keyword-argument names that are sinks on *any* call (``seed=``).
+:class:`ProjectContext` is the one per-run cache (call graph, CFGs) the
+passes here and every whole-program rule read.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.devtools.analysis.callgraph import CallSite
+from repro.devtools.analysis.callgraph import CallGraph, CallSite, build_call_graph
+from repro.devtools.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.devtools.analysis.dataflow import TaintAnalysis, TaintState
-from repro.devtools.analysis.project import FunctionInfo
-from repro.devtools.analysis.rules.base import ProjectContext
+from repro.devtools.analysis.project import FunctionInfo, ModuleInfo, Project
 
 __all__ = [
     "FlowFinding",
+    "ProjectContext",
     "SinkSpec",
     "compute_param_leaks",
     "find_source_flows",
@@ -42,6 +45,37 @@ __all__ = [
 Label = Hashable
 ExprSources = Callable[[ast.expr], Iterable[Label]]
 Seams = Optional[Callable[[ast.Call], Optional[Tuple[Iterable[Label], Iterable[int]]]]]
+
+
+class ProjectContext:
+    """Shared lookups for one analysis run (CFGs and call graph cached)."""
+
+    def __init__(self, project: Project) -> None:
+        self.project = project
+        self._callgraph: Optional[CallGraph] = None
+        self._cfgs: Dict[str, ControlFlowGraph] = {}
+
+    @property
+    def callgraph(self) -> CallGraph:
+        if self._callgraph is None:
+            self._callgraph = build_call_graph(self.project)
+        return self._callgraph
+
+    def cfg(self, qualname: str) -> ControlFlowGraph:
+        """The (cached) CFG of a registered function."""
+        if qualname not in self._cfgs:
+            node = self.project.functions[qualname].node
+            body = node.body if not isinstance(node, ast.Lambda) else [
+                ast.Expr(value=node.body)
+            ]
+            self._cfgs[qualname] = build_cfg(body)
+        return self._cfgs[qualname]
+
+    def functions(self) -> Iterable[FunctionInfo]:
+        return self.project.functions.values()
+
+    def module_of(self, function: FunctionInfo) -> Optional[ModuleInfo]:
+        return self.project.modules.get(function.module)
 
 
 @dataclass(frozen=True)

@@ -1,46 +1,133 @@
-"""Project model: every module of a package, parsed once, cross-linked.
+"""Project model: every module of a run, parsed once, cross-linked.
 
-The whole-program pass needs three things the per-file lint engine never
-builds: a *module table* keyed by dotted import name (so
-``from repro.core.split_cp import split_train_calibration`` resolves to
-the defining module), a *function table* keyed by qualified name
-(``repro.core.cqr.ConformalizedQuantileRegressor.fit``, nested
-functions included), and per-module *import alias maps* (local name ->
-absolute dotted target, relative imports resolved against the package).
+Both rule packs read this one model.  Each file is parsed once into a
+:class:`ModuleInfo`: the tree with parent links, the file's role
+(``src`` or ``test``, classified with the run's config), its inline
+suppressions and its import alias map (local name -> absolute dotted
+target, relative imports resolved against the package).  On top of the
+modules the project builds a *module table* keyed by dotted import name
+(so ``from repro.core.split_cp import split_train_calibration``
+resolves to the defining module) and a *function table* keyed by
+qualified name (``repro.core.cqr.ConformalizedQuantileRegressor.fit``,
+nested functions included).
 
-Files that fail to parse become :class:`EngineError` records instead of
-raising: the analysis CLI reports them as engine diagnostics and exits
-2, so a broken file can never crash -- or silently skip -- a deep pass.
+Files that cannot be read or parsed become ``REP000 [parse-error]``
+diagnostics in :attr:`Project.errors` instead of raising: the CLI
+reports them and exits 2, so a broken file can never crash -- or
+silently skip -- a pass.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import tokenize
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
-from repro.devtools.engine import annotate_parents, classify_role, collect_suppressions
+from repro.devtools.config import LintConfig
+from repro.devtools.diagnostics import PARSE_ERROR_ID, Diagnostic
 
 __all__ = [
-    "EngineError",
     "FunctionInfo",
     "ModuleInfo",
     "Project",
+    "classify_role",
+    "collect_suppressions",
+    "dotted_name",
     "module_name_for",
     "resolve_dotted",
 ]
 
+_SUPPRESSION_RE = re.compile(
+    r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\-\s]+)", re.IGNORECASE
+)
+
+
+def classify_role(path: str, config: Optional[LintConfig] = None) -> str:
+    """Classify ``path`` as ``"src"`` or ``"test"``.
+
+    A file is a test when any path component matches one of the
+    configured test directory names (default ``tests``) or its basename
+    looks like ``test_*.py`` / ``conftest.py``.  Everything else is
+    held to the stricter ``src`` contract.
+    """
+    config = config or LintConfig()
+    parts = Path(path).parts
+    if any(part in config.test_dirs for part in parts[:-1]):
+        return "test"
+    basename = Path(path).name
+    if basename.startswith("test_") or basename == "conftest.py":
+        return "test"
+    return "src"
+
+
+def collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
+    """Map line numbers to the rule ids/names suppressed on that line.
+
+    Recognises ``# reprolint: disable=REP102`` and comma-separated
+    lists; the special token ``all`` silences every rule for the line.
+    Comments are read from the token stream, so suppressions attached
+    to continuation lines or after code both work.
+    """
+    suppressions: Dict[int, FrozenSet[str]] = {}
+    try:
+        tokens = tokenize.generate_tokens(StringIO(source).readline)
+        for token in tokens:
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESSION_RE.search(token.string)
+            if not match:
+                continue
+            names = frozenset(
+                part.strip() for part in match.group(1).split(",") if part.strip()
+            )
+            line = token.start[0]
+            suppressions[line] = suppressions.get(line, frozenset()) | names
+    except tokenize.TokenError:
+        # Unterminated strings etc.: the parse-error diagnostic covers it.
+        pass
+    return suppressions
+
+
+def _annotate_parents(tree: ast.Module) -> None:
+    """Attach a ``_reprolint_parent`` link to every node (rules use it)."""
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            setattr(child, "_reprolint_parent", node)
+
+
+def dotted_name(node: ast.AST) -> str:
+    """Resolve an ``ast.Attribute``/``ast.Name`` chain to ``"a.b.c"``.
+
+    Returns an empty string for expressions that are not plain dotted
+    access (subscripts, calls, literals), which callers treat as
+    "cannot tell -- do not flag".
+    """
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def _parse_error(path: str, line: int, column: int, message: str) -> Diagnostic:
+    return Diagnostic(
+        path=path,
+        line=line,
+        column=column,
+        rule_id=PARSE_ERROR_ID,
+        rule_name="parse-error",
+        message=message,
+    )
+
+
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
-
-
-@dataclass(frozen=True)
-class EngineError:
-    """A file the analyzer could not process (reported, never raised)."""
-
-    path: str
-    line: int
-    message: str
 
 
 @dataclass(frozen=True)
@@ -52,26 +139,12 @@ class FunctionInfo:
     node: FunctionNode
     parent_class: Optional[str] = None
 
-    @property
-    def name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
-
     def params(self) -> List[str]:
         """Positional + keyword parameter names, in signature order."""
         args = self.node.args
         names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
         if self.parent_class is not None and names and names[0] in ("self", "cls"):
             names = names[1:]
-        return names
-
-    def all_params(self) -> List[str]:
-        """Parameter names including ``self``/``cls`` (scope binding)."""
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        if args.vararg:
-            names.append(args.vararg.arg)
-        if args.kwarg:
-            names.append(args.kwarg.arg)
         return names
 
 
@@ -151,24 +224,27 @@ def _collect_globals(tree: ast.Module) -> Dict[str, ast.AST]:
 
 
 class Project:
-    """Parsed modules, functions, and import links for one analysis run."""
+    """Parsed modules, functions, and import links for one run."""
 
-    def __init__(self) -> None:
+    def __init__(self, config: Optional[LintConfig] = None) -> None:
+        self.config = config or LintConfig()
         self.modules: Dict[str, ModuleInfo] = {}
         self.by_path: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-        self.errors: List[EngineError] = []
+        self.errors: List[Diagnostic] = []
 
     @classmethod
-    def load(cls, files: Sequence[str]) -> "Project":
-        """Parse every file into the project; parse failures are recorded."""
-        project = cls()
+    def load(
+        cls, files: Sequence[str], config: Optional[LintConfig] = None
+    ) -> "Project":
+        """Parse every file once; read and parse failures become REP000."""
+        project = cls(config)
         for file_path in sorted(files):
             try:
                 source = Path(file_path).read_text(encoding="utf-8")
-            except OSError as error:
+            except (OSError, UnicodeDecodeError) as error:
                 project.errors.append(
-                    EngineError(path=file_path, line=1, message=str(error))
+                    _parse_error(file_path, 1, 0, f"file could not be read: {error}")
                 )
                 continue
             project.add_source(source, file_path)
@@ -187,14 +263,15 @@ class Project:
             tree = ast.parse(source, filename=path)
         except SyntaxError as error:
             self.errors.append(
-                EngineError(
-                    path=path,
-                    line=error.lineno or 1,
-                    message=f"file could not be parsed: {error.msg}",
+                _parse_error(
+                    path,
+                    error.lineno or 1,
+                    (error.offset or 1) - 1,
+                    f"file could not be parsed: {error.msg}",
                 )
             )
             return None
-        annotate_parents(tree)
+        _annotate_parents(tree)
         if name is None:
             name = (
                 module_name_for(path) if Path(path).exists() else Path(path).stem
@@ -204,7 +281,7 @@ class Project:
             name=name,
             source=source,
             tree=tree,
-            role=classify_role(path),
+            role=classify_role(path, self.config),
             suppressions=collect_suppressions(source),
             aliases=_collect_aliases(name, tree),
             module_globals=_collect_globals(tree),
@@ -213,6 +290,12 @@ class Project:
         self.by_path[path] = info
         self._register_functions(info)
         return info
+
+    def is_suppressed(self, diagnostic: Diagnostic) -> bool:
+        """Return whether an inline comment silences ``diagnostic``."""
+        module = self.by_path.get(diagnostic.path)
+        active = module.suppressions.get(diagnostic.line) if module else None
+        return bool(active and {"all", diagnostic.rule_id, diagnostic.rule_name} & active)
 
     def _register_functions(self, info: ModuleInfo) -> None:
         def visit(node: ast.AST, prefix: str, parent_class: Optional[str]) -> None:
@@ -254,17 +337,10 @@ class Project:
             # Unimported head: a name defined in this module itself.
             candidate = f"{module}.{dotted}"
             return candidate if candidate in self.functions else None
+        # ``from pkg import mod`` followed by ``mod.fn`` expands to
+        # ``pkg.mod.fn`` (class methods one level down resolve the same way).
         full = f"{target}.{rest}" if rest else target
-        if full in self.functions:
-            return full
-        # ``from pkg import mod`` followed by ``mod.fn`` resolves through
-        # the module table (covers class methods one level down too).
         return full if full in self.functions else None
-
-    def function_module(self, qualname: str) -> Optional[ModuleInfo]:
-        """The module a registered function was defined in."""
-        fn = self.functions.get(qualname)
-        return self.modules.get(fn.module) if fn else None
 
 
 def resolve_dotted(info: ModuleInfo, node: ast.AST) -> str:
@@ -276,15 +352,11 @@ def resolve_dotted(info: ModuleInfo, node: ast.AST) -> str:
     to its full target.  Returns ``""`` when the expression is not a
     plain dotted chain.
     """
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
+    dotted = dotted_name(node)
+    if not dotted:
         return ""
-    head = info.aliases.get(current.id, current.id)
-    full = ".".join([head] + list(reversed(parts)))
+    head, _, rest = dotted.partition(".")
+    full = info.aliases.get(head, head) + (f".{rest}" if rest else "")
     if full == "np.random" or full.startswith("np.random."):
         full = "numpy" + full[len("np"):]
     return full

@@ -1,6 +1,6 @@
-"""Committed baseline of accepted analysis findings.
+"""Committed baseline of accepted findings, both rule packs.
 
-A baseline lets a project adopt the deep pass incrementally: existing
+A baseline lets a project adopt a rule incrementally: existing
 findings are recorded once (``--write-baseline``), committed, and
 filtered out of subsequent runs, so CI only fails on *new* findings.
 

@@ -1,24 +1,30 @@
-"""``python -m repro.devtools.lint`` -- the reprolint command line.
+"""``python -m repro analyze`` -- the reprolint command line.
 
 Usage::
 
-    python -m repro.devtools.lint src tests            # lint, text report
-    python -m repro.devtools.lint --format json src    # machine-readable
-    python -m repro.devtools.lint --list-rules         # what runs and why
-    python -m repro.devtools.lint --disable REP108 src # ad-hoc rule filter
+    python -m repro analyze src tests                  # both packs, text report
+    python -m repro analyze --format json src          # machine-readable
+    python -m repro analyze --format sarif src         # SARIF 2.1.0 to stdout
+    python -m repro analyze --sarif-output out.sarif src tests   # report + artifact
+    python -m repro analyze --write-baseline src tests # accept current findings
+    python -m repro analyze --list-rules               # every rule and why
+    python -m repro analyze --disable REP108 src       # ad-hoc rule filter
 
 Exit codes are stable for CI wiring:
 
-* ``0`` -- no findings,
-* ``1`` -- at least one finding,
+* ``0`` -- no unbaselined findings and no engine errors,
+* ``1`` -- at least one new (unbaselined, unsuppressed) finding,
 * ``2`` -- engine error: usage or I/O error (unknown rule, missing
-  path), malformed config, or a file the engine could not parse
-  (``REP000``) -- a linter that could not read the code must not
-  report it merely "dirty", let alone clean.
+  path, unwritable report), malformed config or baseline, or a file
+  the engine could not read or parse (``REP000``).  A pass that could
+  not see the whole program refuses to certify it clean;
+* ``141`` -- the reader closed stdout early (``... | head``).
 
 Configuration is read from the nearest ``pyproject.toml``'s
 ``[tool.reprolint]`` table unless ``--no-config`` is given; command
 line ``--enable``/``--disable`` are applied on top of it.
+``--baseline`` overrides the configured baseline path,
+``--no-baseline`` ignores it.
 """
 
 from __future__ import annotations
@@ -27,13 +33,13 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import List, Optional
 
-from pathlib import Path
-
+from repro.devtools.baseline import Baseline, load_baseline, write_baseline
 from repro.devtools.config import LintConfig, load_config
 from repro.devtools.diagnostics import PARSE_ERROR_ID
-from repro.devtools.engine import LintEngine, collect_files
+from repro.devtools.engine import analyze_paths
 from repro.devtools.reporters import render_json, render_sarif, render_text
 from repro.devtools.rules import ALL_RULES, get_rule
 
@@ -47,16 +53,17 @@ EXIT_ERROR = 2
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for tests and docs tooling)."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.lint",
+        prog="python -m repro analyze",
         description=(
-            "reprolint: AST-based reproducibility lint for scientific / "
-            "conformal-prediction code"
+            "reprolint: reproducibility rules for scientific / conformal "
+            "code -- per-module contracts (REP1xx), concurrency "
+            "determinism (REP2xx) and conformal calibration hygiene (REP3xx)"
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (e.g. 'src tests')",
+        help="files or directories to check (e.g. 'src tests')",
     )
     parser.add_argument(
         "--format",
@@ -84,6 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="switch these rules off (id or name; repeatable)",
     )
     parser.add_argument(
+        "--baseline",
+        metavar="FILE",
+        help="baseline file of accepted findings (overrides config)",
+    )
+    parser.add_argument(
+        "--no-baseline",
+        action="store_true",
+        help="ignore any configured baseline",
+    )
+    parser.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="write current findings to the baseline file and exit 0",
+    )
+    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule with its rationale and exit",
@@ -97,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_rules() -> str:
-    lines = []
+    lines: List[str] = []
     for rule in ALL_RULES:
         scopes = "+".join(sorted(rule.scopes))
         lines.append(f"{rule.rule_id}  {rule.name}  ({scopes})")
@@ -119,6 +141,10 @@ def _resolve_config(args: argparse.Namespace) -> LintConfig:
         config = replace(config, enable=frozenset(args.enable), disable=frozenset())
     if args.disable:
         config = replace(config, disable=config.disable | frozenset(args.disable))
+    if args.baseline:
+        config = replace(config, baseline=args.baseline)
+    if args.no_baseline:
+        config = replace(config, baseline=None)
     return config
 
 
@@ -149,34 +175,54 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     try:
         config = _resolve_config(args)
-        files = collect_files(args.paths, config)
-        engine = LintEngine(config=config)
-        diagnostics = engine.lint_files(files)
+        result = analyze_paths(args.paths, config=config)
+        errors = result.errors
+        findings = [d for d in result.diagnostics if d.rule_id != PARSE_ERROR_ID]
+        if args.write_baseline:
+            if config.baseline is None:
+                raise ValueError(
+                    "--write-baseline needs --baseline FILE or a configured "
+                    "[tool.reprolint] baseline"
+                )
+            write_baseline(config.baseline, findings)
+            print(f"wrote {len(findings)} finding(s) to {config.baseline}")
+            return EXIT_ERROR if errors else EXIT_CLEAN
+        if config.baseline is not None and Path(config.baseline).is_file():
+            baseline = load_baseline(config.baseline)
+        else:
+            baseline = Baseline()
+        new, baselined = baseline.filter(findings)
+        reported = sorted(errors + new)
+        if args.sarif_output:
+            Path(args.sarif_output).write_text(
+                render_sarif(reported, rules=ALL_RULES) + "\n", encoding="utf-8"
+            )
     except (KeyError, ValueError, OSError) as error:
-        message = error.args[0] if error.args else str(error)
+        # KeyError's str() quotes its message; the others read as-is.
+        message = error.args[0] if isinstance(error, KeyError) else str(error)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 
     for note in config.notes:
         print(f"note: {note}", file=sys.stderr)
-    if args.sarif_output:
-        Path(args.sarif_output).write_text(
-            render_sarif(diagnostics, tool_name="reprolint", rules=ALL_RULES)
-            + "\n",
-            encoding="utf-8",
+    for path, rule_id, _ in baseline.unused_entries(findings):
+        print(
+            f"note: stale baseline entry {rule_id} for {path} "
+            "(finding no longer present)",
+            file=sys.stderr,
         )
+    if baselined:
+        print(
+            f"note: {len(baselined)} baselined finding(s) suppressed",
+            file=sys.stderr,
+        )
+
     if args.format == "sarif":
-        print(render_sarif(diagnostics, tool_name="reprolint", rules=ALL_RULES))
+        print(render_sarif(reported, rules=ALL_RULES))
     elif args.format == "json":
-        print(render_json(diagnostics, checked_files=len(files)))
+        print(render_json(reported, checked_files=result.checked_files))
     else:
-        print(render_text(diagnostics, checked_files=len(files)))
-    # A file the engine could not parse is an engine failure, not a
-    # finding: the rest of that file went unchecked.
-    if any(d.rule_id == PARSE_ERROR_ID for d in diagnostics):
+        print(render_text(reported, checked_files=result.checked_files))
+    if errors:
         return EXIT_ERROR
-    return EXIT_FINDINGS if diagnostics else EXIT_CLEAN
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_FINDINGS if new else EXIT_CLEAN

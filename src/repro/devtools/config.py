@@ -5,8 +5,9 @@ Configuration lives in ``pyproject.toml`` next to the code::
     [tool.reprolint]
     disable = ["REP108"]          # rule ids or names switched off
     enable = []                   # when non-empty, ONLY these run
-    exclude = ["examples/*"]      # path globs never linted
+    exclude = ["examples/*"]      # path globs never checked
     test-dirs = ["tests"]         # directory names classified as tests
+    baseline = "analysis-baseline.json"   # accepted findings, if any
 
     [tool.reprolint.perf]         # a named *scope*: extra filtering
     paths = ["src/repro/perf/*"]  # globs the scope applies to
@@ -17,16 +18,9 @@ that *narrow* the rule set for files matching their ``paths`` globs
 (``disable`` switches rules off there; a non-empty ``enable`` keeps only
 those rules there).  Scopes never re-enable a rule the base config
 disabled, so the global configuration stays the single source of truth
-for what can run at all.
-
-One nested table name is *reserved*: ``[tool.reprolint.analysis]``
-configures the whole-program analysis pass (``python -m repro
-analyze``) instead of declaring a scope::
-
-    [tool.reprolint.analysis]
-    disable = ["REP203"]               # analysis rules switched off
-    exclude = ["src/repro/legacy/*"]   # paths the deep pass skips
-    baseline = "analysis-baseline.json"
+for what can run at all.  Every key and scope covers both rule packs.
+The name ``analysis`` is reserved: the old ``[tool.reprolint.analysis]``
+table is refused with a pointer to the keys that replace it.
 
 TOML parsing uses :mod:`tomllib` (Python >= 3.11) and degrades
 gracefully: on older interpreters without ``tomli`` installed the
@@ -37,7 +31,7 @@ defaults are used and a note is attached to :attr:`LintConfig.notes`
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
@@ -50,7 +44,6 @@ except ModuleNotFoundError:  # pragma: no cover - exercised only on <3.11
         _toml = None  # type: ignore[assignment]
 
 __all__ = [
-    "AnalysisConfig",
     "LintConfig",
     "ScopeConfig",
     "find_pyproject",
@@ -58,30 +51,6 @@ __all__ = [
 ]
 
 _DEFAULT_TEST_DIRS = ("tests",)
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Configuration of the whole-program pass (``[tool.reprolint.analysis]``).
-
-    ``enable``/``disable`` filter the REP2xx/REP3xx analysis rules with
-    the same enable-beats-disable semantics as the base linter;
-    ``exclude`` globs are applied *on top of* the base excludes;
-    ``baseline`` names a committed findings file that suppresses known,
-    accepted findings so the deep pass can be adopted incrementally.
-    """
-
-    disable: FrozenSet[str] = frozenset()
-    enable: FrozenSet[str] = frozenset()
-    exclude: Tuple[str, ...] = ()
-    baseline: Optional[str] = None
-
-    def rule_enabled(self, rule_id: str, rule_name: str) -> bool:
-        """Return whether an analysis rule survives the filters."""
-        keys = {rule_id, rule_name}
-        if self.enable:
-            return bool(keys & self.enable)
-        return not keys & self.disable
 
 
 @dataclass(frozen=True)
@@ -112,12 +81,14 @@ class ScopeConfig:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Resolved linter configuration.
+    """Resolved configuration of one run, both rule packs.
 
     ``enable`` beats ``disable``: when ``enable`` is non-empty only the
     listed rules run, mirroring how focused CI jobs are usually set up.
     Entries may be rule ids (``REP102``) or names
-    (``no-float-equality``) interchangeably.
+    (``no-float-equality``) interchangeably.  ``baseline`` names a
+    committed file of accepted findings (anchored at the pyproject
+    directory when loaded from one).
     """
 
     disable: FrozenSet[str] = frozenset()
@@ -125,7 +96,7 @@ class LintConfig:
     exclude: Tuple[str, ...] = ()
     test_dirs: FrozenSet[str] = frozenset(_DEFAULT_TEST_DIRS)
     scopes: Tuple[ScopeConfig, ...] = ()
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+    baseline: Optional[str] = None
     notes: Tuple[str, ...] = ()
 
     def rule_enabled(self, rule_id: str, rule_name: str) -> bool:
@@ -209,22 +180,30 @@ def load_config(start: Optional[str] = None) -> LintConfig:
         return LintConfig()
     if not isinstance(section, dict):
         raise ValueError("[tool.reprolint] must be a table")
-    # Nested tables are named scopes ([tool.reprolint.perf] etc.) --
-    # except the reserved ``analysis`` table; every other key must come
-    # from the known top-level set.
+    # Nested tables are named scopes ([tool.reprolint.perf] etc.); every
+    # other key must come from the known top-level set.
     scope_items = {
         key: value for key, value in section.items() if isinstance(value, dict)
     }
-    analysis_table = scope_items.pop("analysis", None)
-    if analysis_table is not None and not isinstance(analysis_table, dict):
-        raise ValueError("[tool.reprolint.analysis] must be a table")
-    known = {"disable", "enable", "exclude", "test-dirs", "analysis"}
+    if "analysis" in scope_items:
+        raise ValueError(
+            "[tool.reprolint.analysis] is no longer read: move 'baseline' to "
+            "[tool.reprolint] and express per-path rule sets as scopes"
+        )
+    known = {"disable", "enable", "exclude", "test-dirs", "baseline"}
     unknown = set(section) - known - set(scope_items)
     if unknown:
         raise ValueError(
             f"[tool.reprolint] has unknown keys {sorted(unknown)}; "
             f"expected a subset of {sorted(known)} or nested scope tables"
         )
+    baseline = section.get("baseline")
+    if baseline is not None and not isinstance(baseline, str):
+        raise ValueError("[tool.reprolint] baseline must be a string")
+    # A relative baseline is anchored at the pyproject.toml directory, so
+    # the pass finds the committed file from any working directory.
+    if baseline is not None and not Path(baseline).is_absolute():
+        baseline = str(pyproject.parent / baseline)
     return LintConfig(
         disable=frozenset(_as_str_tuple(section.get("disable", []), "disable")),
         enable=frozenset(_as_str_tuple(section.get("enable", []), "enable")),
@@ -235,35 +214,6 @@ def load_config(start: Optional[str] = None) -> LintConfig:
         scopes=tuple(
             _load_scope(name, table) for name, table in sorted(scope_items.items())
         ),
-        analysis=_load_analysis(analysis_table, root=pyproject.parent),
-    )
-
-
-def _load_analysis(
-    table: Optional[Dict[str, Any]], root: Optional[Path] = None
-) -> AnalysisConfig:
-    if table is None:
-        return AnalysisConfig()
-    known = {"disable", "enable", "exclude", "baseline"}
-    unknown = set(table) - known
-    if unknown:
-        raise ValueError(
-            f"[tool.reprolint.analysis] has unknown keys {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    baseline = table.get("baseline")
-    if baseline is not None and not isinstance(baseline, str):
-        raise ValueError("[tool.reprolint.analysis] baseline must be a string")
-    # A relative baseline is anchored at the pyproject.toml directory, so
-    # the deep pass finds the committed file from any working directory.
-    if baseline is not None and root is not None and not Path(baseline).is_absolute():
-        baseline = str(root / baseline)
-    return AnalysisConfig(
-        disable=frozenset(
-            _as_str_tuple(table.get("disable", []), "analysis.disable")
-        ),
-        enable=frozenset(_as_str_tuple(table.get("enable", []), "analysis.enable")),
-        exclude=_as_str_tuple(table.get("exclude", []), "analysis.exclude"),
         baseline=baseline,
     )
 

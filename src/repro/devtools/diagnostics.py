@@ -1,20 +1,21 @@
-"""The diagnostic record emitted by every lint rule.
+"""The diagnostic record emitted by every rule.
 
 A diagnostic pins one finding to a ``path:line:column`` location plus
 the rule that produced it.  Keeping this a frozen dataclass makes
-findings hashable (deduplication), orderable (stable report output),
-and trivially serialisable (the JSON reporter).
+findings hashable (deduplication), orderable by file, position, rule
+and message (stable report output), and trivially serialisable (the
+JSON reporter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 __all__ = ["Diagnostic", "PARSE_ERROR_ID"]
 
 PARSE_ERROR_ID = "REP000"
-"""Rule id reserved for files the linter cannot parse at all."""
+"""Rule id reserved for files the engine cannot read or parse."""
 
 
 @dataclass(frozen=True, order=True)
@@ -56,7 +57,3 @@ class Diagnostic:
             "rule_name": self.rule_name,
             "message": self.message,
         }
-
-    def sort_key(self) -> Tuple[str, int, int, str]:
-        """Order findings by file, then position, then rule id."""
-        return (self.path, self.line, self.column, self.rule_id)

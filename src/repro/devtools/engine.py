@@ -1,75 +1,48 @@
-"""The reprolint engine: file collection, dispatch, suppressions.
+"""The reprolint engine: one parse, both rule packs, one finding filter.
 
-The engine owns everything rules should not have to care about:
+One run does this:
 
-* walking directories for ``.py`` files and classifying each as
-  ``"src"`` or ``"test"`` (rules opt into roles via ``Rule.scopes``),
-* parsing each file once and annotating parent links on the tree,
-* a single shared AST walk with per-node-type dispatch to every
-  enabled rule (rules register handlers by defining ``visit_<Type>``),
-* ``# reprolint: disable=RULE`` inline suppressions, collected from the
-  token stream so they work on any line, and
-* deterministic ordering of the final diagnostic list.
-
-Files that fail to parse yield a single ``REP000`` parse-error
-diagnostic instead of crashing the run.
+* collects the ``.py`` files under the given paths, each file once,
+  minus the config's ``exclude`` globs;
+* parses every file once into a :class:`~repro.devtools.analysis.project.Project`
+  (files that cannot be read or parsed become ``REP000`` diagnostics);
+* walks each module's tree once, dispatching every node to the
+  per-module (REP1xx) rules whose role scope covers the module -- rules
+  register handlers by defining ``visit_<Type>``;
+* hands one shared :class:`~repro.devtools.analysis.interproc.ProjectContext`
+  (cached CFGs, call graph) to every whole-program (REP2xx/REP3xx) rule;
+* keeps a finding only when the config enables its rule on its path
+  (global enable/disable plus scopes) and no ``# reprolint:
+  disable=RULE`` comment silences its line, then sorts.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-import tokenize
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
+from repro.devtools.analysis.interproc import ProjectContext
+from repro.devtools.analysis.project import ModuleInfo, Project
 from repro.devtools.config import LintConfig
 from repro.devtools.diagnostics import PARSE_ERROR_ID, Diagnostic
+from repro.devtools.rules import ALL_RULES
 from repro.devtools.rules.base import Rule
 
-__all__ = [
-    "LintEngine",
-    "ModuleContext",
-    "annotate_parents",
-    "classify_role",
-    "collect_files",
-    "collect_suppressions",
-    "lint_paths",
-    "lint_source",
-]
+__all__ = ["AnalysisResult", "analyze_paths", "collect_files", "lint_source"]
 
-PARENT_ATTR = "_reprolint_parent"
-
-_SUPPRESSION_RE = re.compile(
-    r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\-\s]+)", re.IGNORECASE
-)
-
-
-def classify_role(path: str, config: Optional[LintConfig] = None) -> str:
-    """Classify ``path`` as ``"src"`` or ``"test"``.
-
-    A file is a test when any path component matches one of the
-    configured test directory names (default ``tests``) or its basename
-    looks like ``test_*.py`` / ``conftest.py``.  Everything else is
-    held to the stricter ``src`` contract.
-    """
-    config = config or LintConfig()
-    parts = Path(path).parts
-    if any(part in config.test_dirs for part in parts[:-1]):
-        return "test"
-    basename = Path(path).name
-    if basename.startswith("test_") or basename == "conftest.py":
-        return "test"
-    return "src"
+_Dispatch = Dict[type, List[Tuple[Rule, Callable[..., Optional[Iterable[Diagnostic]]]]]]
+_RuleSpec = Union[Rule, Type[Rule]]
 
 
 def collect_files(paths: Sequence[str], config: Optional[LintConfig] = None) -> List[str]:
-    """Expand files/directories into a sorted list of ``.py`` files.
+    """Expand files/directories into a list of ``.py`` files, each once.
 
-    Directories are walked recursively; config ``exclude`` globs are
-    matched against the path as given (and its POSIX form), so both
+    Directories are walked recursively in sorted order; a file reached
+    twice (``src src/repro/core/cqr.py``, or a relative and an absolute
+    spelling) is kept at its first spelling.  Config ``exclude`` globs
+    are matched against the path as given (and its POSIX form), so both
     ``src/repro/legacy/*`` and absolute patterns behave.  A path that
     does not exist raises ``FileNotFoundError`` -- the CLI turns that
     into exit code 2.
@@ -84,178 +57,103 @@ def collect_files(paths: Sequence[str], config: Optional[LintConfig] = None) -> 
             found.extend(str(p) for p in sorted(path.rglob("*.py")))
         elif path.suffix == ".py":
             found.append(str(path))
-    return [p for p in found if not config.is_excluded(p)]
-
-
-def collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
-    """Map line numbers to the rule ids/names suppressed on that line.
-
-    Recognises ``# reprolint: disable=REP102`` and comma-separated
-    lists; the special token ``all`` silences every rule for the line.
-    Comments are read from the token stream, so suppressions attached
-    to continuation lines or after code both work.
-    """
-    suppressions: Dict[int, FrozenSet[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESSION_RE.search(token.string)
-            if not match:
-                continue
-            names = frozenset(
-                part.strip() for part in match.group(1).split(",") if part.strip()
-            )
-            line = token.start[0]
-            suppressions[line] = suppressions.get(line, frozenset()) | names
-    except tokenize.TokenError:
-        # Unterminated strings etc.: the parse-error diagnostic covers it.
-        pass
-    return suppressions
+    seen: Set[Path] = set()
+    files: List[str] = []
+    for file_path in found:
+        real = Path(file_path).resolve()
+        if real not in seen and not config.is_excluded(file_path):
+            seen.add(real)
+            files.append(file_path)
+    return files
 
 
 @dataclass
-class ModuleContext:
-    """Everything a rule may need to know about the module being linted."""
+class AnalysisResult:
+    """Everything one pass produced.
 
-    path: str
-    source: str
-    tree: ast.Module
-    role: str = "src"
-    suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    ``diagnostics`` holds the kept findings of both packs and the
+    ``REP000`` parse errors, sorted; ``checked_files`` counts the files
+    the pass was given.
+    """
 
-    def is_suppressed(self, diagnostic: Diagnostic) -> bool:
-        """Return whether an inline comment silences ``diagnostic``."""
-        active = self.suppressions.get(diagnostic.line)
-        if not active:
-            return False
-        return bool(
-            {"all", diagnostic.rule_id, diagnostic.rule_name} & active
-        )
+    diagnostics: List[Diagnostic]
+    checked_files: int = 0
+
+    @property
+    def errors(self) -> List[Diagnostic]:
+        """The ``REP000`` records of files that could not be read or parsed."""
+        return [d for d in self.diagnostics if d.rule_id == PARSE_ERROR_ID]
 
 
-def annotate_parents(tree: ast.Module) -> None:
-    """Attach a parent link to every node (rules use it for placement)."""
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            setattr(child, PARENT_ATTR, node)
+def _module_findings(
+    module: ModuleInfo, rules: Sequence[Rule], dispatch: _Dispatch
+) -> List[Diagnostic]:
+    """One walk of ``module``'s tree through the per-module handlers."""
+    active = {id(rule) for rule in rules if rule.applies_to(module.role)}
+    findings: List[Diagnostic] = []
+    for node in ast.walk(module.tree):
+        for rule, handler in dispatch.get(type(node), ()):
+            if id(rule) in active:
+                findings.extend(handler(node, module) or ())
+    for rule in rules:
+        if id(rule) in active:
+            findings.extend(rule.finish_module(module))
+    return findings
 
 
-class LintEngine:
-    """Run a set of rules over modules with shared single-pass dispatch."""
+def _run_rules(project: Project, rules: Optional[Sequence[_RuleSpec]] = None) -> List[Diagnostic]:
+    """Run both packs over a loaded project; return the kept findings, sorted.
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        config: Optional[LintConfig] = None,
-    ) -> None:
-        self.config = config or LintConfig()
-        if rules is None:
-            # Imported lazily: rule modules import ModuleContext from this
-            # module, so a top-level registry import would be circular.
-            from repro.devtools.rules import ALL_RULES
-
-            selected = list(ALL_RULES)
-        else:
-            selected = list(rules)
-        self.rules: Tuple[Rule, ...] = tuple(
-            rule() if isinstance(rule, type) else rule
-            for rule in selected
-            if self.config.rule_enabled(
-                getattr(rule, "rule_id", ""), getattr(rule, "name", "")
-            )
-        )
-        # Dispatch table: node type -> [(rule, bound handler), ...].
-        self._dispatch: Dict[type, List[Tuple[Rule, str]]] = {}
-        for rule in self.rules:
-            for node_type, method_names in rule.handlers().items():
-                bucket = self._dispatch.setdefault(node_type, [])
-                bucket.extend((rule, name) for name in method_names)
-
-    def lint_source(
-        self, source: str, path: str = "<snippet>", role: Optional[str] = None
-    ) -> List[Diagnostic]:
-        """Lint a source string; the workhorse behind :meth:`lint_files`."""
-        if role is None:
-            role = classify_role(path, self.config)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            return [
-                Diagnostic(
-                    path=path,
-                    line=error.lineno or 1,
-                    column=(error.offset or 1) - 1,
-                    rule_id=PARSE_ERROR_ID,
-                    rule_name="parse-error",
-                    message=f"file could not be parsed: {error.msg}",
-                )
-            ]
-        annotate_parents(tree)
-        context = ModuleContext(
-            path=path,
-            source=source,
-            tree=tree,
-            role=role,
-            suppressions=collect_suppressions(source),
-        )
-        # Scoped config can narrow the rule set per path (the globally
-        # filtered ``self.rules`` is the ceiling; scopes only veto).
-        active = [
-            rule
-            for rule in self.rules
-            if rule.applies_to(role)
-            and self.config.rule_enabled_for(path, rule.rule_id, rule.name)
-        ]
-        for rule in active:
-            rule.start_module(context)
-
-        findings: List[Diagnostic] = []
-        active_ids = {id(rule) for rule in active}
-        for node in ast.walk(tree):
-            handlers = self._dispatch.get(type(node))
-            if not handlers:
-                continue
-            for rule, method_name in handlers:
-                if id(rule) not in active_ids:
-                    continue
-                produced = getattr(rule, method_name)(node, context)
-                if produced:
-                    findings.extend(produced)
-        for rule in active:
-            findings.extend(rule.finish_module(context))
-
-        findings = [d for d in findings if not context.is_suppressed(d)]
-        return sorted(findings, key=Diagnostic.sort_key)
-
-    def lint_files(self, files: Iterable[str]) -> List[Diagnostic]:
-        """Lint each file on disk; unreadable files raise ``OSError``."""
-        findings: List[Diagnostic] = []
-        for file_path in files:
-            source = Path(file_path).read_text(encoding="utf-8")
-            findings.extend(self.lint_source(source, path=file_path))
-        return sorted(findings, key=Diagnostic.sort_key)
+    ``rules`` defaults to :data:`~repro.devtools.rules.ALL_RULES`
+    (classes or instances); rules the config disables everywhere do not
+    run at all.  Parse errors bypass the filters: a file nobody could
+    read is never silenced.
+    """
+    config = project.config
+    selected = [
+        rule() if isinstance(rule, type) else rule
+        for rule in (ALL_RULES if rules is None else rules)
+        if config.rule_enabled(rule.rule_id, rule.name)
+    ]
+    dispatch: _Dispatch = {}
+    for rule in selected:
+        for node_type, names in rule.handlers().items():
+            bucket = dispatch.setdefault(node_type, [])
+            bucket.extend((rule, getattr(rule, name)) for name in names)
+    findings: List[Diagnostic] = []
+    for module in project.by_path.values():
+        findings.extend(_module_findings(module, selected, dispatch))
+    context = ProjectContext(project)
+    for rule in selected:
+        findings.extend(rule.check(context))
+    kept = {
+        d
+        for d in findings
+        if config.rule_enabled_for(d.path, d.rule_id, d.rule_name)
+        and not project.is_suppressed(d)
+    }
+    return sorted(kept.union(project.errors))
 
 
-def lint_paths(
+def analyze_paths(
     paths: Sequence[str],
     config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Diagnostic]:
-    """Lint files and directories; the programmatic one-call entry point."""
+    rules: Optional[Sequence[_RuleSpec]] = None,
+) -> AnalysisResult:
+    """Collect, parse once and check files; the programmatic entry point."""
     config = config or LintConfig()
-    engine = LintEngine(rules=rules, config=config)
-    return engine.lint_files(collect_files(paths, config))
+    files = collect_files(paths, config)
+    project = Project.load(files, config)
+    return AnalysisResult(_run_rules(project, rules), checked_files=len(files))
 
 
 def lint_source(
     source: str,
     path: str = "<snippet>",
-    role: Optional[str] = None,
     config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[_RuleSpec]] = None,
 ) -> List[Diagnostic]:
-    """Lint one source string (rule unit tests and tooling use this)."""
-    engine = LintEngine(rules=rules, config=config)
-    return engine.lint_source(source, path=path, role=role)
+    """Check one source string as a one-module project (rule unit tests)."""
+    project = Project(config)
+    project.add_source(source, path)
+    return _run_rules(project, rules)

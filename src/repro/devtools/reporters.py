@@ -1,6 +1,6 @@
-"""Render lint findings as human-readable text or machine-readable JSON.
+"""Render findings as text, JSON or SARIF 2.1.0.
 
-Both reporters are pure functions from a diagnostic list to a string so
+All reporters are pure functions from a diagnostic list to a string so
 they stay trivially testable; the CLI decides where the string goes.
 """
 
@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence, Type
 
 from repro.devtools.diagnostics import Diagnostic
+from repro.devtools.rules.base import Rule
 
 __all__ = ["render_json", "render_sarif", "render_text"]
 
@@ -55,31 +56,25 @@ def render_json(diagnostics: Sequence[Diagnostic], checked_files: int = 0) -> st
 def render_sarif(
     diagnostics: Sequence[Diagnostic],
     tool_name: str = "reprolint",
-    rules: Optional[Iterable[Any]] = None,
+    rules: Iterable[Type[Rule]] = (),
 ) -> str:
     """SARIF 2.1.0 document -- one run, one result per finding.
 
-    ``rules`` is any iterable of objects exposing ``rule_id``, ``name``,
-    ``summary`` and ``rationale`` (both lint and analysis rule classes
-    qualify); they populate the driver's rule metadata so SARIF viewers
-    can show the rationale next to each finding.
+    ``rules`` (normally every registered rule) become the run's rule
+    metadata, so SARIF viewers can show the rationale next to each
+    finding.
     """
-    rule_entries: List[Dict[str, Any]] = []
-    indexed: Dict[str, int] = {}
-    for rule in rules or ():
-        rule_id = getattr(rule, "rule_id", "")
-        if not rule_id or rule_id in indexed:
-            continue
-        indexed[rule_id] = len(rule_entries)
-        rule_entries.append(
-            {
-                "id": rule_id,
-                "name": getattr(rule, "name", rule_id),
-                "shortDescription": {"text": getattr(rule, "summary", "")},
-                "fullDescription": {"text": getattr(rule, "rationale", "")},
-                "defaultConfiguration": {"level": "warning"},
-            }
-        )
+    rule_entries: List[Dict[str, Any]] = [
+        {
+            "id": rule.rule_id,
+            "name": rule.name,
+            "shortDescription": {"text": rule.summary},
+            "fullDescription": {"text": rule.rationale},
+            "defaultConfiguration": {"level": "warning"},
+        }
+        for rule in rules
+    ]
+    indexed = {entry["id"]: index for index, entry in enumerate(rule_entries)}
     results: List[Dict[str, Any]] = []
     for diagnostic in diagnostics:
         result: Dict[str, Any] = {

@@ -1,18 +1,27 @@
-"""The reprolint rule registry.
+"""The reprolint rule registry: both rule packs in one table.
 
 ``ALL_RULES`` is the ordered tuple of rule *classes* (the engine
 instantiates them per run, so rules can keep per-module state without
-cross-run leakage).  Adding a rule means: write the module, import the
-class here, append it to ``ALL_RULES``, document it in
-``docs/LINT.md``, and add fire/silent unit tests.
+cross-run leakage): the per-module REP1xx rules, then the
+whole-program REP2xx (:mod:`.concurrency`) and REP3xx
+(:mod:`.conformal`) rules.  Adding a rule means: write the module,
+import the class here, append it to ``ALL_RULES``, document it in
+``docs/ANALYSIS.md``, and add fire/silent unit tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple, Type
+from typing import Tuple, Type
 
 from repro.devtools.rules.asserts import NoAssertRule
-from repro.devtools.rules.base import Rule, dotted_name
+from repro.devtools.rules.base import AnalysisRule, Rule
+from repro.devtools.rules.concurrency import (
+    ClosureCaptureRule,
+    TaskRngRule,
+    UnorderedIterationRule,
+    WallClockFingerprintRule,
+)
+from repro.devtools.rules.conformal import CalibrationLeakRule, RefitAfterCalibrateRule
 from repro.devtools.rules.defaults import MutableDefaultRule
 from repro.devtools.rules.docstrings import DocstringCoverageRule
 from repro.devtools.rules.estimator import EstimatorContractRule
@@ -24,17 +33,22 @@ from repro.devtools.rules.validation import AlphaValidationRule
 __all__ = [
     "ALL_RULES",
     "AlphaValidationRule",
+    "AnalysisRule",
+    "CalibrationLeakRule",
+    "ClosureCaptureRule",
     "DocstringCoverageRule",
     "DunderAllRule",
     "EstimatorContractRule",
     "FloatEqualityRule",
     "MutableDefaultRule",
     "NoAssertRule",
+    "RefitAfterCalibrateRule",
     "RngDisciplineRule",
     "Rule",
-    "dotted_name",
+    "TaskRngRule",
+    "UnorderedIterationRule",
+    "WallClockFingerprintRule",
     "get_rule",
-    "iter_rules",
 ]
 
 ALL_RULES: Tuple[Type[Rule], ...] = (
@@ -46,12 +60,13 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     EstimatorContractRule,
     AlphaValidationRule,
     DocstringCoverageRule,
+    ClosureCaptureRule,
+    TaskRngRule,
+    UnorderedIterationRule,
+    WallClockFingerprintRule,
+    CalibrationLeakRule,
+    RefitAfterCalibrateRule,
 )
-
-
-def iter_rules() -> Iterator[Type[Rule]]:
-    """Iterate registered rule classes in id order."""
-    return iter(ALL_RULES)
 
 
 def get_rule(identifier: str) -> Type[Rule]:

@@ -13,12 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
 from repro.devtools.rules.base import Rule
 
 __all__ = ["NoAssertRule"]
@@ -37,12 +33,12 @@ class NoAssertRule(Rule):
     scopes = frozenset({"src"})
 
     def visit_Assert(
-        self, node: ast.Assert, context: ModuleContext
+        self, node: ast.Assert, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Flag every ``assert`` statement in src-role files."""
         yield self.diagnostic(
             node,
-            context,
+            module,
             "assert is stripped under python -O; raise an explicit "
             "exception (ValueError/RuntimeError) so the check survives "
             "optimised builds",

@@ -1,42 +1,28 @@
 """Rule protocol: how a reprolint check plugs into the engine.
 
-A rule is a small stateful object.  For every module the engine calls
-:meth:`Rule.start_module`, then dispatches AST nodes to ``visit_<Type>``
-methods (single shared tree walk -- rules never re-walk the tree
-themselves unless they need a private pre-pass), then collects any
-module-level findings from :meth:`Rule.finish_module`.  Handlers yield
-:class:`~repro.devtools.diagnostics.Diagnostic` objects; the engine
-applies inline suppressions and config filtering afterwards.
+A rule is a small stateful object, and both rule packs share this one
+base.  A per-module (REP1xx) rule defines ``visit_<Type>`` handlers,
+which the engine dispatches from one shared walk of each module's tree
+(rules never re-walk the tree themselves unless they need a private
+pass), and may yield findings that need the whole module from
+:meth:`Rule.finish_module`.  A whole-program (REP2xx/REP3xx) rule
+overrides :meth:`Rule.check` and sees the project at once.  Either way
+handlers yield :class:`~repro.devtools.diagnostics.Diagnostic` objects;
+the engine applies config filtering and inline suppressions afterwards.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.devtools.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.devtools.engine import ModuleContext
+    from repro.devtools.analysis.interproc import ProjectContext
+    from repro.devtools.analysis.project import ModuleInfo
 
-__all__ = ["Rule", "dotted_name"]
-
-
-def dotted_name(node: ast.AST) -> str:
-    """Resolve an ``ast.Attribute``/``ast.Name`` chain to ``"a.b.c"``.
-
-    Returns an empty string for expressions that are not plain dotted
-    access (subscripts, calls, literals), which callers treat as
-    "cannot tell -- do not flag".
-    """
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
+__all__ = ["AnalysisRule", "Rule"]
 
 
 class Rule:
@@ -52,11 +38,11 @@ class Rule:
     summary:
         One-line description shown by ``--list-rules``.
     rationale:
-        Why the rule exists (surfaces in ``--list-rules --verbose`` and
-        docs).
+        Why the rule exists (shown by ``--list-rules`` and the docs).
     scopes:
-        File roles the rule applies to: ``"src"``, ``"test"`` or both.
-        Path→role classification lives in the engine.
+        File roles whose modules the per-module handlers visit:
+        ``"src"``, ``"test"`` or both.  Path→role classification lives
+        in the project model.
     """
 
     rule_id: str = "REP999"
@@ -69,11 +55,12 @@ class Rule:
         """Return whether this rule runs on files classified as ``role``."""
         return role in self.scopes
 
-    def start_module(self, context: "ModuleContext") -> None:
-        """Reset per-module state; rules needing a pre-pass do it here."""
-
-    def finish_module(self, context: "ModuleContext") -> Iterable[Diagnostic]:
+    def finish_module(self, module: "ModuleInfo") -> Iterable[Diagnostic]:
         """Yield findings that need the whole module to have been seen."""
+        return ()
+
+    def check(self, context: "ProjectContext") -> Iterable[Diagnostic]:
+        """Yield whole-program findings; per-module rules have none."""
         return ()
 
     def handlers(self) -> Dict[type, Tuple[str, ...]]:
@@ -91,13 +78,30 @@ class Rule:
                 table[node_type] = table.get(node_type, ()) + (attr,)
         return table
 
-    def diagnostic(self, node: ast.AST, context: "ModuleContext", message: str) -> Diagnostic:
-        """Build a :class:`Diagnostic` for ``node`` in this rule's name."""
+    def diagnostic(
+        self, node: ast.AST, module: "ModuleInfo", message: str
+    ) -> Diagnostic:
+        """Build a finding pinned to ``node`` in ``module``."""
         return Diagnostic(
-            path=context.path,
+            path=module.path,
             line=getattr(node, "lineno", 1),
             column=getattr(node, "col_offset", 0),
             rule_id=self.rule_id,
             rule_name=self.name,
             message=message,
         )
+
+
+class AnalysisRule(Rule):
+    """Base class for whole-program (REP2xx/REP3xx) rules.
+
+    The rule sees every loaded module whatever its role; per-path
+    coverage (this repository keeps the pack off ``tests/``) comes from
+    config scopes.
+    """
+
+    scopes = frozenset({"src", "test"})
+
+    def check(self, context: "ProjectContext") -> List[Diagnostic]:
+        """Return every finding of this rule across the project."""
+        raise NotImplementedError

@@ -25,7 +25,7 @@ find the ways task bodies quietly break that purity:
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.analysis.callgraph import (
     owned_nodes,
@@ -33,6 +33,7 @@ from repro.devtools.analysis.callgraph import (
 )
 from repro.devtools.analysis.dataflow import assigned_names
 from repro.devtools.analysis.interproc import (
+    ProjectContext,
     SinkSpec,
     compute_param_leaks,
     find_source_flows,
@@ -42,8 +43,8 @@ from repro.devtools.analysis.project import (
     ModuleInfo,
     resolve_dotted,
 )
-from repro.devtools.analysis.rules.base import AnalysisRule, ProjectContext
 from repro.devtools.diagnostics import Diagnostic
+from repro.devtools.rules.base import AnalysisRule
 
 __all__ = [
     "ClosureCaptureRule",
@@ -201,8 +202,8 @@ class ClosureCaptureRule(AnalysisRule):
                     continue
                 findings.append(
                     self.diagnostic(
-                        module,
                         node,
+                        module,
                         f"task function mutates captured {name!r} (submitted "
                         f"to a parallel primitive at line "
                         f"{call.lineno}); results become completion-order "
@@ -323,8 +324,8 @@ class TaskRngRule(AnalysisRule):
                 if terminal == "default_rng" and not node.args and not node.keywords:
                     findings.append(
                         self.diagnostic(
-                            module,
                             node,
+                            module,
                             "unseeded default_rng() inside a parallel task "
                             f"body ({where}): every worker draws fresh "
                             "entropy; derive the seed from "
@@ -334,8 +335,8 @@ class TaskRngRule(AnalysisRule):
                 elif dotted.startswith(f"{_STDLIB_RANDOM}."):
                     findings.append(
                         self.diagnostic(
-                            module,
                             node,
+                            module,
                             f"global-state {dotted}() called from a parallel "
                             f"task body ({where}); the stdlib random module "
                             "shares one hidden state across every worker -- "
@@ -351,8 +352,8 @@ class TaskRngRule(AnalysisRule):
                 ):
                     findings.append(
                         self.diagnostic(
-                            module,
                             node,
+                            module,
                             f"legacy global-state {dotted}() called from a "
                             f"parallel task body ({where}); np.random.* draws "
                             "from one process-wide state -- use a per-task "
@@ -369,8 +370,8 @@ class TaskRngRule(AnalysisRule):
                 ):
                     findings.append(
                         self.diagnostic(
-                            module,
                             node,
+                            module,
                             f"module-level generator {node.id!r} used inside "
                             f"a parallel task body ({where}); a shared "
                             "Generator advances in completion order -- "
@@ -454,8 +455,8 @@ class UnorderedIterationRule(AnalysisRule):
             if self._has_ordered_effect(node):
                 findings.append(
                     self.diagnostic(
-                        module,
                         node,
+                        module,
                         "for-loop over a set accumulates an ordered result; "
                         "set order is hash-seed dependent -- iterate "
                         "sorted(...) instead",
@@ -467,8 +468,8 @@ class UnorderedIterationRule(AnalysisRule):
             ) and not self._order_independent_context(node):
                 findings.append(
                     self.diagnostic(
-                        module,
                         node,
+                        module,
                         "comprehension over a set builds an ordered sequence; "
                         "set order is hash-seed dependent -- iterate "
                         "sorted(...) instead",
@@ -482,8 +483,8 @@ class UnorderedIterationRule(AnalysisRule):
             ):
                 findings.append(
                     self.diagnostic(
-                        module,
                         node,
+                        module,
                         f"{node.func.id}() over a set produces a hash-seed "
                         "dependent order -- use sorted(...)",
                     )
@@ -496,8 +497,8 @@ class UnorderedIterationRule(AnalysisRule):
             ):
                 findings.append(
                     self.diagnostic(
-                        module,
                         node,
+                        module,
                         "str.join over a set produces a hash-seed dependent "
                         "string -- join sorted(...) instead",
                     )
@@ -620,8 +621,8 @@ class WallClockFingerprintRule(AnalysisRule):
             via = f" via {flow.via}" if flow.via else ""
             findings.append(
                 self.diagnostic(
-                    module,
                     flow.call,
+                    module,
                     f"value derived from {origin} reaches a fingerprint/seed "
                     f"sink{via}; checkpoint identity and retry jitter must "
                     "depend only on configuration",

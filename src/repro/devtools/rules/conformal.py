@@ -22,15 +22,16 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.devtools.analysis.callgraph import owned_nodes
-from repro.devtools.analysis.dataflow import TaintState
+from repro.devtools.analysis.dataflow import TaintState, call_name
 from repro.devtools.analysis.interproc import (
+    ProjectContext,
     SinkSpec,
     compute_param_leaks,
     find_source_flows,
 )
 from repro.devtools.analysis.project import FunctionInfo
-from repro.devtools.analysis.rules.base import AnalysisRule, ProjectContext
 from repro.devtools.diagnostics import Diagnostic
+from repro.devtools.rules.base import AnalysisRule
 
 __all__ = ["CalibrationLeakRule", "RefitAfterCalibrateRule"]
 
@@ -57,15 +58,6 @@ def _is_calibration_name(name: str) -> bool:
     """
     tokens = [t for t in name.lower().split("_") if t]
     return any(t == "cal" or t.startswith("calib") for t in tokens)
-
-
-def _call_terminal_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 class CalibrationLeakRule(AnalysisRule):
@@ -99,10 +91,10 @@ class CalibrationLeakRule(AnalysisRule):
 
         def seams_for(function: FunctionInfo):
             def seam(call: ast.Call) -> Optional[Tuple[Iterable, Iterable[int]]]:
-                positions = _SPLIT_SEAMS.get(_call_terminal_name(call))
+                positions = _SPLIT_SEAMS.get(call_name(call))
                 if positions is None:
                     return None
-                return (("cal", _call_terminal_name(call)),), positions
+                return (("cal", call_name(call)),), positions
 
             return seam
 
@@ -148,8 +140,8 @@ class CalibrationLeakRule(AnalysisRule):
             )
             diagnostics.append(
                 self.diagnostic(
-                    module,
                     finding.call,
+                    module,
                     f"calibration data ({names}) reaches a training call"
                     f"{route}; split-CP coverage requires calibration "
                     "samples stay out of fitting",
@@ -199,8 +191,8 @@ class RefitAfterCalibrateRule(AnalysisRule):
                         continue
                     diagnostics.append(
                         self.diagnostic(
-                            module,
                             node,
+                            module,
                             f"'{receiver}' is refit after calibrate(); its "
                             "stored conformal scores now describe a stale "
                             "model -- recalibrate after fitting",

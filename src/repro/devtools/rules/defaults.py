@@ -16,13 +16,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Union
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo, dotted_name
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
-from repro.devtools.rules.base import Rule, dotted_name
+from repro.devtools.rules.base import Rule
 
 __all__ = ["MutableDefaultRule"]
 
@@ -60,32 +56,32 @@ class MutableDefaultRule(Rule):
     scopes = frozenset({"src", "test"})
 
     def _check(
-        self, node: _FunctionNode, context: ModuleContext
+        self, node: _FunctionNode, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         label = getattr(node, "name", "<lambda>")
         for default in (*node.args.defaults, *node.args.kw_defaults):
             if default is not None and _is_mutable(default):
                 yield self.diagnostic(
                     default,
-                    context,
+                    module,
                     f"mutable default argument in '{label}'; default to None "
                     "and build the container inside the function",
                 )
 
     def visit_FunctionDef(
-        self, node: ast.FunctionDef, context: ModuleContext
+        self, node: ast.FunctionDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Check defaults of a plain function or method."""
-        return self._check(node, context)
+        return self._check(node, module)
 
     def visit_AsyncFunctionDef(
-        self, node: ast.AsyncFunctionDef, context: ModuleContext
+        self, node: ast.AsyncFunctionDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Check defaults of an async function."""
-        return self._check(node, context)
+        return self._check(node, module)
 
     def visit_Lambda(
-        self, node: ast.Lambda, context: ModuleContext
+        self, node: ast.Lambda, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Check defaults of a lambda."""
-        return self._check(node, context)
+        return self._check(node, module)

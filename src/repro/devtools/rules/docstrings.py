@@ -19,13 +19,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Union
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo, dotted_name
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
-from repro.devtools.rules.base import Rule, dotted_name
+from repro.devtools.rules.base import Rule
 from repro.devtools.rules.exports import read_dunder_all
 
 __all__ = ["DocstringCoverageRule"]
@@ -54,13 +50,13 @@ class DocstringCoverageRule(Rule):
     )
     scopes = frozenset({"src"})
 
-    def finish_module(self, context: ModuleContext) -> Iterator[Diagnostic]:
+    def finish_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         """Check the module docstring and each exported definition."""
-        tree = context.tree
+        tree = module.tree
         if tree.body and ast.get_docstring(tree, clean=False) is None:
             yield self.diagnostic(
                 tree.body[0],
-                context,
+                module,
                 "module has no docstring; state what the module provides "
                 "and why it exists",
             )
@@ -77,6 +73,6 @@ class DocstringCoverageRule(Rule):
                 kind = "class" if isinstance(statement, ast.ClassDef) else "function"
                 yield self.diagnostic(
                     statement,
-                    context,
+                    module,
                     f"exported {kind} '{statement.name}' has no docstring",
                 )

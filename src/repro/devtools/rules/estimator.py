@@ -24,12 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Union
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
 from repro.devtools.rules.base import Rule
 
 __all__ = ["EstimatorContractRule"]
@@ -84,19 +80,19 @@ class EstimatorContractRule(Rule):
     scopes = frozenset({"src"})
 
     def visit_ClassDef(
-        self, node: ast.ClassDef, context: ModuleContext
+        self, node: ast.ClassDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Audit ``fit`` and prediction methods of one class."""
         for member in node.body:
             if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if member.name == "fit":
-                yield from self._check_fit(member, node, context)
+                yield from self._check_fit(member, node, module)
             elif member.name == "predict" or member.name.startswith("predict_"):
-                yield from self._check_predict(member, node, context)
+                yield from self._check_predict(member, node, module)
 
     def _check_fit(
-        self, method: _FunctionNode, owner: ast.ClassDef, context: ModuleContext
+        self, method: _FunctionNode, owner: ast.ClassDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         own = _own_statements(method)
         returns = [n for n in own if isinstance(n, ast.Return)]
@@ -106,7 +102,7 @@ class EstimatorContractRule(Rule):
                 return  # abstract/NotImplementedError-style stub
             yield self.diagnostic(
                 method,
-                context,
+                module,
                 f"{owner.name}.fit never returns; the estimator contract "
                 "requires 'return self' so calls chain and clone()-based "
                 "CV works",
@@ -119,14 +115,14 @@ class EstimatorContractRule(Rule):
             if not (isinstance(value, ast.Name) and value.id == "self"):
                 yield self.diagnostic(
                     statement,
-                    context,
+                    module,
                     f"{owner.name}.fit must 'return self', not another "
                     "value; put derived results in trailing-underscore "
                     "attributes",
                 )
 
     def _check_predict(
-        self, method: _FunctionNode, owner: ast.ClassDef, context: ModuleContext
+        self, method: _FunctionNode, owner: ast.ClassDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         for statement in _own_statements(method):
             targets: List[ast.AST] = []
@@ -144,7 +140,7 @@ class EstimatorContractRule(Rule):
             ):
                 yield self.diagnostic(
                     statement,
-                    context,
+                    module,
                     f"{owner.name}.{method.name} calls setattr(self, ...); "
                     "prediction must not mutate estimator state",
                 )
@@ -156,7 +152,7 @@ class EstimatorContractRule(Rule):
                 if any(_is_self_attribute(t) for t in flattened):
                     yield self.diagnostic(
                         statement,
-                        context,
+                        module,
                         f"{owner.name}.{method.name} assigns to self.*; "
                         "prediction must be read-only -- move state "
                         "updates to fit() or an explicit update() method",

@@ -22,12 +22,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
 from repro.devtools.rules.base import Rule
 
 __all__ = ["DunderAllRule", "read_dunder_all"]
@@ -115,16 +111,16 @@ class DunderAllRule(Rule):
     )
     scopes = frozenset({"src"})
 
-    def finish_module(self, context: ModuleContext) -> Iterator[Diagnostic]:
+    def finish_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         """Check declaration, existence, and completeness of ``__all__``."""
-        tree = context.tree
+        tree = module.tree
         node, listed = read_dunder_all(tree)
         if node is None:
             if not tree.body:
                 return  # genuinely empty module (namespace placeholder)
             yield self.diagnostic(
                 tree.body[0],
-                context,
+                module,
                 "module does not declare __all__; every library module "
                 "must state its public API explicitly",
             )
@@ -135,7 +131,7 @@ class DunderAllRule(Rule):
             if exported not in bound:
                 yield self.diagnostic(
                     node,
-                    context,
+                    module,
                     f"__all__ lists {exported!r} but the module never "
                     "defines or imports it",
                 )
@@ -152,7 +148,7 @@ class DunderAllRule(Rule):
                 kind = "class" if isinstance(statement, ast.ClassDef) else "function"
                 yield self.diagnostic(
                     statement,
-                    context,
+                    module,
                     f"public {kind} '{statement.name}' is missing from "
                     "__all__; export it or rename it with a leading "
                     "underscore",

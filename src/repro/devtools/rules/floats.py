@@ -29,13 +29,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo, dotted_name
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
-from repro.devtools.rules.base import Rule, dotted_name
+from repro.devtools.rules.base import Rule
 
 __all__ = ["FloatEqualityRule"]
 
@@ -119,7 +115,7 @@ class FloatEqualityRule(Rule):
     scopes = frozenset({"src"})
 
     def visit_Compare(
-        self, node: ast.Compare, context: ModuleContext
+        self, node: ast.Compare, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Flag ``==``/``!=`` pairs where one side is a computed float."""
         operands = [node.left, *node.comparators]
@@ -136,7 +132,7 @@ class FloatEqualityRule(Rule):
             symbol = "==" if isinstance(op, ast.Eq) else "!="
             yield self.diagnostic(
                 node,
-                context,
+                module,
                 f"exact '{symbol}' on a computed float expression; use "
                 "math.isclose/np.isclose or compare against an explicit "
                 "tolerance (exact zero guards like 'std == 0.0' are exempt)",

@@ -17,20 +17,19 @@ Flags, in both src and tests:
 * the same functions imported directly (``from numpy.random import
   seed``) and then called,
 * ``numpy.random.RandomState(...)`` -- legacy even when seeded.
+
+Names resolve through the module's import alias map in the project
+model, the same resolver the whole-program rules use.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator
+from typing import Iterator
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo, resolve_dotted
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
-from repro.devtools.rules.base import Rule, dotted_name
+from repro.devtools.rules.base import Rule
 
 __all__ = ["RngDisciplineRule"]
 
@@ -61,41 +60,9 @@ class RngDisciplineRule(Rule):
     )
     scopes = frozenset({"src", "test"})
 
-    def start_module(self, context: ModuleContext) -> None:
-        # Pre-pass: map local aliases to the dotted modules/names they
-        # denote, so np.random.normal, numpy.random.normal and a bare
-        # `normal` from `from numpy.random import normal` all resolve.
-        self._aliases: Dict[str, str] = {}
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self._aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    self._aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-
-    def _resolve(self, node: ast.AST) -> str:
-        dotted = dotted_name(node)
-        if not dotted:
-            return ""
-        head, _, rest = dotted.partition(".")
-        head = self._aliases.get(head, head)
-        full = f"{head}.{rest}" if rest else head
-        # Normalise the conventional alias even without a visible import
-        # (conftest injections, doctest namespaces).
-        if full == "np.random" or full.startswith("np.random."):
-            full = "numpy" + full[len("np") :]
-        return full
-
-    def visit_Call(self, node: ast.Call, context: ModuleContext) -> Iterator[Diagnostic]:
+    def visit_Call(self, node: ast.Call, module: ModuleInfo) -> Iterator[Diagnostic]:
         """Flag calls resolving into the legacy ``numpy.random`` surface."""
-        full = self._resolve(node.func)
+        full = resolve_dotted(module, node.func)
         if not full.startswith("numpy.random."):
             return
         member = full[len("numpy.random.") :].split(".")[0]
@@ -116,4 +83,4 @@ class RngDisciplineRule(Rule):
                 f"np.random.{member} draws from the hidden global RandomState; "
                 "call the method on an explicitly passed np.random.Generator"
             )
-        yield self.diagnostic(node, context, advice)
+        yield self.diagnostic(node, module, advice)

@@ -23,12 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Union
 
-from typing import TYPE_CHECKING
-
+from repro.devtools.analysis.project import ModuleInfo
 from repro.devtools.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.devtools.engine import ModuleContext
 from repro.devtools.rules.base import Rule
 
 __all__ = ["AlphaValidationRule"]
@@ -114,7 +110,7 @@ class AlphaValidationRule(Rule):
         return True
 
     def _check(
-        self, node: _FunctionNode, context: ModuleContext
+        self, node: _FunctionNode, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         if not self._is_public_entry(node) or not _takes_alpha(node):
             return
@@ -123,7 +119,7 @@ class AlphaValidationRule(Rule):
             return
         yield self.diagnostic(
             node,
-            context,
+            module,
             f"'{node.name}' accepts alpha but neither validates it "
             "(raise on alpha outside (0, 1)) nor passes it to a "
             "validating callee; an out-of-range level would fail deep "
@@ -131,13 +127,13 @@ class AlphaValidationRule(Rule):
         )
 
     def visit_FunctionDef(
-        self, node: ast.FunctionDef, context: ModuleContext
+        self, node: ast.FunctionDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Check one function or method."""
-        return self._check(node, context)
+        return self._check(node, module)
 
     def visit_AsyncFunctionDef(
-        self, node: ast.AsyncFunctionDef, context: ModuleContext
+        self, node: ast.AsyncFunctionDef, module: ModuleInfo
     ) -> Iterator[Diagnostic]:
         """Check one async function."""
-        return self._check(node, context)
+        return self._check(node, module)

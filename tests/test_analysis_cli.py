@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analysis.baseline import load_baseline
-from repro.devtools.analysis.cli import (
+from repro.devtools.baseline import load_baseline
+from repro.devtools.cli import (
     EXIT_CLEAN,
     EXIT_ERROR,
     EXIT_FINDINGS,
@@ -23,14 +23,22 @@ CLEANPKG = str(FIXTURES / "cleanpkg")
 
 
 def _write_dirty(tmp_path, name="dirty.py"):
+    # A module the per-module rules accept (docstring, __all__), so the
+    # one REP203 finding is the whole report.
     path = tmp_path / name
     path.write_text(
         textwrap.dedent(
-            """
+            '''
+            """Tag helpers."""
+
+            __all__ = ["names"]
+
+
             def names(tags):
+                """Return the tags as a list."""
                 tag_set = set(tags)
                 return list(tag_set)
-            """
+            '''
         )
     )
     return path
@@ -54,7 +62,7 @@ class TestExitCodes:
         assert code == EXIT_ERROR
         out = capsys.readouterr().out
         assert "REP000" in out
-        assert "engine-error" in out
+        assert "parse-error" in out
 
     def test_no_paths_is_usage_error(self, capsys):
         assert main(["--no-config"]) == EXIT_ERROR
@@ -63,7 +71,7 @@ class TestExitCodes:
     def test_unknown_rule_exits_two(self, capsys):
         code = main(["--no-config", "--enable", "REP999", CLEANPKG])
         assert code == EXIT_ERROR
-        assert "unknown analysis rule" in capsys.readouterr().err
+        assert "unknown rule" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
@@ -209,12 +217,8 @@ class TestBaseline:
 
 
 class TestConfigLoading:
-    def _project_dir(self, tmp_path, analysis_table):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.reprolint]\n"
-            "disable = []\n"
-            "[tool.reprolint.analysis]\n" + analysis_table
-        )
+    def _project_dir(self, tmp_path, keys):
+        (tmp_path / "pyproject.toml").write_text("[tool.reprolint]\n" + keys)
         return tmp_path
 
     def test_analysis_exclude_from_pyproject(self, tmp_path, capsys):

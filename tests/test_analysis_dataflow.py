@@ -14,7 +14,7 @@ from repro.devtools.analysis.dataflow import (
     reaching_definitions,
 )
 from repro.devtools.analysis.project import Project, module_name_for
-from repro.devtools.analysis.rules.base import ProjectContext
+from repro.devtools.analysis.interproc import ProjectContext
 from repro.devtools.analysis.callgraph import (
     build_call_graph,
     resolve_function_reference,
@@ -85,6 +85,7 @@ class TestProjectTables:
         assert project.add_source("def broken(:\n", "bad.py") is None
         assert len(project.errors) == 1
         assert project.errors[0].path == "bad.py"
+        assert project.errors[0].rule_name == "parse-error"
         assert "parsed" in project.errors[0].message
 
     def test_alias_resolution_absolute_and_relative(self):

@@ -1,23 +1,30 @@
 """Engine-level tests for reprolint: role classification, file
-collection, suppressions, config loading, reporters, and CLI exit
-codes."""
+collection, suppressions, config loading, reporters, CLI exit codes,
+and the one parse both rule packs share."""
 
+import ast
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.devtools import (
     Diagnostic,
     LintConfig,
+    analyze_paths,
     classify_role,
     lint_source,
     load_config,
     render_json,
     render_text,
 )
-from repro.devtools.engine import collect_files, collect_suppressions
-from repro.devtools.lint import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
+from repro.devtools.analysis.project import collect_suppressions
+from repro.devtools.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
+from repro.devtools.engine import collect_files
 from repro.devtools.rules import ALL_RULES, get_rule
+
+FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
 
 class TestClassifyRole:
@@ -65,6 +72,16 @@ class TestCollectFiles:
         config = LintConfig(exclude=("*skip.py",))
         files = collect_files([str(tmp_path)], config)
         assert [f.rsplit("/", 1)[-1] for f in files] == ["keep.py"]
+
+    def test_repeated_paths_are_collected_once(self, tmp_path, monkeypatch):
+        (tmp_path / "a.py").write_text("x = 1\n")
+        (tmp_path / "b.py").write_text("x = 1\n")
+        monkeypatch.chdir(tmp_path)
+        files = collect_files(
+            [str(tmp_path / "b.py"), str(tmp_path), "a.py", str(tmp_path / "a.py")]
+        )
+        # First spelling wins, first-seen order is kept.
+        assert files == [str(tmp_path / "b.py"), str(tmp_path / "a.py")]
 
 
 class TestSuppressionParsing:
@@ -311,59 +328,64 @@ class TestCli:
         for rule in ALL_RULES:
             assert rule.rule_id in out
 
+    def test_overlapping_paths_report_each_finding_once(self, tmp_path, capsys):
+        module = self.write(
+            tmp_path,
+            "m.py",
+            "import numpy as np\n\n\ndef draw():\n    return np.random.normal()\n",
+        )
+        assert main(["--no-config", str(tmp_path), module]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "found 3 issue(s) in 1 file(s) (REP101: 1, REP105: 1, REP108: 1)" in out
+
 
 class TestAnalysisConfigLoading:
+    """The whole-program rules read the same ``[tool.reprolint]`` table."""
+
     def write_pyproject(self, tmp_path, body):
         (tmp_path / "pyproject.toml").write_text(body)
         return str(tmp_path / "anything.py")
 
-    def test_reads_analysis_table(self, tmp_path):
+    def test_reads_top_level_baseline(self, tmp_path):
         anchor = self.write_pyproject(
             tmp_path,
             "[tool.reprolint]\n"
-            'disable = ["REP104"]\n'
-            "[tool.reprolint.analysis]\n"
-            'disable = ["REP203"]\n'
-            'exclude = ["*/vendor/*"]\n'
+            'disable = ["REP104", "REP203"]\n'
             'baseline = "accepted.json"\n',
         )
         config = load_config(anchor)
-        assert config.analysis.disable == frozenset({"REP203"})
-        assert config.analysis.exclude == ("*/vendor/*",)
         # The relative baseline anchors at the pyproject directory.
-        assert config.analysis.baseline == str(tmp_path / "accepted.json")
-        # The analysis table is NOT a lint scope and leaves lint config alone.
-        assert config.disable == frozenset({"REP104"})
-        assert all(scope.name != "analysis" for scope in config.scopes)
+        assert config.baseline == str(tmp_path / "accepted.json")
+        assert config.disable == frozenset({"REP104", "REP203"})
+        assert config.scopes == ()
 
     def test_missing_analysis_table_gives_defaults(self, tmp_path):
         anchor = self.write_pyproject(tmp_path, "[tool.reprolint]\n")
         config = load_config(anchor)
-        assert config.analysis.baseline is None
-        assert config.analysis.rule_enabled("REP201", "parallel-closure-mutation")
+        assert config.baseline is None
+        assert config.rule_enabled("REP201", "closure-mutates-captured-state")
 
     def test_analysis_unknown_key_raises(self, tmp_path):
+        # The old whole-program table is refused, never read as a scope
+        # or ignored, whatever keys it holds.
         anchor = self.write_pyproject(
-            tmp_path, "[tool.reprolint.analysis]\npaths = []\n"
+            tmp_path,
+            "[tool.reprolint.analysis]\n"
+            'disable = ["REP203"]\nbaseline = "analysis-baseline.json"\n',
         )
-        with pytest.raises(ValueError, match=r"analysis.*unknown keys"):
+        with pytest.raises(ValueError, match=r"analysis\] is no longer read"):
             load_config(anchor)
 
     def test_analysis_baseline_type_checked(self, tmp_path):
-        anchor = self.write_pyproject(
-            tmp_path, "[tool.reprolint.analysis]\nbaseline = 3\n"
-        )
+        anchor = self.write_pyproject(tmp_path, "[tool.reprolint]\nbaseline = 3\n")
         with pytest.raises(ValueError, match="baseline must be a string"):
             load_config(anchor)
 
     def test_analysis_rule_enable_beats_disable(self):
-        from repro.devtools.config import AnalysisConfig
-
-        analysis = AnalysisConfig(
-            enable=frozenset({"REP301"}), disable=frozenset({"REP301"})
-        )
-        assert analysis.rule_enabled("REP301", "calibration-leak")
-        assert not analysis.rule_enabled("REP302", "refit-after-calibrate")
+        config = LintConfig(enable=frozenset({"REP301"}), disable=frozenset({"REP301"}))
+        assert config.rule_enabled("REP301", "calibration-data-in-fit")
+        assert not config.rule_enabled("REP302", "refit-after-calibrate")
+        assert not config.rule_enabled("REP101", "rng-discipline")
 
 
 class TestCliHardening:
@@ -396,11 +418,22 @@ class TestCliHardening:
 
     def test_malformed_analysis_table_exits_two(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text(
-            "[tool.reprolint.analysis]\nbogus = 1\n"
+            '[tool.reprolint.analysis]\nbaseline = "analysis-baseline.json"\n'
         )
         (tmp_path / "ok.py").write_text("x = 1\n")
         assert main([str(tmp_path)]) == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: [tool.reprolint.analysis] is no longer read" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_sarif_output_exits_two(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        target = tmp_path / "missing" / "report.sarif"
+        code = main(["--no-config", "--sarif-output", str(target), str(tmp_path)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.sarif" in err
+        assert "Traceback" not in err
 
 
 class TestSarifReporter:
@@ -463,3 +496,52 @@ class TestSarifReporter:
         assert any(
             r["ruleId"] == "REP104" for r in document["runs"][0]["results"]
         )
+
+
+class TestOnePass:
+    """Both rule packs run from one parse and report what they did apart."""
+
+    def test_fixture_findings_are_pinned(self):
+        result = analyze_paths([str(FIXTURES)], LintConfig())
+        assert result.errors == []
+        found = sorted(
+            (d.rule_id, Path(d.path).relative_to(FIXTURES).as_posix(), d.line)
+            for d in result.diagnostics
+        )
+        assert found == [
+            ("REP101", "racepkg/rng.py", 36),
+            ("REP201", "racepkg/tasks.py", 10),
+            ("REP201", "racepkg/tasks.py", 21),
+            ("REP201", "racepkg/tasks.py", 29),
+            ("REP202", "racepkg/rng.py", 14),
+            ("REP202", "racepkg/rng.py", 22),
+            ("REP202", "racepkg/rng.py", 29),
+            ("REP202", "racepkg/rng.py", 36),
+            ("REP203", "racepkg/ordering.py", 7),
+            ("REP203", "racepkg/ordering.py", 14),
+            ("REP203", "racepkg/ordering.py", 19),
+            ("REP203", "racepkg/ordering.py", 24),
+            ("REP204", "racepkg/clock.py", 14),
+            ("REP204", "racepkg/clock.py", 19),
+            ("REP204", "racepkg/clock.py", 28),
+            ("REP301", "leakpkg/pipeline.py", 11),
+            ("REP301", "leakpkg/pipeline.py", 17),
+            ("REP301", "leakpkg/pipeline.py", 25),
+            ("REP302", "leakpkg/refit.py", 7),
+            ("REP302", "leakpkg/refit.py", 13),
+        ]
+
+    def test_each_file_parsed_once(self, monkeypatch):
+        parsed = Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = analyze_paths([str(FIXTURES)], LintConfig())
+        # Both packs ran: per-module REP101 and whole-program REP2xx/3xx.
+        assert {d.rule_id[:4] for d in result.diagnostics} == {"REP1", "REP2", "REP3"}
+        assert set(parsed) == set(collect_files([str(FIXTURES)]))
+        assert set(parsed.values()) == {1}

@@ -18,9 +18,9 @@ from repro.devtools.rules import (
 )
 
 
-def run_rule(rule_class, code, role="src"):
+def run_rule(rule_class, code):
     return lint_source(
-        textwrap.dedent(code), path="src/pkg/mod.py", role=role, rules=[rule_class()]
+        textwrap.dedent(code), path="src/pkg/mod.py", rules=[rule_class()]
     )
 
 
