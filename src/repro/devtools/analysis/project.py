@@ -276,6 +276,7 @@ class Project:
             name = (
                 module_name_for(path) if Path(path).exists() else Path(path).stem
             )
+        name = self._unclaimed_name(name, path)
         info = ModuleInfo(
             path=path,
             name=name,
@@ -290,6 +291,18 @@ class Project:
         self.by_path[path] = info
         self._register_functions(info)
         return info
+
+    def _unclaimed_name(self, name: str, path: str) -> str:
+        """``name``, or ``name@2``, ``name@3``, ... when another file
+        already holds it (two non-package ``util.py`` in different
+        directories), so neither module shadows the other's functions.
+        No import can spell the suffixed name, just as none could tell
+        the two modules apart."""
+        candidate, copy = name, 1
+        while candidate in self.modules and self.modules[candidate].path != path:
+            copy += 1
+            candidate = f"{name}@{copy}"
+        return candidate
 
     def is_suppressed(self, diagnostic: Diagnostic) -> bool:
         """Return whether an inline comment silences ``diagnostic``."""

@@ -6,18 +6,21 @@ filtered out of subsequent runs, so CI only fails on *new* findings.
 
 Entries are keyed by ``(path, rule_id, message)`` -- deliberately not
 by line number, so unrelated edits above a finding do not invalidate
-the baseline.  Matching is multiset-aware: two identical findings in
-one file need two baseline entries, and fixing one of them retires one
-entry.  ``unused_entries`` reports baseline rows that no longer match
+the baseline.  The path is the finding's file resolved and made
+relative to the baseline file's directory, so one tree gives the same
+keys whether it was named by a relative or an absolute path.  Matching
+is multiset-aware: two identical findings in one file need two baseline
+entries, and fixing one of them retires one entry.  ``unused_entries`` reports baseline rows that no longer match
 anything so the file can be shrunk as debt is paid down.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.devtools.diagnostics import Diagnostic
 
@@ -28,19 +31,28 @@ _VERSION = 1
 _Key = Tuple[str, str, str]
 
 
-def _key(diagnostic: Diagnostic) -> _Key:
-    return (
-        Path(diagnostic.path).as_posix(),
-        diagnostic.rule_id,
-        diagnostic.message,
-    )
+def _key(diagnostic: Diagnostic, root: Path) -> _Key:
+    path = os.path.relpath(Path(diagnostic.path).resolve(), root)
+    return (Path(path).as_posix(), diagnostic.rule_id, diagnostic.message)
+
+
+def _root(baseline_path: Union[str, Path]) -> Path:
+    """The directory a baseline file's paths are relative to."""
+    return Path(baseline_path).resolve().parent
 
 
 class Baseline:
-    """An in-memory baseline: a multiset of accepted finding keys."""
+    """An in-memory baseline: a multiset of accepted finding keys.
 
-    def __init__(self, entries: Sequence[_Key] = ()) -> None:
+    ``root`` is the directory the entries' paths are relative to (the
+    baseline file's own directory).
+    """
+
+    def __init__(
+        self, entries: Sequence[_Key] = (), root: Union[str, Path] = "."
+    ) -> None:
         self._entries: Counter = Counter(entries)
+        self._root = Path(root).resolve()
 
     def __len__(self) -> int:
         return sum(self._entries.values())
@@ -53,7 +65,7 @@ class Baseline:
         new: List[Diagnostic] = []
         matched: List[Diagnostic] = []
         for diagnostic in diagnostics:
-            key = _key(diagnostic)
+            key = _key(diagnostic, self._root)
             if remaining.get(key, 0) > 0:
                 remaining[key] -= 1
                 matched.append(diagnostic)
@@ -65,7 +77,7 @@ class Baseline:
         """Baseline rows no current finding consumes (stale debt)."""
         remaining = Counter(self._entries)
         for diagnostic in diagnostics:
-            key = _key(diagnostic)
+            key = _key(diagnostic, self._root)
             if remaining.get(key, 0) > 0:
                 remaining[key] -= 1
         stale: List[_Key] = []
@@ -97,14 +109,15 @@ def load_baseline(path: str) -> Baseline:
                 "'path', 'rule_id' and 'message' fields"
             )
         entries.append((row["path"], row["rule_id"], row["message"]))
-    return Baseline(entries)
+    return Baseline(entries, root=_root(path))
 
 
 def write_baseline(path: str, diagnostics: Sequence[Diagnostic]) -> None:
     """Serialise current findings as the new baseline (sorted, stable)."""
+    root = _root(path)
     rows: List[Dict[str, str]] = [
         {"path": key[0], "rule_id": key[1], "message": key[2]}
-        for key in sorted(_key(d) for d in diagnostics)
+        for key in sorted(_key(d, root) for d in diagnostics)
     ]
     document = {"version": _VERSION, "findings": rows}
     Path(path).write_text(

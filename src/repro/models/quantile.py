@@ -11,20 +11,101 @@ template: :class:`~repro.models.linear.QuantileLinearRegression`,
 :class:`~repro.models.nn.MLPRegressor`,
 :class:`~repro.models.gbm.GradientBoostingRegressor`, or
 :class:`~repro.models.oblivious.ObliviousBoostingRegressor`.
+
+When both members are fitted oblivious boosters, the band scores them
+with one kernel call: ``compiled_`` compiles both members' trees into
+one decision table (:func:`~repro.models.tables.compile_oblivious`),
+and each member's prediction is still its own prefix sum over its own
+trees, so the band's floats equal the two members' ``predict`` bit for
+bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import dataclasses
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.models.base import BaseRegressor, check_fitted, clone
+from repro.models.oblivious import ObliviousBoostingRegressor
+from repro.models.tables import CompiledObliviousTables, compile_oblivious
 
 __all__ = ["PackageDefaultQuantileBand", "QuantileBandRegressor"]
 
 
-class QuantileBandRegressor(BaseRegressor):
+def _joint_table(
+    lower: Any, upper: Any
+) -> Optional[CompiledObliviousTables]:
+    """Both members' trees as one table, when both are fitted oblivious
+    boosters of one width; ``None`` otherwise."""
+    fitted = all(
+        isinstance(member, ObliviousBoostingRegressor) and member.trees_ is not None
+        for member in (lower, upper)
+    )
+    if not fitted or lower.n_features_in_ != upper.n_features_in_:
+        return None
+    return dataclasses.replace(
+        compile_oblivious([*lower.trees_, *upper.trees_]),
+        members=(len(lower.trees_), len(upper.trees_)),
+    )
+
+
+class _MemberBand(BaseRegressor):
+    """What the two band classes share: raw member predictions, sorted
+    into a band, through one joint kernel call when there is one.
+
+    ``compiled_`` is derived from the members, so it is left out of the
+    pickle and rebuilt on unpickling: a pickled band holds what it held
+    before the joint table existed, byte for byte.
+    """
+
+    def _set_members(self, lower: BaseRegressor, upper: BaseRegressor) -> None:
+        self.lower_, self.upper_ = lower, upper
+        self.compiled_ = _joint_table(lower, upper)
+
+    def _raw(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The members' predictions, lower model first.
+
+        The joint path validates ``X`` once, as the lower member's
+        ``predict`` would (same checks, same messages), then makes one
+        kernel call; any other pair calls each member's ``predict``.
+        """
+        joint = self.compiled_
+        if joint is None:
+            return self.lower_.predict(X), self.upper_.predict(X)
+        lower, upper = self.lower_, self.upper_
+        X = lower._check_predict_X(X)
+        raw = joint.predict(
+            X,
+            (lower.base_score_, upper.base_score_),
+            (lower.learning_rate, upper.learning_rate),
+        )
+        return raw[0], raw[1]
+
+    def _interval(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        check_fitted(self, "lower_")
+        raw_lower, raw_upper = self._raw(X)
+        return np.minimum(raw_lower, raw_upper), np.maximum(raw_lower, raw_upper)
+
+    def _crossing_rate(self, X: np.ndarray) -> float:
+        raw_lower, raw_upper = self._raw(X)
+        return float(np.mean(raw_lower > raw_upper))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("compiled_", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # setattr interns the names, as default unpickling does, so a
+        # re-pickled band shares them with the rest of the bundle.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.compiled_ = _joint_table(self.lower_, self.upper_)
+
+
+class QuantileBandRegressor(_MemberBand):
     """Train two quantile clones of a template model and predict a band.
 
     Parameters
@@ -94,22 +175,15 @@ class QuantileBandRegressor(BaseRegressor):
                 return member.fit(X, y, binned=binned)
             return member.fit(X, y)
 
-        self.lower_, self.upper_ = parallel_map(
-            fit_member, self.quantiles, n_jobs=self.n_jobs
+        self._set_members(
+            *parallel_map(fit_member, self.quantiles, n_jobs=self.n_jobs)
         )
-        self.crossing_rate_ = float(
-            np.mean(self.lower_.predict(X) > self.upper_.predict(X))
-        )
+        self.crossing_rate_ = self._crossing_rate(X)
         return self
 
     def predict_interval(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-sample (lower, upper) band, with crossings sorted out."""
-        check_fitted(self, "lower_")
-        raw_lower = self.lower_.predict(X)
-        raw_upper = self.upper_.predict(X)
-        lower = np.minimum(raw_lower, raw_upper)
-        upper = np.maximum(raw_lower, raw_upper)
-        return lower, upper
+        return self._interval(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Band midpoint -- a crude point estimate, mainly for diagnostics."""
@@ -117,7 +191,7 @@ class QuantileBandRegressor(BaseRegressor):
         return (lower + upper) / 2.0
 
 
-class PackageDefaultQuantileBand(BaseRegressor):
+class PackageDefaultQuantileBand(_MemberBand):
     """A quantile band built the way the CatBoost *package defaults* do it.
 
     CatBoost's ``loss_function='Quantile'`` defaults to ``alpha=0.5``
@@ -182,20 +256,13 @@ class PackageDefaultQuantileBand(BaseRegressor):
             if "random_state" in member.get_params():
                 member.set_params(random_state=int(rng.integers(0, 2**31 - 1)))
             members.append(member.fit(X, y))
-        self.lower_, self.upper_ = members
-        self.crossing_rate_ = float(
-            np.mean(self.lower_.predict(X) > self.upper_.predict(X))
-        )
+        self._set_members(*members)
+        self.crossing_rate_ = self._crossing_rate(X)
         return self
 
     def predict_interval(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-sample band between the two (near-identical) median fits."""
-        check_fitted(self, "lower_")
-        raw_lower = self.lower_.predict(X)
-        raw_upper = self.upper_.predict(X)
-        lower = np.minimum(raw_lower, raw_upper)
-        upper = np.maximum(raw_lower, raw_upper)
-        return lower, upper
+        return self._interval(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Band midpoint (an honest median estimate, unlike the band)."""

@@ -20,7 +20,9 @@ per-tree Python recursion:
   ``(n_trees, 2**depth)`` leaf-value tensor.  Trees shallower than the
   ensemble maximum are padded with ``+inf`` thresholds and
   ``np.repeat``-expanded leaf values, which maps every padded leaf code
-  back to the right original leaf.
+  back to the right original leaf.  A quantile band compiles both of
+  its members' trees into one such table and scores them in one call,
+  each member through its own prefix sum.
 
 **Parity contract.**  Both kernels are bit-identical to the reference
 per-tree loop, not merely close: comparisons use the same operators on
@@ -51,7 +53,7 @@ a kernel to score through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -78,36 +80,20 @@ def _boosted_prefix(
 ) -> np.ndarray:
     """Boosted prediction after 0, 1, ..., ``n_trees`` rounds.
 
-    Row 0 is the base score and row ``t + 1`` adds ``lr * v_t`` to row
-    ``t``: one ``np.cumsum`` over the rows ``[base, lr*v_0, ...,
-    lr*v_{T-1}]``.  ``cumsum`` is ``np.add.accumulate``, which adds
-    strictly left to right, so every row is bit-identical to the
-    reference loop's ``p += lr * v_t``.  ``np.sum`` over the tree axis
-    would not be: it reduces pairwise, and floating-point addition is
-    not associative.  Shape ``(n_trees + 1, n_rows)``.
+    ``tree_values`` is tree-major, shape ``(n_trees, n_rows)``.  Row 0
+    is the base score and row ``t + 1`` adds ``lr * v_t`` to row ``t``:
+    one ``np.cumsum`` over the rows ``[base, lr*v_0, ..., lr*v_{T-1}]``.
+    ``cumsum`` is ``np.add.accumulate``, which adds strictly left to
+    right, so every row is bit-identical to the reference loop's
+    ``p += lr * v_t``.  ``np.sum`` over the tree axis would not be: it
+    reduces pairwise, and floating-point addition is not associative.
+    Shape ``(n_trees + 1, n_rows)``.
     """
-    n_rows, n_trees = tree_values.shape
+    n_trees, n_rows = tree_values.shape
     terms = np.empty((n_trees + 1, n_rows))
     terms[0] = base_score
-    np.multiply(tree_values.T, learning_rate, out=terms[1:])
+    np.multiply(tree_values, learning_rate, out=terms[1:])
     return np.cumsum(terms, axis=0, out=terms)
-
-
-def _boosted_sum(
-    tree_values: np.ndarray, base_score: float, learning_rate: float
-) -> np.ndarray:
-    """The boosted prediction: the last row of :func:`_boosted_prefix`.
-
-    Copied out, so a kept prediction does not pin every prefix row.
-    """
-    return _boosted_prefix(tree_values, base_score, learning_rate)[-1].copy()
-
-
-def _boosted_stages(
-    tree_values: np.ndarray, base_score: float, learning_rate: float
-) -> np.ndarray:
-    """Prediction after every round, shape ``(n_trees, n_rows)``."""
-    return _boosted_prefix(tree_values, base_score, learning_rate)[1:]
 
 
 @dataclass(frozen=True)
@@ -188,14 +174,20 @@ class CompiledDepthwiseTables:
     def predict(
         self, X: np.ndarray, base_score: float, learning_rate: float
     ) -> np.ndarray:
-        """Boosted prediction, bit-identical to the per-tree loop."""
-        return _boosted_sum(self.tree_values(X), base_score, learning_rate)
+        """Boosted prediction, bit-identical to the per-tree loop.
+
+        Copied out of the prefix rows, so a kept prediction does not pin
+        every round's row.
+        """
+        values = self.tree_values(X).T
+        return _boosted_prefix(values, base_score, learning_rate)[-1].copy()
 
     def staged_predict(
         self, X: np.ndarray, base_score: float, learning_rate: float
     ) -> np.ndarray:
         """Per-round boosted predictions, shape ``(n_trees, n_rows)``."""
-        return _boosted_stages(self.tree_values(X), base_score, learning_rate)
+        values = self.tree_values(X).T
+        return _boosted_prefix(values, base_score, learning_rate)[1:]
 
 
 @dataclass(frozen=True)
@@ -208,6 +200,11 @@ class CompiledObliviousTables:
     its original code shifted left -- exactly where ``np.repeat``
     placed its expanded leaf values.
 
+    A table may also hold the trees of several ensembles back to back,
+    compiled together and with ``members`` set, so that one call scores
+    all of them: a quantile band's lower and upper models are one kernel
+    call.
+
     Attributes
     ----------
     features:
@@ -216,11 +213,15 @@ class CompiledObliviousTables:
         Level thresholds (float64), shape ``(n_trees, depth)``.
     leaf_values:
         Per-tree leaf tables, shape ``(n_trees, 2**depth)``.
+    members:
+        Tree count of each ensemble, in order, for a table holding
+        several; empty for a table of one ensemble.
     """
 
     features: np.ndarray
     thresholds: np.ndarray
     leaf_values: np.ndarray
+    members: Tuple[int, ...] = ()
 
     @property
     def n_trees(self) -> int:
@@ -239,36 +240,83 @@ class CompiledObliviousTables:
             "n_leaves": int(self.leaf_values.shape[1]),
         }
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle a one-ensemble table exactly as before ``members``
+        existed (the class default restores it), so bundles keep their
+        size."""
+        state = dict(self.__dict__)
+        if not self.members:
+            state.pop("members", None)
+        return state
+
+    def _leaf_rows(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value of every tree for every row, tree-major:
+        shape ``(n_trees, n_rows)``.
+
+        The leaf code has one bit per level, most significant bit first,
+        from the same float64 ``x > threshold`` test as the reference.
+        One gather reads every (level, tree) column of ``X`` as a row of
+        ``X.T``; the comparisons land level-major as 0.0/1.0 planes, and
+        one matrix-vector product with the bit weights ``2**(depth-1),
+        ..., 1`` packs each tree's bits into its code.  The product runs
+        in float32, which holds every code below ``2**24`` exactly --
+        far past any depth whose ``2**depth``-leaf tables fit in memory.
+        Adding the tree's offset ``t * 2**depth`` makes the code a flat
+        index into the leaf tables, read with one ``np.take``.
+        """
+        X = _as_float64_2d(X)
+        n_trees, depth = self.features.shape
+        n_rows = X.shape[0]
+        planes = np.empty((depth, n_trees, n_rows), dtype=np.float32)
+        np.greater(X.T[self.features.T], self.thresholds.T[:, :, None], out=planes)
+        weights = np.ldexp(np.float32(1.0), np.arange(depth - 1, -1, -1))
+        codes = np.matmul(weights, planes.reshape(depth, n_trees * n_rows))
+        codes = codes.astype(np.intp).reshape(n_trees, n_rows)
+        codes += np.arange(0, self.leaf_values.size, 2**depth)[:, None]
+        return np.take(self.leaf_values, codes)
+
     def tree_values(self, X: np.ndarray) -> np.ndarray:
         """Leaf value of every tree for every row, shape ``(n, n_trees)``.
 
-        Column ``t`` is bit-identical to ``trees[t].predict(X)``: the
-        leaf code has one bit per level, most significant bit first,
-        from the same ``x > threshold`` test as the reference.  One
-        gather tests every (row, tree, level) at once, and an integer
-        product with the bit weights ``2**(depth-1), ..., 1`` packs each
-        tree's bits into its code.
+        Column ``t`` is bit-identical to ``trees[t].predict(X)``.
         """
-        X = _as_float64_2d(X)
-        n_rows, n_trees, depth = X.shape[0], self.n_trees, self.depth
-        bits = np.take(X, self.features, axis=1) > self.thresholds
-        weights = np.left_shift(1, np.arange(depth - 1, -1, -1, dtype=np.int64))
-        index = (bits.reshape(n_rows * n_trees, depth) @ weights).reshape(
-            n_rows, n_trees
-        )
-        return self.leaf_values[np.arange(n_trees), index]
+        return self._leaf_rows(X).T.copy()
 
     def predict(
-        self, X: np.ndarray, base_score: float, learning_rate: float
+        self, X: np.ndarray, base_score: Any, learning_rate: Any
     ) -> np.ndarray:
-        """Boosted prediction, bit-identical to the per-tree loop."""
-        return _boosted_sum(self.tree_values(X), base_score, learning_rate)
+        """Boosted prediction, bit-identical to the per-tree loop.
+
+        For a table of one ensemble, ``base_score`` and
+        ``learning_rate`` are numbers and the result has shape
+        ``(n_rows,)``.  A table with ``members`` takes one of each per
+        member and returns ``(n_members, n_rows)``: row ``m`` is member
+        ``m``'s own prefix sum over its own trees, read at its own tree
+        count, the same floats as scoring that member's table alone.
+        """
+        rows = self._leaf_rows(X)
+        if not self.members:
+            return _boosted_prefix(rows, base_score, learning_rate)[-1].copy()
+        predictions = np.empty((len(self.members), rows.shape[1]))
+        start = 0
+        for member, count in enumerate(self.members):
+            predictions[member] = _boosted_prefix(
+                rows[start:start + count], base_score[member], learning_rate[member]
+            )[-1]
+            start += count
+        return predictions
 
     def staged_predict(
         self, X: np.ndarray, base_score: float, learning_rate: float
     ) -> np.ndarray:
-        """Per-round boosted predictions, shape ``(n_trees, n_rows)``."""
-        return _boosted_stages(self.tree_values(X), base_score, learning_rate)
+        """Per-round boosted predictions, shape ``(n_trees, n_rows)``.
+
+        Defined for a table of one ensemble only.
+        """
+        if self.members:
+            raise ValueError("staged_predict needs a table of one ensemble")
+        rows = self._leaf_rows(X)
+        return _boosted_prefix(rows, base_score, learning_rate)[1:]
 
 
 def compile_depthwise(trees: Sequence[Any]) -> CompiledDepthwiseTables:

@@ -287,15 +287,12 @@ class RobustVminFlow:
     def _sanitize(self, X: np.ndarray) -> Tuple[np.ndarray, HealthReport]:
         """Health-assess and impute a batch; only structural errors raise.
 
-        The guard's missing mask is handed to the imputer, so the batch
-        is scanned for non-finite values once.
+        The guard's report is handed to the imputer: its missing mask
+        and column extremes come from the guard's one read of the batch.
         """
         X = self._validate_structure(X)
         report = self.guard_.assess(X)
-        clean = self.imputer_.transform(
-            X, stuck=report.stuck, missing=report.missing
-        )
-        return clean, report
+        return self.imputer_.transform(X, report=report), report
 
     def _band(self, X_clean: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The primary quantile band on a sanitized batch.

@@ -49,12 +49,19 @@ class HealthReport:
         (n_features,) bool -- columns failing any check badly enough to
         be considered unusable for this batch (see
         :class:`FeatureHealthGuard.unhealthy_fraction`).
+    finite_min, finite_max:
+        (n_features,) float -- each column's extremes over its finite
+        entries: NaN for an all-NaN column, and the identities ``+inf``
+        (min) and ``-inf`` (max) for a column with no finite entry but
+        an infinity, or for a zero-row batch.
     """
 
     missing: np.ndarray
     out_of_range: np.ndarray
     stuck: np.ndarray
     unhealthy: np.ndarray
+    finite_min: np.ndarray
+    finite_max: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -85,11 +92,12 @@ class HealthReport:
         """Fraction of individual entries that were missing or out of
         range -- catches row-level damage (dropped telemetry records)
         that no column-level statistic would flag; 0.0 for an empty
-        batch.  The damaged count is exact, so this equals the mean of
-        the damage mask bit for bit."""
+        batch.  The two masks are disjoint, so their summed counts are
+        the damaged count exactly, and this equals the mean of the
+        damage mask bit for bit."""
         if self.missing.size == 0:
             return 0.0
-        damaged = np.count_nonzero(self.missing | self.out_of_range)
+        damaged = np.count_nonzero(self.missing) + np.count_nonzero(self.out_of_range)
         return damaged / self.missing.size
 
     def unhealthy_fraction_of(self, columns: Sequence[int]) -> float:
@@ -183,12 +191,14 @@ class FeatureHealthGuard:
         those are caller bugs no imputation can paper over.  A zero-row
         batch gets an all-healthy report.
 
-        One pass builds the missing mask; everything else is settled
-        per column from the finite extremes where it can be.  A column
-        whose finite min and max lie inside the bounds holds no
-        out-of-range entry, so only the columns that poke outside are
-        compared entry by entry.  The result equals the entry-wise
-        classification array for array.
+        Each column's max and min are read first.  A column whose max
+        and min are both finite holds no NaN and no infinity, so the
+        missing mask and its counts are built only on the columns with
+        a non-finite extreme.  Everything else is settled per column
+        from the finite extremes: a column whose finite min and max lie
+        inside the bounds holds no out-of-range entry, so only the
+        columns that poke outside are compared entry by entry.  The
+        result equals the entry-wise classification array for array.
         """
         check_fitted(self, "median_")
         X = np.asarray(X, dtype=np.float64)
@@ -201,29 +211,45 @@ class FeatureHealthGuard:
             )
         n_samples, n_features = X.shape
         columns = np.zeros(n_features, dtype=bool)
+        missing = np.zeros(X.shape, dtype=bool)
         out_of_range = np.zeros(X.shape, dtype=bool)
         if n_samples == 0:
             return HealthReport(
-                missing=out_of_range,
+                missing=missing,
                 out_of_range=out_of_range,
                 stuck=columns,
                 unhealthy=columns,
+                finite_min=np.full(n_features, np.inf),
+                finite_max=np.full(n_features, -np.inf),
             )
-        finite = np.isfinite(X)
-        missing = ~finite
-        finite_max, finite_min = _finite_extremes(X, finite)
+        # max/min propagate NaN and keep infinities, so a column with two
+        # finite extremes is finite throughout.
+        finite_max = X.max(axis=0)
+        finite_min = X.min(axis=0)
+        nonfinite = np.flatnonzero(~(np.isfinite(finite_max) & np.isfinite(finite_min)))
+        broken = np.zeros(n_features, dtype=np.int64)
+        if nonfinite.size:
+            # A dropped row damages every column: then the batch itself
+            # is the block, with no gather.
+            if nonfinite.size == n_features:
+                nonfinite = slice(None)
+            block = X[:, nonfinite]
+            lost = ~np.isfinite(block)
+            missing[:, nonfinite] = lost
+            finite_max[nonfinite], finite_min[nonfinite] = _finite_extremes(block, ~lost)
+            broken[nonfinite] = _column_counts(lost)
         # NaN extremes (all-NaN columns) compare False: never suspect.
         suspect = np.flatnonzero(
             (finite_min < self.lower_bound_) | (finite_max > self.upper_bound_)
         )
-        broken = _column_counts(missing)
         if suspect.size:
             block = X[:, suspect]
-            out_of_range[:, suspect] = finite[:, suspect] & (
+            flagged = ~missing[:, suspect] & (
                 (block < self.lower_bound_[suspect])
                 | (block > self.upper_bound_[suspect])
             )
-            broken = broken + _column_counts(out_of_range)
+            out_of_range[:, suspect] = flagged
+            broken[suspect] += _column_counts(flagged)
         # Frozen iff every *finite* entry of the column is identical; a
         # column with no finite entry has unequal (or NaN) extremes.
         stuck = columns
@@ -238,6 +264,8 @@ class FeatureHealthGuard:
             out_of_range=out_of_range,
             stuck=stuck,
             unhealthy=unhealthy,
+            finite_min=finite_min,
+            finite_max=finite_max,
         )
 
 
@@ -247,7 +275,8 @@ def _finite_extremes(X: np.ndarray, finite: np.ndarray) -> Tuple[np.ndarray, np.
     ``fmax``/``fmin`` skip NaN (an all-NaN column comes out NaN) but not
     +/-inf, so the few columns holding an infinity are re-reduced under
     the finite mask, where a column with no finite entry gets the
-    ``(-inf, +inf)`` identities.  Neither path copies the whole batch.
+    ``(-inf, +inf)`` identities.  The guard calls it on the columns with
+    a non-finite extreme only.
     """
     finite_max = np.fmax.reduce(X, axis=0)
     finite_min = np.fmin.reduce(X, axis=0)

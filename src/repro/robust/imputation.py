@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.models.base import check_fitted, check_X
+from repro.robust.guard import HealthReport
 
 __all__ = ["TrainStatImputer"]
 
@@ -62,10 +63,7 @@ class TrainStatImputer:
         return self
 
     def transform(
-        self,
-        X: np.ndarray,
-        stuck: Optional[np.ndarray] = None,
-        missing: Optional[np.ndarray] = None,
+        self, X: np.ndarray, report: Optional[HealthReport] = None
     ) -> np.ndarray:
         """Return a finite, bounded copy of ``X``.
 
@@ -73,14 +71,14 @@ class TrainStatImputer:
         ----------
         X:
             Possibly corrupted batch (NaN/Inf allowed).
-        stuck:
-            Optional (n_features,) bool mask of stuck columns (from a
-            :class:`~repro.robust.guard.HealthReport`); those columns
-            are replaced wholesale by the training median.
-        missing:
-            Optional (n_samples, n_features) bool mask of the non-finite
-            entries of ``X`` -- the report's ``missing`` mask, so one
-            batch is scanned for NaN/Inf once; ``None`` builds it here.
+        report:
+            The :class:`~repro.robust.guard.HealthReport` of ``X``.  Its
+            missing mask says which entries to fill, its stuck columns
+            are replaced wholesale by the training median, and its
+            finite column extremes say which columns to clip without
+            reading the output again.  ``None`` fills the non-finite
+            entries of ``X``, medianises no column and reads the
+            output's extremes.
 
         Clipping runs in place and only on the columns whose extremes
         leave the clip range; every other column is already inside it.
@@ -94,27 +92,34 @@ class TrainStatImputer:
                 f"X has {X.shape[1]} features, imputer was fitted on "
                 f"{self.n_features_in_}"
             )
-        if missing is None:
-            missing = ~np.isfinite(X)
-        elif np.shape(missing) != X.shape:
+        if report is None:
+            missing, stuck = ~np.isfinite(X), None
+        elif report.missing.shape != X.shape:
             raise ValueError(
-                f"missing mask has shape {np.shape(missing)}, expected {X.shape}"
+                f"report covers a batch of shape {report.missing.shape}, "
+                f"expected {X.shape}"
             )
         else:
-            missing = np.asarray(missing, dtype=bool)
-        out = np.where(missing, self.median_, X) if missing.any() else X.copy()
+            missing, stuck = report.missing, report.stuck
+        out = X.copy()
+        if missing.any():
+            np.copyto(out, self.median_, where=missing)
         if stuck is not None:
-            stuck = np.asarray(stuck, dtype=bool)
-            if stuck.shape != (self.n_features_in_,):
-                raise ValueError(
-                    f"stuck mask has shape {stuck.shape}, expected "
-                    f"({self.n_features_in_},)"
-                )
             out[:, stuck] = self.median_[stuck]
         if self.clip and out.shape[0]:
-            outside = np.flatnonzero(
-                (out.min(axis=0) < self.lower_) | (out.max(axis=0) > self.upper_)
-            )
+            if report is None:
+                outside = (out.min(axis=0) < self.lower_) | (out.max(axis=0) > self.upper_)
+            else:
+                # The training median lies inside the clip range, so a
+                # filled entry never moves a column past it: the finite
+                # extremes decide, and a stuck column (all median) never
+                # clips.  NaN extremes and the identities of a column
+                # with no finite entry compare False.
+                outside = (
+                    (report.finite_min < self.lower_)
+                    | (report.finite_max > self.upper_)
+                ) & ~stuck
+            outside = np.flatnonzero(outside)
             if outside.size:
                 out[:, outside] = np.clip(
                     out[:, outside], self.lower_[outside], self.upper_[outside]

@@ -38,6 +38,7 @@ __all__ = [
     "atomic_path",
     "atomic_write",
     "file_checksum",
+    "read_verified",
     "verify_artifact",
     "write_checksum",
     "write_json_atomic",
@@ -159,17 +160,44 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + _CHECKSUM_SUFFIX)
 
 
-def write_checksum(path: PathLike) -> Path:
+def write_checksum(path: PathLike, digest: Optional[str] = None) -> Path:
     """Write the ``<name>.sha256`` sidecar for ``path``; returns the sidecar.
 
-    The sidecar itself is written atomically, and uses the conventional
+    ``digest`` is the SHA-256 of the content when the writer still holds
+    it in memory; ``None`` reads the file back to compute it.  The
+    sidecar itself is written atomically, and uses the conventional
     ``<digest>  <filename>`` format ``sha256sum --check`` understands.
     """
     path = Path(path)
-    digest = file_checksum(path)
+    if digest is None:
+        digest = file_checksum(path)
     sidecar = _sidecar(path)
     write_text_atomic(sidecar, f"{digest}  {path.name}\n")
     return sidecar
+
+
+def _sidecar_digest(path: Path) -> str:
+    """The digest the ``<name>.sha256`` sidecar of ``path`` records."""
+    sidecar = _sidecar(path)
+    if not sidecar.exists():
+        raise ArtifactError(
+            f"{path}: no checksum sidecar {sidecar.name}; "
+            "call write_checksum first"
+        )
+    fields = sidecar.read_text(encoding="utf-8").split()
+    if not fields or len(fields[0]) != 64:
+        raise ArtifactCorruptionError(f"{sidecar}: unparsable checksum sidecar")
+    return fields[0]
+
+
+def _check_digest(path: Path, expected: str, actual: str) -> str:
+    if actual != expected:
+        raise ArtifactCorruptionError(
+            f"{path}: checksum mismatch (expected {expected[:12]}..., "
+            f"got {actual[:12]}...); the artifact is corrupt or was "
+            "replaced outside the atomic-write path"
+        )
+    return actual
 
 
 def verify_artifact(path: PathLike, expected: Optional[str] = None) -> str:
@@ -183,23 +211,20 @@ def verify_artifact(path: PathLike, expected: Optional[str] = None) -> str:
     """
     path = Path(path)
     if expected is None:
-        sidecar = _sidecar(path)
-        if not sidecar.exists():
-            raise ArtifactError(
-                f"{path}: no checksum sidecar {sidecar.name}; "
-                "pass expected= or call write_checksum first"
-            )
-        fields = sidecar.read_text(encoding="utf-8").split()
-        if not fields or len(fields[0]) != 64:
-            raise ArtifactCorruptionError(
-                f"{sidecar}: unparsable checksum sidecar"
-            )
-        expected = fields[0]
-    actual = file_checksum(path)
-    if actual != expected:
-        raise ArtifactCorruptionError(
-            f"{path}: checksum mismatch (expected {expected[:12]}..., "
-            f"got {actual[:12]}...); the artifact is corrupt or was "
-            "replaced outside the atomic-write path"
-        )
-    return actual
+        expected = _sidecar_digest(path)
+    return _check_digest(path, expected, file_checksum(path))
+
+
+def read_verified(path: PathLike) -> bytes:
+    """Read ``path`` once and return its bytes, checked against its sidecar.
+
+    The bytes returned are the bytes hashed: a file replaced after the
+    check cannot be read in its place, as it could between
+    :func:`verify_artifact` and a second read.  Errors are those of
+    :func:`verify_artifact` with ``expected=None``.
+    """
+    path = Path(path)
+    expected = _sidecar_digest(path)
+    data = path.read_bytes()
+    _check_digest(path, expected, hashlib.sha256(data).hexdigest())
+    return data

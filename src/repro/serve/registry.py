@@ -7,13 +7,15 @@ unpickle into a model that serves plausible-looking but uncalibrated
 intervals.  :class:`ModelRegistry` therefore treats every published
 model as a checksummed artifact:
 
-* **publish** pickles a fitted flow atomically
-  (:func:`~repro.runtime.artifacts.atomic_path`), writes a SHA-256
-  sidecar and a JSON manifest (also checksummed), and only then swaps
-  the ``LATEST`` pointer -- itself an atomic rename, so readers observe
-  either the old complete version or the new complete version,
-* **load** runs :func:`~repro.runtime.artifacts.verify_artifact` on the
-  bundle *before* unpickling; a digest mismatch raises
+* **publish** pickles a fitted flow atomically and durably
+  (:func:`~repro.runtime.artifacts.atomic_write`: fsynced before its
+  rename), writes a SHA-256 sidecar of the pickled bytes and a JSON
+  manifest (also checksummed), and only then swaps the ``LATEST``
+  pointer -- itself an atomic rename, so readers observe either the old
+  complete version or the new complete version,
+* **load** reads the bundle once and checks those bytes against the
+  sidecar (:func:`~repro.runtime.artifacts.read_verified`) *before*
+  unpickling the same bytes; a digest mismatch raises
   :class:`~repro.runtime.artifacts.ArtifactCorruptionError` and moves
   the whole version directory into ``quarantine/`` so no later reader
   can trust it by accident,
@@ -37,6 +39,7 @@ Layout under ``root``::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import re
@@ -49,7 +52,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.runtime.artifacts import (
     ArtifactCorruptionError,
     ArtifactError,
-    atomic_path,
+    atomic_write,
+    read_verified,
     verify_artifact,
     write_checksum,
     write_json_atomic,
@@ -250,9 +254,10 @@ class ModelRegistry:
             path.mkdir(parents=False, exist_ok=False)
 
             bundle_path = path / _BUNDLE_NAME
-            with atomic_path(bundle_path) as tmp:
-                tmp.write_bytes(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
-            write_checksum(bundle_path)
+            bundle = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+            with atomic_write(bundle_path, "wb") as handle:
+                handle.write(bundle)
+            write_checksum(bundle_path, hashlib.sha256(bundle).hexdigest())
 
             manifest = {
                 "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -275,9 +280,11 @@ class ModelRegistry:
     def load(self, name: Optional[str] = None) -> Tuple[Any, ModelVersion]:
         """Load a version, verifying its checksum before unpickling.
 
-        ``name=None`` loads :meth:`latest`.  On digest mismatch the
-        version is quarantined (moved wholesale under ``quarantine/``)
-        and :class:`~repro.runtime.artifacts.ArtifactCorruptionError`
+        ``name=None`` loads :meth:`latest`.  The bundle is read once and
+        the bytes that match the sidecar are the bytes unpickled.  On
+        digest mismatch the version is quarantined (moved wholesale
+        under ``quarantine/``) and
+        :class:`~repro.runtime.artifacts.ArtifactCorruptionError`
         propagates -- an unverified bundle is never deserialised, let
         alone served.  Returns ``(model, ModelVersion)``.
         """
@@ -291,7 +298,7 @@ class ModelRegistry:
             record = self.describe(name)
             bundle_path = record.path / _BUNDLE_NAME
             try:
-                verify_artifact(bundle_path)
+                bundle = read_verified(bundle_path)
             except ArtifactCorruptionError:
                 self.quarantine(name)
                 raise
@@ -304,7 +311,7 @@ class ModelRegistry:
                     f"{bundle_path}: unverifiable bundle ({error})"
                 ) from error
             try:
-                model = pickle.loads(bundle_path.read_bytes())
+                model = pickle.loads(bundle)
             except Exception as error:
                 # Checksum passed but unpickling failed: the *published*
                 # bytes are bad (publisher bug), quarantine equally.

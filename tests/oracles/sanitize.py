@@ -19,16 +19,24 @@ from repro.robust.imputation import TrainStatImputer
 
 
 def assess_reference(guard: FeatureHealthGuard, X: np.ndarray) -> HealthReport:
-    """Entry-wise health classification with a fitted guard's statistics."""
+    """Entry-wise health classification with a fitted guard's statistics.
+
+    The column extremes are masked min/max reductions over the finite
+    entries, with the reductions' identities (``+inf`` min, ``-inf``
+    max) for a column with no finite entry, and NaN for a non-empty
+    column of NaN only.
+    """
     X = np.asarray(X, dtype=np.float64)
     missing = ~np.isfinite(X)
     filled = np.where(missing, guard.median_, X)
     out_of_range = ~missing & (
         (filled < guard.lower_bound_) | (filled > guard.upper_bound_)
     )
+    finite_max = np.max(X, axis=0, where=~missing, initial=-np.inf)
+    finite_min = np.min(X, axis=0, where=~missing, initial=np.inf)
+    all_nan = np.isnan(X).all(axis=0) & (X.shape[0] > 0)
+    finite_max[all_nan] = finite_min[all_nan] = np.nan
     if X.shape[0] >= 2:
-        finite_max = np.where(missing, -np.inf, X).max(axis=0)
-        finite_min = np.where(missing, np.inf, X).min(axis=0)
         all_missing = missing.all(axis=0)
         batch_frozen = ~all_missing & (finite_max == finite_min)  # reprolint: disable=REP102
         stuck = batch_frozen & ~guard.train_constant_
@@ -44,6 +52,8 @@ def assess_reference(guard: FeatureHealthGuard, X: np.ndarray) -> HealthReport:
         out_of_range=out_of_range,
         stuck=stuck,
         unhealthy=unhealthy,
+        finite_min=finite_min,
+        finite_max=finite_max,
     )
 
 

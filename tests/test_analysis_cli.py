@@ -203,6 +203,22 @@ class TestBaseline:
         assert code == EXIT_FINDINGS
         assert "second.py" in capsys.readouterr().out
 
+    def test_baseline_matches_relative_and_absolute_paths(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "pkg").mkdir()
+        _write_dirty(tmp_path / "pkg")
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["--no-config", "--baseline", "baseline.json", "--write-baseline", "pkg"]
+        )
+        assert code == EXIT_CLEAN
+        capsys.readouterr()
+        absolute = [str(tmp_path / "baseline.json"), str(tmp_path / "pkg")]
+        code = main(["--no-config", "--baseline", absolute[0], absolute[1]])
+        assert code == EXIT_CLEAN
+        assert "stale baseline entry" not in capsys.readouterr().err
+
     def test_malformed_baseline_exits_two(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         baseline.write_text("{\"version\": 99}")

@@ -262,6 +262,23 @@ class TestRuleUnits:
         )
         assert [d.rule_id for d in findings] == ["REP204"]
 
+    def test_same_named_modules_are_both_analysed(self, tmp_path):
+        """Two non-package ``util.py`` share one dotted name; the
+        whole-program rules must still see each file's functions."""
+        source = textwrap.dedent(
+            """
+            def names(tags):
+                return list(set(tags))
+            """
+        )
+        for directory in ("a", "b"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "util.py").write_text(source)
+        findings = _findings(tmp_path, rules=DEEP_RULES)
+        flagged = sorted(Path(d.path).parent.name for d in findings)
+        assert [d.rule_id for d in findings] == ["REP203", "REP203"]
+        assert flagged == ["a", "b"]
+
     def test_inline_suppression_honoured(self, tmp_path):
         source = textwrap.dedent(
             """

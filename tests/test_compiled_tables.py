@@ -382,6 +382,7 @@ class TestEndToEndCQRParity:
     def test_flow_intervals_identical_with_and_without_kernel(
         self, rng, monkeypatch
     ):
+        from repro.models.quantile import QuantileBandRegressor
         from repro.robust import RobustVminFlow
 
         X = rng.normal(size=(160, 8))
@@ -398,12 +399,13 @@ class TestEndToEndCQRParity:
         compiled = flow.predict_interval(Xte)
         calls = []
 
-        def loop_predict(model, X):
-            calls.append(model)
-            return predict_loop(model, X)
+        def loop_raw(band, X):
+            # The band's one joint kernel call, replaced by the per-tree
+            # loop over each member.
+            calls.append(band)
+            return predict_loop(band.lower_, X), predict_loop(band.upper_, X)
 
-        for booster in (GradientBoostingRegressor, ObliviousBoostingRegressor):
-            monkeypatch.setattr(booster, "predict", loop_predict)
+        monkeypatch.setattr(QuantileBandRegressor, "_raw", loop_raw)
         loop = flow.predict_interval(Xte)
         assert calls
         assert np.array_equal(

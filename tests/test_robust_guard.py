@@ -133,12 +133,16 @@ class TestTrainStatImputer:
         out = imputer.transform(train[:20])
         np.testing.assert_array_equal(out, train[:20])
 
-    def test_stuck_columns_medianised(self, train):
+    def test_stuck_columns_medianised(self, guard, train):
         imputer = TrainStatImputer().fit(train)
-        stuck = np.zeros(6, dtype=bool)
-        stuck[1] = True
-        out = imputer.transform(train[:5], stuck=stuck)
+        batch = train[:5].copy()
+        batch[:, 1] = batch[0, 1]
+        report = guard.assess(batch)
+        assert report.stuck[1]
+        out = imputer.transform(batch, report=report)
         np.testing.assert_allclose(out[:, 1], np.median(train[:, 1]))
+        # Without a report no column counts as stuck.
+        np.testing.assert_array_equal(imputer.transform(batch)[:, 1], batch[:, 1])
 
     def test_clipping_bounds_extrapolation(self, train):
         imputer = TrainStatImputer(clip=True, clip_margin=0.0).fit(train)
@@ -159,14 +163,12 @@ class TestTrainStatImputer:
             np.isnan(batch), np.isnan(snapshot)
         )
 
-    def test_structural_errors_raise(self, train):
+    def test_structural_errors_raise(self, guard, train):
         imputer = TrainStatImputer().fit(train)
         with pytest.raises(ValueError, match="features"):
             imputer.transform(train[:5, :3])
-        with pytest.raises(ValueError, match="stuck mask"):
-            imputer.transform(train[:5], stuck=np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError, match="missing mask"):
-            imputer.transform(train[:5], missing=np.zeros((4, 6), dtype=bool))
+        with pytest.raises(ValueError, match="report covers a batch"):
+            imputer.transform(train[:5], report=guard.assess(train[:4]))
 
     def test_unfitted_raises(self, train):
         with pytest.raises(NotFittedError):

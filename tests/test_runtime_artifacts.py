@@ -13,6 +13,7 @@ from repro.runtime.artifacts import (
     atomic_path,
     atomic_write,
     file_checksum,
+    read_verified,
     verify_artifact,
     write_checksum,
     write_json_atomic,
@@ -138,6 +139,18 @@ class TestChecksums:
         assert verify_artifact(target, expected=digest) == digest
         with pytest.raises(ArtifactError, match="mismatch"):
             verify_artifact(target, expected="0" * 64)
+
+    def test_read_verified_returns_the_checked_bytes(self, tmp_path):
+        target = write_text_atomic(tmp_path / "a.txt", "payload")
+        write_checksum(target)
+        assert read_verified(target) == b"payload"
+        target.write_text("tampered")
+        with pytest.raises(ArtifactCorruptionError, match="mismatch"):
+            read_verified(target)
+        write_checksum(target).unlink()
+        with pytest.raises(ArtifactError, match="sidecar") as excinfo:
+            read_verified(target)
+        assert not isinstance(excinfo.value, ArtifactCorruptionError)
 
 
 class TestCorruptionTaxonomy:

@@ -1,13 +1,18 @@
 """Bit-identity of the one-pass sanitize step against the entry-wise oracle.
 
-``FeatureHealthGuard.assess`` settles whole columns from their finite
-extremes and ``TrainStatImputer.transform`` reuses the guard's missing
-mask and clips only the columns that leave the clip range.  Both must
-equal the entry-wise reference bodies in :mod:`tests.oracles.sanitize`
-array for array (``np.array_equal``), on every fault the robustness
-campaigns inject and on the edge cases the shortcuts have to get right:
-infinities, values exactly on a bound, 0- and 1-row batches, all-missing
-and train-constant columns.
+``FeatureHealthGuard.assess`` reads each column's max and min first,
+builds the missing mask only on the columns with a non-finite extreme
+and settles whole columns from their finite extremes;
+``TrainStatImputer.transform`` takes the guard's report, derives the
+output's column extremes from it and clips only the columns that leave
+the clip range (without a report it finds the non-finite entries and
+the output's extremes itself).  Both must equal the entry-wise reference bodies in
+:mod:`tests.oracles.sanitize` array for array (``np.array_equal``; the
+report's extremes against masked min/max reductions), on every fault
+the robustness campaigns inject and on the edge cases the shortcuts
+have to get right: each kind of non-finite entry alone and mixed,
+values exactly on a bound, 0- and 1-row batches, all-missing and
+train-constant columns.
 """
 
 import numpy as np
@@ -48,10 +53,15 @@ def _assert_parity(guard, imputer, X):
     expected = assess_reference(guard, X)
     for field in ("missing", "out_of_range", "stuck", "unhealthy"):
         assert np.array_equal(getattr(report, field), getattr(expected, field)), field
+    for field in ("finite_min", "finite_max"):
+        assert np.array_equal(
+            getattr(report, field), getattr(expected, field), equal_nan=True
+        ), field
     reference = transform_reference(imputer, X, stuck=expected.stuck)
-    shared = imputer.transform(X, stuck=report.stuck, missing=report.missing)
-    assert np.array_equal(shared, reference)
-    assert np.array_equal(imputer.transform(X, stuck=report.stuck), reference)
+    assert np.array_equal(imputer.transform(X, report=report), reference)
+    # Without a report the imputer finds the non-finite entries and the
+    # columns to clip itself, and medianises no column.
+    assert np.array_equal(imputer.transform(X), transform_reference(imputer, X))
     if X.shape[0]:
         damage = expected.missing | expected.out_of_range
         assert report.damaged_entry_fraction == float(np.mean(damage))
@@ -101,6 +111,32 @@ class TestSanitizeParity:
         X[8, 4] = -np.inf
         report = _assert_parity(guard, imputer, X)
         assert report.out_of_range[7, 4] and not report.out_of_range[8, 4]
+
+    def test_one_kind_of_non_finite_entry_per_column(self, fitted):
+        """The extremes-first guard takes the masked path only for
+        columns with a non-finite max or min; each kind of damage must
+        land there on its own and mixed."""
+        guard, imputer, batch = fitted
+        X = batch.copy()
+        X[4, 0] = np.inf  # the only non-finite entry: +inf
+        X[9, 1] = -np.inf  # ... -inf
+        X[13, 2] = np.nan  # ... NaN
+        X[::2, 3] = np.inf  # all infinite, both signs
+        X[1::2, 3] = -np.inf
+        X[0, 4], X[1, 4], X[2, 4] = np.nan, np.inf, -np.inf  # mixed, with finite
+        X[:, 6] = np.nan  # all NaN
+        X[:, 7] = np.nan  # NaN and +inf, no finite entry
+        X[5, 7] = np.inf
+        report = _assert_parity(guard, imputer, X)
+        assert report.missing.sum(axis=0).tolist() == [1, 1, 1, 40, 3, 0, 40, 40, 0]
+        assert report.finite_min[3] == np.inf and report.finite_max[3] == -np.inf
+        assert report.finite_min[7] == np.inf and report.finite_max[7] == -np.inf
+        assert np.isnan(report.finite_min[6]) and np.isnan(report.finite_max[6])
+        finite = np.isfinite(X[:, 4])
+        assert report.finite_max[4] == X[finite, 4].max()
+        # Clean columns keep their plain extremes.
+        assert report.finite_min[5] == X[:, 5].min()
+        assert report.finite_max[8] == X[:, 8].max()
 
     def test_values_on_the_bounds(self, fitted):
         guard, imputer, batch = fitted

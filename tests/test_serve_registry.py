@@ -5,7 +5,10 @@ plain dictionaries -- the verification, quarantine, and pointer
 semantics are model-agnostic.
 """
 
+import hashlib
+import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,45 @@ class TestPublish:
             ModelRegistry(not_a_dir)
 
 
+def _tampered(bundle):
+    """A different, perfectly valid pickle next to ``bundle``."""
+    other = bundle.with_name("tampered.pkl")
+    other.write_bytes(pickle.dumps({"gen": "tampered"}))
+    return other
+
+
+class TestDurablePublish:
+    def test_bundle_is_fsynced_before_its_rename_and_before_latest(
+        self, tmp_path, monkeypatch
+    ):
+        synced, renamed = set(), []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(descriptor):
+            synced.add(os.fstat(descriptor).st_ino)
+            fsync(descriptor)
+
+        def recording_replace(source, destination):
+            renamed.append((Path(destination).name, os.stat(source).st_ino in synced))
+            replace(source, destination)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        registry = ModelRegistry(tmp_path)
+        registry.publish({"gen": 1})
+        names = [name for name, _ in renamed]
+        assert dict(renamed)["bundle.pkl"], "bundle renamed before an fsync"
+        assert names.index("bundle.pkl") < names.index("LATEST")
+
+    def test_sidecar_digest_is_the_pickled_bytes(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        record = registry.publish({"gen": 1})
+        bundle = record.path / "bundle.pkl"
+        digest = (record.path / "bundle.pkl.sha256").read_text().split()[0]
+        assert digest == hashlib.sha256(bundle.read_bytes()).hexdigest()
+        assert pickle.loads(bundle.read_bytes()) == {"gen": 1}
+
+
 class TestVerifiedLoad:
     def test_load_roundtrips_the_model(self, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -116,6 +158,27 @@ class TestVerifiedLoad:
         with pytest.raises(ArtifactCorruptionError, match="deserialise"):
             registry.load("v0001")
         assert registry.quarantined() == ["v0001"]
+
+    def test_bundle_replaced_before_its_read_is_never_deserialised(
+        self, tmp_path, monkeypatch
+    ):
+        """A bundle swapped for other (valid) pickle bytes after its
+        sidecar was checked must not be what load unpickles."""
+        registry = ModelRegistry(tmp_path)
+        record = registry.publish({"gen": 1})
+        bundle = record.path / "bundle.pkl"
+        read_bytes = Path.read_bytes
+
+        def replaced_then_read(path):
+            if path == bundle:
+                os.replace(_tampered(path), path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", replaced_then_read)
+        with pytest.raises(ArtifactCorruptionError, match="mismatch"):
+            registry.load("v0001")
+        assert registry.quarantined() == ["v0001"]
+        assert registry.latest() is None
 
     def test_unknown_version_is_registry_error(self, tmp_path):
         registry = ModelRegistry(tmp_path)
