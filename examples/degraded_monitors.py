@@ -142,11 +142,12 @@ def main() -> None:
             alarm = flow.observe(X_test[start:stop], y_aged[start:stop]).alarm
             if alarm is not None:
                 print(f"  !! {alarm.describe()} -> recalibrating online")
+        # The serving calibration's alpha_t: alpha until the first alarm.
+        alpha_t = flow.calibration_.alpha_t if flow.adaptive_active else flow.alpha
         print(
             f"  after {hours:4d} h: rolling coverage "
             f"{flow.rolling_coverage():6.1%}, recalibrations "
-            f"{flow.recalibrations_}, adaptive alpha_t "
-            f"{flow.adaptive_.alpha_t: .3f}"
+            f"{flow.recalibrations_}, adaptive alpha_t {alpha_t: .3f}"
         )
     print(
         f"\ntotal alarms: {len(flow.alarms_)}; "

@@ -65,6 +65,12 @@ class _SortedScoreWindow:
         self._arrival.append(score)
         bisect.insort(self._sorted, score)
 
+    def copy(self) -> "_SortedScoreWindow":
+        twin = _SortedScoreWindow((), self._window)
+        twin._arrival = self._arrival.copy()
+        twin._sorted = self._sorted.copy()
+        return twin
+
     def sorted_array(self) -> np.ndarray:
         return np.asarray(self._sorted, dtype=np.float64)
 
@@ -188,11 +194,26 @@ class AdaptiveConformalPredictor:
         predictor.error_history_ = []
         return predictor
 
+    def __copy__(self) -> "AdaptiveConformalPredictor":
+        """A twin sharing the fitted band but owning its score window and
+        histories, so updating it never moves this predictor."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        if self.band_ is not None:
+            twin._scores = self._scores.copy()
+            twin.alpha_history_ = list(self.alpha_history_)
+            twin.error_history_ = list(self.error_history_)
+        return twin
+
     @property
     def alpha_t(self) -> float:
         """Current adapted miscoverage level."""
         check_fitted(self, "band_")
         return self._alpha_t
+
+    def serving_note(self) -> str:
+        """What a served interval notes about its calibration."""
+        return f"online recalibration active (alpha_t={self.alpha_t:.3f})"
 
     def _current_scores(self) -> np.ndarray:
         """Windowed calibration scores, in ascending order (a copy).

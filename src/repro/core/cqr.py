@@ -166,6 +166,10 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         lower, upper = band if band is not None else self.band_.predict_interval(X)
         return collapse_crossed(lower - self.quantile_low_, upper + self.quantile_high_)
 
+    def serving_note(self) -> Optional[str]:
+        """What a served interval notes about its calibration: nothing."""
+        return None
+
 
 class PointBand(BaseRegressor):
     """A point regressor seen as the zero-width band ``[ŷ, ŷ]``.

@@ -574,8 +574,11 @@ class ObliviousBoostingRegressor(BaseRegressor):
         )
 
     def __setstate__(self, state: dict) -> None:
-        """Unpickle, compiling the kernel a pre-kernel bundle lacks."""
-        self.__dict__.update(state)
+        """Unpickle, compiling the kernel a pre-kernel bundle lacks
+        (setattr interns the names, so a re-pickled booster is byte for
+        byte the bundle it was loaded from)."""
+        for name, value in state.items():
+            setattr(self, name, value)
         if self.trees_ is not None and getattr(self, "compiled_", None) is None:
             self.compiled_ = compile_oblivious(self.trees_)
 

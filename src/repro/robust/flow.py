@@ -22,6 +22,7 @@ conformity scores all come from that one pass.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,7 +42,7 @@ from repro.robust.fallback import (
 from repro.robust.guard import FeatureHealthGuard, HealthReport
 from repro.robust.imputation import TrainStatImputer
 from repro.robust.monitoring import CoverageAlarm, CoverageMonitor
-from repro.shift.weighted import WeightedBandCalibrator, weighted_band_calibrator
+from repro.shift.weighted import weighted_band_calibrator
 from repro.shift.weights import LogisticDensityRatio
 
 __all__ = ["ObservedBatch", "RobustVminFlow"]
@@ -109,6 +110,14 @@ class RobustVminFlow:
     gamma, adaptation_window:
         Gibbs-Candès step size and score window for the online
         recalibration path (:class:`AdaptiveConformalPredictor`).
+
+    Attributes
+    ----------
+    calibration_:
+        The one calibration every primary interval is served from, read
+        once per batch: the split CQR ``primary_.cqr_`` after :meth:`fit`,
+        then whole states :meth:`observe` and :meth:`recalibrate_weighted`
+        build aside and swap in with one assignment.
     """
 
     def __init__(
@@ -231,13 +240,7 @@ class RobustVminFlow:
             )
             self.fallback_ = fallback
 
-        self.adaptive_ = AdaptiveConformalPredictor.from_fitted(
-            primary.cqr_.band_,
-            primary.cqr_.calibration_scores_,
-            alpha=self.alpha,
-            gamma=self.gamma,
-            window=self.adaptation_window,
-        )
+        self.calibration_ = primary.cqr_
         self.monitor_ = CoverageMonitor(
             target_coverage=1.0 - self.alpha,
             window=self.monitor_window,
@@ -246,8 +249,6 @@ class RobustVminFlow:
         )
         self.n_features_in_ = d
         self.recalibrations_ = 0
-        self._adaptive_active = False
-        self.weighted_: Optional[WeightedBandCalibrator] = None
         return self
 
     # -- serving ---------------------------------------------------------------
@@ -319,37 +320,9 @@ class RobustVminFlow:
 
     @property
     def adaptive_active(self) -> bool:
-        """True once a coverage alarm has switched serving to the
-        online-recalibrated (Gibbs-Candès) margins."""
+        """True while online-recalibrated (Gibbs-Candès) margins serve."""
         check_fitted(self, "primary_")
-        return self._adaptive_active
-
-    @property
-    def weighted_active(self) -> bool:
-        """True while weighted (covariate-shift-repaired) margins serve."""
-        check_fitted(self, "primary_")
-        return self.weighted_ is not None
-
-    def _primary_intervals(
-        self,
-        X_clean: np.ndarray,
-        band: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> PredictionIntervals:
-        """The active calibration's margins around the primary band.
-
-        ``band`` is :meth:`_band` of ``X_clean`` when the caller already
-        evaluated it; ``None`` evaluates it here.
-        """
-        if band is None:
-            band = self._band(X_clean)
-        # Weighted repair outranks the adaptive path: it is an explicit,
-        # audited operator action targeting a diagnosed covariate shift,
-        # whereas adaptation is the blind feedback controller.
-        if self.weighted_ is not None:
-            return self.weighted_.predict_interval(X_clean, band=band)
-        if self._adaptive_active:
-            return self.adaptive_.predict_interval(X_clean, band=band)
-        return self.primary_.cqr_.predict_interval(X_clean, band=band)
+        return isinstance(self.calibration_, AdaptiveConformalPredictor)
 
     # -- shift-defense accessors ----------------------------------------------
     def calibration_scores(self) -> np.ndarray:
@@ -365,18 +338,10 @@ class RobustVminFlow:
         """The primary pipeline's calibration feature rows (a copy).
 
         The frozen covariate reference window for shift detectors and
-        density-ratio estimation.  Raises ``RuntimeError`` for bundles
-        fitted before the shift defense layer existed (no stored
-        calibration features to reference).
+        density-ratio estimation.
         """
         check_fitted(self, "primary_")
-        features = getattr(self.primary_.cqr_, "calibration_features_", None)
-        if features is None:
-            raise RuntimeError(
-                "this model predates the shift defense layer and stored no "
-                "calibration features; refit to enable shift detection"
-            )
-        return np.array(features)
+        return np.array(self.primary_.cqr_.calibration_features_)
 
     def conformity_scores(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """CQR conformity scores of labelled chips against the reference band.
@@ -406,8 +371,9 @@ class RobustVminFlow:
         Estimates the density ratio between the calibration features
         (reference) and ``X_recent`` (the shifted serving batch) with
         :func:`~repro.shift.weighted_band_calibrator`, around the primary
-        band, and switches serving to the result.  Returns the effective
-        sample size of the calibration weights.
+        band, and swaps the result into the calibration slot, whatever
+        served before.  Returns the effective sample size of the
+        calibration weights.
 
         Raises :class:`~repro.shift.DegenerateWeightsError` -- leaving
         the serving path unchanged -- when the weights degenerate below
@@ -429,7 +395,6 @@ class RobustVminFlow:
             Unfitted ratio template (deep-copied); default-configured
             :class:`~repro.shift.LogisticDensityRatio` when ``None``.
         """
-        check_fitted(self, "primary_")
         X_clean, _ = self._sanitize(X_recent)
         if X_clean.shape[0] < 2:
             raise ValueError(
@@ -450,7 +415,7 @@ class RobustVminFlow:
             ratio_columns=columns,
             min_ess=min_ess,
         )
-        self.weighted_ = calibrator
+        self.calibration_ = calibrator
         self.recalibrations_ += 1
         return calibrator.ess_
 
@@ -481,7 +446,9 @@ class RobustVminFlow:
         """:meth:`predict_interval` of a sanitized, non-empty batch.
 
         ``band`` is the primary band on ``X_clean`` when the caller
-        already evaluated it (see :meth:`observe`).
+        already evaluated it (see :meth:`observe`); ``None`` leaves it
+        to the calibration.  The slot is read once: the primary
+        intervals and the calibration's note come from one state.
         """
         # Column-level damage misses row-level faults (a dropped record
         # NaNs every feature of one chip without killing any column), so
@@ -505,7 +472,6 @@ class RobustVminFlow:
                     f"fallback model on {self.fallback_columns_.size} columns"
                 )
             else:
-                intervals = self._primary_intervals(X_clean, band)
                 inflation = self.policy.max_inflation
                 notes.append(
                     f"monitor block {monitor_frac:.0%} and fallback block "
@@ -513,29 +479,24 @@ class RobustVminFlow:
                     "at maximum inflation"
                 )
         elif status is DegradationStatus.FALLBACK:
-            intervals = self._primary_intervals(X_clean, band)
             inflation = self.policy.max_inflation
             notes.append(
                 f"monitor block {monitor_frac:.0%} unhealthy and no fallback "
                 "model fitted; served primary model at maximum inflation"
             )
         else:
-            intervals = self._primary_intervals(X_clean, band)
             inflation = self.policy.inflation_factor(overall)
             if status is DegradationStatus.DEGRADED:
                 notes.append(
                     f"{overall:.0%} of features imputed; interval widened "
                     f"{inflation:.2f}x"
                 )
-        if self.weighted_ is not None and not used_fallback:
-            notes.append(
-                "weighted shift repair active "
-                f"(ESS={self.weighted_.ess_:.1f})"
-            )
-        elif self._adaptive_active and not used_fallback:
-            notes.append(
-                f"online recalibration active (alpha_t={self.adaptive_.alpha_t:.3f})"
-            )
+        if not used_fallback:
+            calibration = self.calibration_
+            intervals = calibration.predict_interval(X_clean, band=band)
+            note = calibration.serving_note()
+            if note is not None:
+                notes.append(note)
         if inflation > 1.0:
             intervals = inflate_intervals(intervals, inflation)
         return DegradedPrediction(
@@ -557,11 +518,11 @@ class RobustVminFlow:
 
         Serves ``X`` exactly as :meth:`predict_interval` would, scores
         the outcomes against ``y``, and feeds the rolling coverage
-        monitor.  On an alarm, serving switches permanently to the
-        adaptive (Gibbs-Candès) margins and every subsequent observation
-        updates them -- online recalibration.  The batch is sanitized
-        and banded once: the served intervals, the adaptive update and
-        the returned conformity scores all come from that pass.
+        monitor.  From the first alarm on, each batch swaps in
+        Gibbs-Candès margins updated on its labels (online
+        recalibration; see :meth:`_feedback_step`).  The batch is
+        sanitized and banded once: the served intervals, the adaptive
+        update and the returned conformity scores all come from it.
 
         Returns an :class:`ObservedBatch`: the alarm fired by this batch,
         if any, and the batch's conformity scores against the primary
@@ -578,11 +539,36 @@ class RobustVminFlow:
         covered = prediction.intervals.contains(y)
         alarm = self.monitor_.update(covered)
         if alarm is not None:
-            self._adaptive_active = True
             self.recalibrations_ += 1
-        if self._adaptive_active:
-            self.adaptive_.update(X_clean, y, band=band)
+        step = self._feedback_step(alarm)
+        if step is not None:
+            step.update(X_clean, y, band=band)
+            self.calibration_ = step
         return ObservedBatch(alarm=alarm, scores=cqr_score(y, *band))
+
+    def _feedback_step(
+        self, alarm: Optional[CoverageAlarm]
+    ) -> Optional[AdaptiveConformalPredictor]:
+        """The adaptive state a labelled batch updates, built aside.
+
+        The one rule on the calibration's kind: an alarm turns the split
+        CQR into Gibbs-Candès margins seeded with its scores, and an
+        adaptive state stays adaptive (each batch updates a copy).  A
+        weighted repair keeps serving through alarms (``None``): an
+        audited operator action outranks the blind feedback controller.
+        """
+        current = self.calibration_
+        if isinstance(current, AdaptiveConformalPredictor):
+            return copy.copy(current)
+        if alarm is not None and current is self.primary_.cqr_:
+            return AdaptiveConformalPredictor.from_fitted(
+                current.band_,
+                current.calibration_scores_,
+                alpha=self.alpha,
+                gamma=self.gamma,
+                window=self.adaptation_window,
+            )
+        return None
 
     def rolling_coverage(self) -> float:
         """Rolling empirical coverage over the observation window."""

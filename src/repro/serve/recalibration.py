@@ -1,17 +1,18 @@
 """Drift-triggered online recalibration and republication.
 
-The flow already recalibrates *in memory*: a coverage alarm switches
-:class:`~repro.robust.flow.RobustVminFlow` onto Gibbs-Candès adaptive
-margins and every observed label updates them.  That state, however,
-lives only in the serving process -- a restart would come back up on
-the stale registry bundle and re-learn the drift from scratch.
-:class:`DriftRecalibrator` closes that gap: it watches the label
-feedback stream through :meth:`~repro.serve.service.VminServingService.
-observe`, and once the flow has gone adaptive *and* enough fresh labels
-have accumulated, it republishes the recalibrated flow to the registry
-as a new version (reason ``recalibrated``, parent = the version it
-drifted from) and hot-swaps the service onto it -- making the adaptive
-state durable and auditable.
+The flow already recalibrates *in memory*: a coverage alarm swaps
+Gibbs-Candès adaptive margins into
+:class:`~repro.robust.flow.RobustVminFlow`'s calibration slot and every
+observed label updates them.  That state, however, lives only in the
+serving process -- a restart would come back up on the stale registry
+bundle and re-learn the drift from scratch.  :class:`DriftRecalibrator`
+closes that gap: it watches the label feedback stream through
+:meth:`~repro.serve.service.VminServingService.observe`, and while the
+slot holds an adaptive state *and* enough fresh labels have
+accumulated, it republishes the recalibrated flow to the registry as a
+new version (reason ``recalibrated``, parent = the version it drifted
+from) and hot-swaps the service onto it -- making the adaptive state
+durable and auditable.  A weighted shift repair is never republished.
 
 Zero-label ingests are explicit no-ops, mirroring the flow contract:
 the ATE legitimately delivers empty feedback batches and those must not
@@ -25,6 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveConformalPredictor
 from repro.serve.health import ReasonCode
 from repro.serve.service import VminServingService
 
@@ -111,11 +113,12 @@ class DriftRecalibrator:
         service = self.service
         model = service.served_model
         parent = service.model_version
-        if model is None or not getattr(model, "adaptive_active", False):
+        calibration = getattr(model, "calibration_", None)
+        if not isinstance(calibration, AdaptiveConformalPredictor):
             return None
         if self._labels_since_publish < self.min_labels:
             return None
-        alpha_t = float(model.adaptive_.alpha_t)
+        alpha_t = float(calibration.alpha_t)
         parent_name = (
             parent if parent in service.registry.versions() else None
         )

@@ -24,7 +24,8 @@ exactly the concerns that belong *outside* the model:
   started with, so a swap drops zero requests by construction;
 * **the label feedback loop** -- :meth:`VminServingService.observe`
   streams measured Vmin back into the flow's coverage monitor and
-  flips the service ``READY <-> DEGRADED`` on alarm/recovery;
+  flips the service ``READY <-> DEGRADED`` on alarm/recovery; feedback
+  and repairs run one at a time and never block scoring;
 * **shift defense** -- an optional
   :class:`~repro.serve.shiftguard.ShiftGuard` rides the same feedback
   loop: its exchangeability martingale and covariate detector are
@@ -176,6 +177,15 @@ class ServingResult:
 PARAMETRIC_VERSION = "<parametric>"
 
 
+def _coverage_alarmed(model: Optional[RobustVminFlow]) -> bool:
+    """Whether ``model``'s coverage monitor is in alarm."""
+    return (
+        isinstance(model, RobustVminFlow)
+        and model.primary_ is not None
+        and model.monitor_.in_alarm_
+    )
+
+
 class VminServingService:
     """Registry-backed, admission-controlled Vmin interval scoring.
 
@@ -226,6 +236,8 @@ class VminServingService:
         self._version: str = PARAMETRIC_VERSION
         self._level: FallbackLevel = FallbackLevel.REJECT
         self._lock = threading.RLock()
+        # observe and repair_shift run one at a time; score never waits.
+        self._feedback_lock = threading.Lock()
         self._slots = threading.Semaphore(self.config.max_in_flight)
         self._waiting = 0
         self._waiting_lock = threading.Lock()
@@ -392,21 +404,13 @@ class VminServingService:
                 self.health.note(
                     ReasonCode.HOT_SWAP, f"{previous} -> {self._version}"
                 )
-            if (
-                level is FallbackLevel.CURRENT
-                and self.health.state is ServiceState.DEGRADED
-                and not self._coverage_alarmed()
-                and not self._shift_alarmed()
-            ):
-                self.health.transition(
-                    ServiceState.READY,
+            if level is FallbackLevel.CURRENT:
+                self._recover(
+                    self._model,
                     ReasonCode.MODEL_VERIFIED,
                     f"recovered onto verified {self._version}",
                 )
-            elif (
-                level is not FallbackLevel.CURRENT
-                and self.health.state is ServiceState.READY
-            ):
+            elif self.health.state is ServiceState.READY:
                 self.health.transition(
                     ServiceState.DEGRADED,
                     ReasonCode.ROLLED_BACK,
@@ -415,13 +419,7 @@ class VminServingService:
             return self._version
 
     def _arm_shift_guard(self) -> None:
-        """Re-baseline the shift sentinels on the just-installed model.
-
-        Bundles published before the shift layer existed carry no
-        frozen calibration features; those are served with the guard
-        disarmed rather than refused -- the coverage monitor still
-        protects them, just without the leading signals.
-        """
+        """Re-baseline the shift sentinels on the just-installed model."""
         guard = self.shift_guard
         model = self._model
         if guard is None:
@@ -430,19 +428,24 @@ class VminServingService:
         if not isinstance(model, RobustVminFlow) or model.primary_ is None:
             guard.disarm()
             return
-        try:
-            guard.arm(model)
-        except RuntimeError:
-            guard.disarm()
+        guard.arm(model)
 
-    def _coverage_alarmed(self) -> bool:
-        """Whether the served flow's coverage monitor is in alarm."""
-        model = self._model
-        return (
-            isinstance(model, RobustVminFlow)
-            and model.primary_ is not None
-            and model.monitor_.in_alarm_
-        )
+    def _recover(
+        self, model: Optional[RobustVminFlow], reason: ReasonCode, detail: str
+    ) -> None:
+        """Promote ``DEGRADED`` to ``READY`` unless something holds it down.
+
+        Must be called under the service lock.  The service stays
+        degraded on a fallback level, while ``model``'s coverage monitor
+        is in alarm, and while a shift alarm is latched.
+        """
+        if (
+            self.health.state is ServiceState.DEGRADED
+            and self._level is FallbackLevel.CURRENT
+            and not _coverage_alarmed(model)
+            and not self._shift_alarmed()
+        ):
+            self.health.transition(ServiceState.READY, reason, detail)
 
     def _shift_alarmed(self) -> bool:
         """Whether any armed shift sentinel is currently alarmed."""
@@ -579,49 +582,42 @@ class VminServingService:
         batch, if any.  Zero labels are a no-op, mirroring the flow
         contract.
         """
-        with self._lock:
-            model = self._model
-        if model is None:
-            raise RejectedRequest("no servable model to observe labels on")
-        was_alarmed = self._coverage_alarmed()
-        observed = model.observe(X, y)
-        alarm = observed.alarm
-        verdict: Optional[ShiftVerdict] = None
-        guard = self.shift_guard
-        if (
-            guard is not None
-            and guard.armed
-            and isinstance(model, RobustVminFlow)
-            and observed.scores.shape[0] > 0
-        ):
-            # The flow scored the batch against its primary band while
-            # observing it; the sentinels take those scores as they are.
-            verdict = guard.observe(
-                model, X, y, zones=zones, scores=observed.scores
-            )
-        with self._lock:
-            if alarm is not None and self.health.state is ServiceState.READY:
-                self.health.transition(
-                    ServiceState.DEGRADED,
-                    ReasonCode.COVERAGE_ALARM,
-                    alarm.describe(),
-                )
-            elif (
-                was_alarmed
-                and not self._coverage_alarmed()
-                and self.health.state is ServiceState.DEGRADED
-                and self._level is FallbackLevel.CURRENT
-                and not self._shift_alarmed()
+        with self._feedback_lock:
+            model = self.served_model
+            if model is None:
+                raise RejectedRequest("no servable model to observe labels on")
+            was_alarmed = _coverage_alarmed(model)
+            observed = model.observe(X, y)
+            alarm = observed.alarm
+            verdict: Optional[ShiftVerdict] = None
+            guard = self.shift_guard
+            if (
+                guard is not None
+                and guard.armed
+                and observed.scores.shape[0] > 0
             ):
-                self.health.transition(
-                    ServiceState.READY,
-                    ReasonCode.COVERAGE_RECOVERED,
-                    f"rolling coverage {model.rolling_coverage():.1%}",
+                # The flow scored the batch against its primary band while
+                # observing it; the sentinels take those scores as they are.
+                verdict = guard.observe(
+                    model, X, y, zones=zones, scores=observed.scores
                 )
-            if verdict is not None:
-                self._audit_shift_verdict(guard, verdict)
-                self.last_shift_verdict_ = verdict
-        return alarm
+            with self._lock:
+                if alarm is not None and self.health.state is ServiceState.READY:
+                    self.health.transition(
+                        ServiceState.DEGRADED,
+                        ReasonCode.COVERAGE_ALARM,
+                        alarm.describe(),
+                    )
+                elif was_alarmed:
+                    self._recover(
+                        model,
+                        ReasonCode.COVERAGE_RECOVERED,
+                        f"rolling coverage {model.rolling_coverage():.1%}",
+                    )
+                if verdict is not None:
+                    self._audit_shift_verdict(guard, verdict)
+                    self.last_shift_verdict_ = verdict
+            return alarm
 
     def _audit_shift_verdict(
         self, guard: ShiftGuard, verdict: ShiftVerdict
@@ -702,42 +698,37 @@ class VminServingService:
         interval.  Returns the effective sample size of the accepted
         weights.
         """
-        with self._lock:
-            model = self._model
-        if not isinstance(model, RobustVminFlow) or model.primary_ is None:
-            raise RejectedRequest(
-                "no fitted RobustVminFlow is being served; nothing to repair"
-            )
-        try:
-            ess = model.recalibrate_weighted(
-                X_recent,
-                ratio_columns=ratio_columns,
-                min_ess=min_ess,
-                ratio_estimator=ratio_estimator,
-            )
-        except DegenerateWeightsError as error:
-            with self._lock:
-                self.health.note(
-                    ReasonCode.COVARIATE_SHIFT,
-                    f"weighted repair refused: {error}",
+        with self._feedback_lock:
+            model = self.served_model
+            if not isinstance(model, RobustVminFlow) or model.primary_ is None:
+                raise RejectedRequest(
+                    "no fitted RobustVminFlow is being served; nothing to repair"
                 )
-            raise
-        with self._lock:
-            if self.shift_guard is not None:
-                self.shift_guard.disarm()
-            self.last_shift_verdict_ = None
-            self.health.note(
-                ReasonCode.RECALIBRATED,
-                f"weighted shift repair installed (ESS={ess:.1f})",
-            )
-            if (
-                self.health.state is ServiceState.DEGRADED
-                and self._level is FallbackLevel.CURRENT
-                and not self._coverage_alarmed()
-            ):
-                self.health.transition(
-                    ServiceState.READY,
+            try:
+                ess = model.recalibrate_weighted(
+                    X_recent,
+                    ratio_columns=ratio_columns,
+                    min_ess=min_ess,
+                    ratio_estimator=ratio_estimator,
+                )
+            except DegenerateWeightsError as error:
+                with self._lock:
+                    self.health.note(
+                        ReasonCode.COVARIATE_SHIFT,
+                        f"weighted repair refused: {error}",
+                    )
+                raise
+            with self._lock:
+                if self.shift_guard is not None:
+                    self.shift_guard.disarm()
+                self.last_shift_verdict_ = None
+                self.health.note(
+                    ReasonCode.RECALIBRATED,
+                    f"weighted shift repair installed (ESS={ess:.1f})",
+                )
+                self._recover(
+                    self._model,
                     ReasonCode.RECALIBRATED,
                     "weighted recalibration restored nominal serving",
                 )
-        return float(ess)
+            return float(ess)

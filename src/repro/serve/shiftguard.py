@@ -160,9 +160,8 @@ class ShiftGuard:
     def arm(self, flow: RobustVminFlow) -> "ShiftGuard":
         """Baseline every sentinel on a fitted flow's calibration data.
 
-        Raises ``RuntimeError`` when the flow is unfitted or was
-        published before the shift layer existed (no frozen calibration
-        features) -- the caller decides whether to serve unguarded.
+        Raises ``RuntimeError`` when the flow is unfitted -- the caller
+        decides whether to serve unguarded.
         """
         if flow.primary_ is None:
             raise RuntimeError("cannot arm a shift guard on an unfitted flow")

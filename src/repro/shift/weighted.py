@@ -147,6 +147,10 @@ class WeightedBandCalibrator:
         self._weights = weights
         self.n_calibration_ = int(scores.size)
 
+    def serving_note(self) -> str:
+        """What a served interval notes about its calibration."""
+        return f"weighted shift repair active (ESS={self.ess_:.1f})"
+
     def _test_weights(self, X: np.ndarray) -> np.ndarray:
         if self.ratio is None:
             return np.ones(X.shape[0], dtype=np.float64)

@@ -378,6 +378,33 @@ class TestEnsureCompiled:
         assert all(entry["kernel"] == "oblivious" for entry in summaries)
 
 
+class TestRepickle:
+    """A loaded bundle pickles back to the bytes it was loaded from, so a
+    republished flow is the bundle that was verified, byte for byte."""
+
+    def test_gbm_round_trips_byte_for_byte(self, rng):
+        X = rng.normal(size=(160, 6))
+        y = X[:, 0] + rng.normal(scale=0.3, size=160)
+        model = GradientBoostingRegressor(n_estimators=10, random_state=0)
+        bundle = pickle.dumps(model.fit(X, y))
+        assert pickle.dumps(pickle.loads(bundle)) == bundle
+
+    def test_flow_round_trips_byte_for_byte(self, rng):
+        from repro.robust import RobustVminFlow
+
+        X = rng.normal(size=(160, 6))
+        y = X[:, 0] + rng.normal(scale=0.3, size=160)
+        flow = RobustVminFlow(
+            base_model=ObliviousBoostingRegressor(
+                n_estimators=10, quantile=0.5, random_state=0
+            ),
+            alpha=0.2,
+            random_state=0,
+        ).fit(X, y)
+        bundle = pickle.dumps(flow)
+        assert pickle.dumps(pickle.loads(bundle)) == bundle
+
+
 class TestEndToEndCQRParity:
     def test_flow_intervals_identical_with_and_without_kernel(
         self, rng, monkeypatch

@@ -271,7 +271,7 @@ class TestObserveAndRecalibration:
         assert flow.recalibrations_ >= 1
         # Gibbs-Candes: sustained misses pushed alpha_t below nominal at
         # some point (it drifts back up once coverage recovers).
-        assert min(flow.adaptive_.alpha_history_) < flow.alpha
+        assert min(flow.calibration_.alpha_history_) < flow.alpha
         after = flow.predict_interval(Xh)
         assert after.mean_width > width_before
         assert any("recalibration" in note for note in after.notes)

@@ -267,7 +267,8 @@ class TestServiceIntegration:
             if r.reason is ReasonCode.COVARIATE_SHIFT
         ]
         assert any("weighted repair refused" in d for d in details)
-        assert not flow.weighted_active  # serving path untouched
+        served = service.served_model
+        assert served.calibration_ is served.primary_.cqr_  # serving path untouched
 
     def test_hot_swap_rearms_after_repair(self, tmp_path, lot):
         flow, Xh, yh = lot
