@@ -57,7 +57,6 @@ def main() -> None:
         alpha=0.1,
         random_state=args.seed,
         monitor_window=30,
-        monitor_tolerance=0.05,
         monitor_min_observations=15,
         gamma=0.2,
     )

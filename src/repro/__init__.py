@@ -59,7 +59,6 @@ from repro.models import (
     QuantileLinearRegression,
 )
 from repro.robust import (
-    DegradationPolicy,
     DegradationStatus,
     DegradedPrediction,
     FaultCampaign,
@@ -81,7 +80,6 @@ __all__ = [
     "CVPlusRegressor",
     "ConformalizedQuantileRegressor",
     "DeepEnsembleRegressor",
-    "DegradationPolicy",
     "DegradationStatus",
     "DegradedPrediction",
     "FaultCampaign",

@@ -327,6 +327,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceState,
         VminServingService,
     )
+    from repro.serve.compiled import kernel_label
 
     if args.dataset:
         _verify_dataset_artifact(args.dataset)
@@ -403,12 +404,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for entry in registry.describe(result.model_version).manifest.get(
             "compiled", []
         ):
-            size_key = "n_leaves" if "n_leaves" in entry else "max_nodes"
-            print(
-                "  compiled kernel: {}(n_trees={}, {}={})".format(
-                    entry["kernel"], entry["n_trees"], size_key, entry[size_key]
-                )
-            )
+            print(f"  compiled kernel: {kernel_label(entry)}")
     print(
         f"held-out coverage {prediction.coverage(y[n_train:]):.1%}, "
         f"mean width {prediction.mean_width*1e3:.1f} mV"

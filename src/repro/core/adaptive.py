@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 

@@ -58,7 +58,7 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         ``True`` (paper) calibrates one shared margin from the two-sided
         score of Eq. (9).  ``False`` calibrates the lower and upper
         violations separately at level ``alpha/2`` each -- the asymmetric
-        CQR variant of Romano et al., exercised by the ablations.
+        CQR variant of Romano et al.
     band_template:
         Optional unfitted band object (``fit``/``predict_interval``,
         cloneable) used instead of building a

@@ -10,8 +10,9 @@ added to test-time predictions.  The paper uses two:
   escapes a quantile band (negative when safely inside), for CQR.
 
 :func:`normalized_residual_score` is the classical locally-weighted
-variant (residual / difficulty estimate), provided as an extension and
-used in the ablation benchmarks.
+variant (residual / difficulty estimate), provided as an extension:
+:class:`~repro.core.split_cp.SplitConformalRegressor` scores with it
+when given a ``difficulty_estimator``.
 """
 
 from __future__ import annotations

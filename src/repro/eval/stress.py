@@ -567,6 +567,7 @@ def run_serving_campaign(
     # Deferred import: repro.serve depends on repro.robust, and keeping
     # eval's module import light lets `repro.eval` load without the
     # serving stack when only the data-fault campaigns are used.
+    from repro.serve.compiled import kernel_label
     from repro.serve.recalibration import DriftRecalibrator
     from repro.serve.registry import ModelRegistry
     from repro.serve.service import (
@@ -591,13 +592,7 @@ def run_serving_campaign(
         flow, reason="published", metadata={"phase": "bootstrap"}
     )
     compiled_kernels = tuple(
-        "{}(n_trees={}, {}={})".format(
-            entry["kernel"],
-            entry["n_trees"],
-            "n_leaves" if "n_leaves" in entry else "max_nodes",
-            entry.get("n_leaves", entry.get("max_nodes")),
-        )
-        for entry in bootstrap.manifest.get("compiled", [])
+        kernel_label(entry) for entry in bootstrap.manifest.get("compiled", [])
     )
     config = ServingConfig(
         max_in_flight=2,
@@ -931,7 +926,6 @@ def run_shift_campaign(
     detector_stride: int = 8,
     ratio_stride: int = 16,
     ratio_ridge: float = 4.0,
-    min_ess: float = 10.0,
     min_recal_labels: Optional[int] = None,
     batch_size: int = 65,
     alpha: float = 0.1,
@@ -1099,8 +1093,8 @@ def run_shift_campaign(
     service.start()
 
     def ratio_estimator() -> LogisticDensityRatio:
-        """A fresh, seeded density-ratio template per repair attempt."""
-        return LogisticDensityRatio(ridge=ratio_ridge, random_state=seed)
+        """A fresh density-ratio template per repair attempt."""
+        return LogisticDensityRatio(ridge=ratio_ridge)
 
     def stream_observe(X, y, zones=None) -> None:
         """Feed label feedback in ATE-sized batches.
@@ -1182,7 +1176,6 @@ def run_shift_campaign(
         ess = service.repair_shift(
             X_shift,
             ratio_columns=ratio_columns,
-            min_ess=min_ess,
             ratio_estimator=ratio_estimator(),
         )
         new_fab_repair = "weighted"
@@ -1290,7 +1283,6 @@ def run_shift_campaign(
         service.repair_shift(
             X_recal,
             ratio_columns=ratio_columns,
-            min_ess=min_ess,
             ratio_estimator=ratio_estimator(),
         )
     except DegenerateWeightsError:

@@ -14,7 +14,7 @@ each usable on its own:
   input-sanitization front-end: train-time statistic capture, per-entry
   health masks, bounded median imputation;
 * :mod:`repro.robust.fallback` -- graceful degradation semantics:
-  :class:`DegradationPolicy`, interval inflation, and the structured
+  the fixed damage thresholds and inflation schedule, and the structured
   :class:`DegradedPrediction` result;
 * :mod:`repro.robust.monitoring` -- the rolling empirical-coverage
   monitor whose alarms trigger online recalibration.
@@ -24,7 +24,6 @@ around the paper's :class:`~repro.flow.pipeline.VminPredictionFlow`.
 """
 
 from repro.robust.fallback import (
-    DegradationPolicy,
     DegradationStatus,
     DegradedPrediction,
     inflate_intervals,
@@ -55,7 +54,6 @@ __all__ = [
     "CoverageMonitor",
     "CoverageTransition",
     "DeadSensors",
-    "DegradationPolicy",
     "DegradationStatus",
     "DegradedPrediction",
     "ExecutionFault",

@@ -11,8 +11,10 @@ inputs are damaged, ordered by how much trust survives:
   all; switch to a model trained on the still-healthy feature group
   (typically time-zero parametric data) and inflate.
 
-:class:`DegradationPolicy` encodes the thresholds and the inflation
-schedule; :class:`DegradedPrediction` is the structured result every
+The thresholds and the inflation schedule are fixed operating points
+(:data:`FALLBACK_THRESHOLD`, :data:`WIDTH_INFLATION`, ...), applied by
+:func:`classify` and :func:`inflation_factor`;
+:class:`DegradedPrediction` is the structured result every
 robust prediction returns -- intervals plus status, health report,
 inflation factor, and human-readable notes -- so a test-floor
 integration can log and branch instead of catching exceptions.
@@ -30,11 +32,31 @@ from repro.core.intervals import PredictionIntervals
 from repro.robust.guard import HealthReport
 
 __all__ = [
-    "DegradationPolicy",
+    "DEGRADED_THRESHOLD",
     "DegradationStatus",
     "DegradedPrediction",
+    "FALLBACK_THRESHOLD",
+    "MAX_INFLATION",
+    "WIDTH_INFLATION",
+    "classify",
     "inflate_intervals",
+    "inflation_factor",
 ]
+
+DEGRADED_THRESHOLD = 0.0
+"""Unhealthy-feature fraction above which a batch is no longer ``OK``:
+any imputation at all degrades it."""
+
+FALLBACK_THRESHOLD = 0.3
+"""Unhealthy fraction *of the monitored feature group* at which the
+primary model is abandoned for the fallback model."""
+
+WIDTH_INFLATION = 1.5
+"""Extra relative width charged per unit unhealthy fraction."""
+
+MAX_INFLATION = 3.0
+"""The inflation charged when the primary model serves a batch whose
+monitor block is too damaged to trust (no usable fallback)."""
 
 
 class DegradationStatus(enum.Enum):
@@ -61,65 +83,24 @@ def inflate_intervals(
     return PredictionIntervals(mid - factor * half, mid + factor * half)
 
 
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Thresholds and inflation schedule for degraded serving.
+def classify(
+    unhealthy_fraction: float, monitor_unhealthy_fraction: float
+) -> DegradationStatus:
+    """Map damage fractions to a serving status."""
+    if monitor_unhealthy_fraction >= FALLBACK_THRESHOLD:
+        return DegradationStatus.FALLBACK
+    if unhealthy_fraction > DEGRADED_THRESHOLD:
+        return DegradationStatus.DEGRADED
+    return DegradationStatus.OK
 
-    Attributes
-    ----------
-    degraded_threshold:
-        Unhealthy-feature fraction above which the batch is no longer
-        ``OK`` (any imputation at all below this is tolerated silently).
-    fallback_threshold:
-        Unhealthy fraction *of the monitored feature group* above which
-        the primary model is abandoned for the fallback model.
-    width_inflation:
-        Extra relative width charged per unit unhealthy fraction:
-        the factor is ``1 + width_inflation * unhealthy_fraction``.
-    max_inflation:
-        Hard cap on the inflation factor.
-    """
 
-    degraded_threshold: float = 0.0
-    fallback_threshold: float = 0.3
-    width_inflation: float = 1.5
-    max_inflation: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.degraded_threshold <= 1.0:
-            raise ValueError(
-                f"degraded_threshold must be in [0, 1], got {self.degraded_threshold}"
-            )
-        if not 0.0 < self.fallback_threshold <= 1.0:
-            raise ValueError(
-                f"fallback_threshold must be in (0, 1], got {self.fallback_threshold}"
-            )
-        if self.width_inflation < 0:
-            raise ValueError(
-                f"width_inflation must be >= 0, got {self.width_inflation}"
-            )
-        if self.max_inflation < 1.0:
-            raise ValueError(f"max_inflation must be >= 1, got {self.max_inflation}")
-
-    def classify(
-        self, unhealthy_fraction: float, monitor_unhealthy_fraction: float
-    ) -> DegradationStatus:
-        """Map damage fractions to a serving status."""
-        if monitor_unhealthy_fraction >= self.fallback_threshold:
-            return DegradationStatus.FALLBACK
-        if unhealthy_fraction > self.degraded_threshold:
-            return DegradationStatus.DEGRADED
-        return DegradationStatus.OK
-
-    def inflation_factor(self, unhealthy_fraction: float) -> float:
-        """Interval-width multiplier charged for ``unhealthy_fraction``."""
-        if not 0.0 <= unhealthy_fraction <= 1.0:
-            raise ValueError(
-                f"unhealthy_fraction must be in [0, 1], got {unhealthy_fraction}"
-            )
-        return float(
-            min(1.0 + self.width_inflation * unhealthy_fraction, self.max_inflation)
+def inflation_factor(unhealthy_fraction: float) -> float:
+    """Interval-width multiplier ``1 + WIDTH_INFLATION * fraction``."""
+    if not 0.0 <= unhealthy_fraction <= 1.0:
+        raise ValueError(
+            f"unhealthy_fraction must be in [0, 1], got {unhealthy_fraction}"
         )
+    return float(1.0 + WIDTH_INFLATION * unhealthy_fraction)
 
 
 @dataclass(frozen=True)

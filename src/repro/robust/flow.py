@@ -34,10 +34,13 @@ from repro.core.scores import cqr_score
 from repro.flow.pipeline import VminPredictionFlow
 from repro.models.base import BaseRegressor, check_fitted, check_X_y, clone
 from repro.robust.fallback import (
-    DegradationPolicy,
+    FALLBACK_THRESHOLD,
+    MAX_INFLATION,
     DegradationStatus,
     DegradedPrediction,
+    classify,
     inflate_intervals,
+    inflation_factor,
 )
 from repro.robust.guard import FeatureHealthGuard, HealthReport
 from repro.robust.imputation import TrainStatImputer
@@ -45,7 +48,11 @@ from repro.robust.monitoring import CoverageAlarm, CoverageMonitor
 from repro.shift.weighted import weighted_band_calibrator
 from repro.shift.weights import LogisticDensityRatio
 
-__all__ = ["ObservedBatch", "RobustVminFlow"]
+__all__ = ["MONITOR_TOLERANCE", "ObservedBatch", "RobustVminFlow"]
+
+MONITOR_TOLERANCE = 0.05
+"""Rolling coverage may sit this far below ``1 - alpha`` before the
+coverage monitor alarms."""
 
 
 def _validate_columns(
@@ -71,10 +78,12 @@ class ObservedBatch:
     alarm:
         The coverage alarm the batch fired, if any.
     scores:
-        The batch's CQR conformity scores against the primary band --
-        the floats :meth:`RobustVminFlow.conformity_scores` returns for
-        it -- so the shift sentinels can consume them without scoring
-        the batch again.
+        The batch's CQR conformity scores against the primary band, so
+        the shift sentinels can consume them without scoring the batch
+        again.  Never against the adaptive or weighted margins: the
+        exchangeability sentinel compares them with calibration scores
+        of that same band, and mixing bands would alarm on the flow's
+        own recalibration instead of on the data.
     """
 
     alarm: Optional[CoverageAlarm]
@@ -92,21 +101,14 @@ class RobustVminFlow:
         CQR CatBoost recipe (see :class:`VminPredictionFlow`).
     alpha:
         Target miscoverage of the served intervals.
-    n_features, scale, calibration_fraction, random_state:
-        Forwarded to the wrapped :class:`VminPredictionFlow`.
-    policy:
-        Degradation thresholds and inflation schedule
-        (:class:`~repro.robust.fallback.DegradationPolicy`).
-    guard:
-        Unfitted :class:`~repro.robust.guard.FeatureHealthGuard`; a
-        default-configured one when ``None``.  Fitted in place by
-        :meth:`fit`.
-    imputer:
-        Unfitted :class:`~repro.robust.imputation.TrainStatImputer`;
-        default-configured when ``None``.  Fitted in place by :meth:`fit`.
-    monitor_window, monitor_tolerance, monitor_min_observations:
+    random_state:
+        Forwarded to the wrapped :class:`VminPredictionFlow`, which
+        otherwise keeps its defaults (every feature, unscaled, a quarter
+        of the chips held out for calibration).
+    monitor_window, monitor_min_observations:
         Rolling-coverage monitor configuration
-        (:class:`~repro.robust.monitoring.CoverageMonitor`).
+        (:class:`~repro.robust.monitoring.CoverageMonitor`; its
+        tolerance is :data:`MONITOR_TOLERANCE`).
     gamma, adaptation_window:
         Gibbs-Candès step size and score window for the online
         recalibration path (:class:`AdaptiveConformalPredictor`).
@@ -124,15 +126,8 @@ class RobustVminFlow:
         self,
         base_model: Optional[BaseRegressor] = None,
         alpha: float = 0.1,
-        n_features: Optional[int] = None,
-        scale: bool = False,
-        calibration_fraction: float = 0.25,
         random_state: Optional[int] = None,
-        policy: Optional[DegradationPolicy] = None,
-        guard: Optional[FeatureHealthGuard] = None,
-        imputer: Optional[TrainStatImputer] = None,
         monitor_window: int = 50,
-        monitor_tolerance: float = 0.05,
         monitor_min_observations: int = 20,
         gamma: float = 0.05,
         adaptation_window: Optional[int] = None,
@@ -143,33 +138,18 @@ class RobustVminFlow:
             raise ValueError(f"gamma must be >= 0, got {gamma}")
         self.base_model = base_model
         self.alpha = alpha
-        self.n_features = n_features
-        self.scale = scale
-        self.calibration_fraction = calibration_fraction
         self.random_state = random_state
-        self.policy = policy if policy is not None else DegradationPolicy()
-        self.guard = guard
-        self.imputer = imputer
         self.monitor_window = monitor_window
-        self.monitor_tolerance = monitor_tolerance
         self.monitor_min_observations = monitor_min_observations
         self.gamma = gamma
         self.adaptation_window = adaptation_window
         self.primary_: Optional[VminPredictionFlow] = None
 
     # -- fitting ---------------------------------------------------------------
-    def _make_flow(self, n_available: Optional[int] = None) -> VminPredictionFlow:
+    def _make_flow(self) -> VminPredictionFlow:
         template = clone(self.base_model) if self.base_model is not None else None
-        n_features = self.n_features
-        if n_features is not None and n_available is not None:
-            n_features = min(n_features, n_available)
         return VminPredictionFlow(
-            base_model=template,
-            alpha=self.alpha,
-            n_features=n_features,
-            scale=self.scale,
-            calibration_fraction=self.calibration_fraction,
-            random_state=self.random_state,
+            base_model=template, alpha=self.alpha, random_state=self.random_state
         )
 
     def fit(
@@ -216,12 +196,8 @@ class RobustVminFlow:
         else:
             self.monitor_columns_ = np.arange(d, dtype=np.int64)
 
-        self.guard_ = (
-            self.guard if self.guard is not None else FeatureHealthGuard()
-        ).fit(X)
-        self.imputer_ = (
-            self.imputer if self.imputer is not None else TrainStatImputer()
-        ).fit(X)
+        self.guard_ = FeatureHealthGuard().fit(X)
+        self.imputer_ = TrainStatImputer().fit(X)
 
         primary = self._make_flow()
         primary.fit(X, y, feature_names=feature_names)
@@ -234,7 +210,7 @@ class RobustVminFlow:
                 if feature_names is not None
                 else None
             )
-            fallback = self._make_flow(n_available=int(self.fallback_columns_.size))
+            fallback = self._make_flow()
             fallback.fit(
                 X[:, self.fallback_columns_], y, feature_names=fallback_names
             )
@@ -244,7 +220,7 @@ class RobustVminFlow:
         self.monitor_ = CoverageMonitor(
             target_coverage=1.0 - self.alpha,
             window=self.monitor_window,
-            tolerance=self.monitor_tolerance,
+            tolerance=MONITOR_TOLERANCE,
             min_observations=self.monitor_min_observations,
         )
         self.n_features_in_ = d
@@ -293,7 +269,7 @@ class RobustVminFlow:
         """
         X = self._validate_structure(X)
         report = self.guard_.assess(X)
-        return self.imputer_.transform(X, report=report), report
+        return self.imputer_.transform(X, report), report
 
     def _band(self, X_clean: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The primary quantile band on a sanitized batch.
@@ -343,27 +319,10 @@ class RobustVminFlow:
         check_fitted(self, "primary_")
         return np.array(self.primary_.cqr_.calibration_features_)
 
-    def conformity_scores(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """CQR conformity scores of labelled chips against the reference band.
-
-        Always scored against the *primary* band -- never the adaptive
-        or weighted variants -- because the exchangeability sentinel
-        compares against calibration scores from that same band; mixing
-        bands would alarm on our own recalibration instead of on the
-        data.  :meth:`observe` returns the same scores for the batch it
-        streams.  Zero labelled chips score to an empty array.
-        """
-        X, y = self._validate_labelled(X, y)
-        if y.shape[0] == 0:
-            return np.zeros(0)
-        X_clean, _ = self._sanitize(X)
-        return cqr_score(y, *self._band(X_clean))
-
     def recalibrate_weighted(
         self,
         X_recent: np.ndarray,
         ratio_columns: Optional[Sequence[int]] = None,
-        min_ess: float = 10.0,
         ratio_estimator: Optional[LogisticDensityRatio] = None,
     ) -> float:
         """Repair coverage under covariate shift with weighted margins.
@@ -376,9 +335,10 @@ class RobustVminFlow:
         calibration weights.
 
         Raises :class:`~repro.shift.DegenerateWeightsError` -- leaving
-        the serving path unchanged -- when the weights degenerate below
-        ``min_ess``: a shift that severe cannot be repaired by
-        reweighting and needs a refit (see ``docs/SHIFT.md``).
+        the serving path unchanged -- when the weights' effective sample
+        size falls below :data:`~repro.shift.weighted.MIN_ESS`: a shift
+        that severe cannot be repaired by reweighting and needs a refit
+        (see ``docs/SHIFT.md``).
 
         Parameters
         ----------
@@ -389,8 +349,6 @@ class RobustVminFlow:
             Columns to estimate the ratio on; defaults to
             ``monitor_columns_`` (the block that moves under process
             shift).
-        min_ess:
-            Effective-sample-size floor of the repair.
         ratio_estimator:
             Unfitted ratio template (deep-copied); default-configured
             :class:`~repro.shift.LogisticDensityRatio` when ``None``.
@@ -413,7 +371,6 @@ class RobustVminFlow:
             alpha=self.alpha,
             ratio_estimator=ratio_estimator,
             ratio_columns=columns,
-            min_ess=min_ess,
         )
         self.calibration_ = calibrator
         self.recalibrations_ += 1
@@ -455,37 +412,37 @@ class RobustVminFlow:
         # degradation is charged on the worse of the two views.
         overall = max(report.unhealthy_fraction, report.damaged_entry_fraction)
         monitor_frac = report.unhealthy_fraction_of(self.monitor_columns_)
-        status = self.policy.classify(overall, monitor_frac)
+        status = classify(overall, monitor_frac)
         notes: List[str] = []
         used_fallback = False
 
         if status is DegradationStatus.FALLBACK and self.fallback_ is not None:
             fallback_frac = report.unhealthy_fraction_of(self.fallback_columns_)
-            if fallback_frac < self.policy.fallback_threshold:
+            if fallback_frac < FALLBACK_THRESHOLD:
                 intervals = self.fallback_.predict_interval(
                     X_clean[:, self.fallback_columns_]
                 )
                 used_fallback = True
-                inflation = self.policy.inflation_factor(fallback_frac)
+                inflation = inflation_factor(fallback_frac)
                 notes.append(
                     f"monitor block {monitor_frac:.0%} unhealthy; served "
                     f"fallback model on {self.fallback_columns_.size} columns"
                 )
             else:
-                inflation = self.policy.max_inflation
+                inflation = MAX_INFLATION
                 notes.append(
                     f"monitor block {monitor_frac:.0%} and fallback block "
                     f"{fallback_frac:.0%} unhealthy; served primary model "
                     "at maximum inflation"
                 )
         elif status is DegradationStatus.FALLBACK:
-            inflation = self.policy.max_inflation
+            inflation = MAX_INFLATION
             notes.append(
                 f"monitor block {monitor_frac:.0%} unhealthy and no fallback "
                 "model fitted; served primary model at maximum inflation"
             )
         else:
-            inflation = self.policy.inflation_factor(overall)
+            inflation = inflation_factor(overall)
             if status is DegradationStatus.DEGRADED:
                 notes.append(
                     f"{overall:.0%} of features imputed; interval widened "

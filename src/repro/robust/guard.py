@@ -28,7 +28,24 @@ import numpy as np
 
 from repro.models.base import check_fitted, check_X
 
-__all__ = ["FeatureHealthGuard", "HealthReport"]
+__all__ = [
+    "FeatureHealthGuard",
+    "HealthReport",
+    "RANGE_INFLATION",
+    "RANGE_QUANTILES",
+    "UNHEALTHY_FRACTION",
+]
+
+RANGE_QUANTILES = (0.01, 0.99)
+"""Training quantiles anchoring each column's plausible range."""
+
+RANGE_INFLATION = 1.0
+"""Quantile spans the plausible range extends on each side; finite
+values outside it are flagged out of range."""
+
+UNHEALTHY_FRACTION = 0.5
+"""Share of a column's entries that may be missing or out of range
+before the column counts as unhealthy for the batch."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +65,7 @@ class HealthReport:
     unhealthy:
         (n_features,) bool -- columns failing any check badly enough to
         be considered unusable for this batch (see
-        :class:`FeatureHealthGuard.unhealthy_fraction`).
+        :data:`UNHEALTHY_FRACTION`).
     finite_min, finite_max:
         (n_features,) float -- each column's extremes over its finite
         entries: NaN for an all-NaN column, and the identities ``+inf``
@@ -127,46 +144,20 @@ class HealthReport:
 class FeatureHealthGuard:
     """Train-time statistic capture + batch-time health masks.
 
-    Parameters
-    ----------
-    range_quantiles:
-        (low, high) training quantiles anchoring the plausible range.
-    range_inflation:
-        The plausible range is the quantile span inflated by this factor
-        on each side; values outside are flagged out-of-range.  Larger
-        values tolerate more drift before flagging.
-    unhealthy_fraction:
-        A column is *unhealthy* for a batch when it is stuck, or when
-        more than this fraction of its entries are missing or
-        out-of-range.
+    The plausible range of a column is its
+    :data:`RANGE_QUANTILES` training span widened by
+    :data:`RANGE_INFLATION` spans on each side; a column is *unhealthy*
+    for a batch when it is stuck or more than :data:`UNHEALTHY_FRACTION`
+    of its entries are missing or out of range.
     """
 
-    def __init__(
-        self,
-        range_quantiles: Tuple[float, float] = (0.01, 0.99),
-        range_inflation: float = 1.0,
-        unhealthy_fraction: float = 0.5,
-    ) -> None:
-        lo, hi = float(range_quantiles[0]), float(range_quantiles[1])
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(
-                f"range_quantiles must satisfy 0 <= lo < hi <= 1, got {range_quantiles}"
-            )
-        if range_inflation < 0:
-            raise ValueError(f"range_inflation must be >= 0, got {range_inflation}")
-        if not 0.0 <= unhealthy_fraction <= 1.0:
-            raise ValueError(
-                f"unhealthy_fraction must be in [0, 1], got {unhealthy_fraction}"
-            )
-        self.range_quantiles = (lo, hi)
-        self.range_inflation = float(range_inflation)
-        self.unhealthy_fraction = float(unhealthy_fraction)
+    def __init__(self) -> None:
         self.median_ = None
 
     def fit(self, X: np.ndarray) -> "FeatureHealthGuard":
         """Capture per-feature statistics from a clean training matrix."""
         X = check_X(X)
-        lo_q, hi_q = self.range_quantiles
+        lo_q, hi_q = RANGE_QUANTILES
         q_lo = np.quantile(X, lo_q, axis=0)
         q_hi = np.quantile(X, hi_q, axis=0)
         span = q_hi - q_lo
@@ -175,8 +166,8 @@ class FeatureHealthGuard:
         floor = 1e-9 * np.maximum(1.0, np.abs(q_hi))
         span = np.maximum(span, floor)
         self.median_ = np.median(X, axis=0)
-        self.lower_bound_ = q_lo - self.range_inflation * span
-        self.upper_bound_ = q_hi + self.range_inflation * span
+        self.lower_bound_ = q_lo - RANGE_INFLATION * span
+        self.upper_bound_ = q_hi + RANGE_INFLATION * span
         # max == min is exact for truly constant columns, unlike std(),
         # whose accumulated rounding can leave a nonzero residual.
         self.train_constant_ = X.max(axis=0) == X.min(axis=0)  # reprolint: disable=REP102
@@ -258,7 +249,7 @@ class FeatureHealthGuard:
             stuck = batch_frozen & ~self.train_constant_
         # Missing and out-of-range entries are disjoint, so the summed
         # counts over n_samples equal the mean of their union exactly.
-        unhealthy = stuck | (broken / n_samples > self.unhealthy_fraction)
+        unhealthy = stuck | (broken / n_samples > UNHEALTHY_FRACTION)
         return HealthReport(
             missing=missing,
             out_of_range=out_of_range,

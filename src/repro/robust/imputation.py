@@ -22,34 +22,23 @@ interval in proportion to how much of the batch was imputed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.models.base import check_fitted, check_X
 from repro.robust.guard import HealthReport
 
-__all__ = ["TrainStatImputer"]
+__all__ = ["CLIP_MARGIN", "TrainStatImputer"]
+
+CLIP_MARGIN = 0.25
+"""Fraction of each column's training span the clip range extends past
+the training min and max."""
 
 
 class TrainStatImputer:
-    """Median fill + range clipping from training statistics.
+    """Median fill + clipping into the training range widened by
+    :data:`CLIP_MARGIN` spans on each side."""
 
-    Parameters
-    ----------
-    clip:
-        When True (default), clip every output value into the observed
-        training range inflated by ``clip_margin`` on each side.
-    clip_margin:
-        Fractional range inflation applied before clipping; 0 clips to
-        the exact training min/max.
-    """
-
-    def __init__(self, clip: bool = True, clip_margin: float = 0.25) -> None:
-        if clip_margin < 0:
-            raise ValueError(f"clip_margin must be >= 0, got {clip_margin}")
-        self.clip = bool(clip)
-        self.clip_margin = float(clip_margin)
+    def __init__(self) -> None:
         self.median_ = None
 
     def fit(self, X: np.ndarray) -> "TrainStatImputer":
@@ -57,31 +46,21 @@ class TrainStatImputer:
         X = check_X(X)
         self.median_ = np.median(X, axis=0)
         span = X.max(axis=0) - X.min(axis=0)
-        self.lower_ = X.min(axis=0) - self.clip_margin * span
-        self.upper_ = X.max(axis=0) + self.clip_margin * span
+        self.lower_ = X.min(axis=0) - CLIP_MARGIN * span
+        self.upper_ = X.max(axis=0) + CLIP_MARGIN * span
         self.n_features_in_ = int(X.shape[1])
         return self
 
-    def transform(
-        self, X: np.ndarray, report: Optional[HealthReport] = None
-    ) -> np.ndarray:
+    def transform(self, X: np.ndarray, report: HealthReport) -> np.ndarray:
         """Return a finite, bounded copy of ``X``.
 
-        Parameters
-        ----------
-        X:
-            Possibly corrupted batch (NaN/Inf allowed).
-        report:
-            The :class:`~repro.robust.guard.HealthReport` of ``X``.  Its
-            missing mask says which entries to fill, its stuck columns
-            are replaced wholesale by the training median, and its
-            finite column extremes say which columns to clip without
-            reading the output again.  ``None`` fills the non-finite
-            entries of ``X``, medianises no column and reads the
-            output's extremes.
-
-        Clipping runs in place and only on the columns whose extremes
-        leave the clip range; every other column is already inside it.
+        ``report`` is the guard's :class:`~repro.robust.guard.HealthReport`
+        of ``X``: its missing mask says which entries to fill, its stuck
+        columns are replaced wholesale by the training median, and its
+        finite column extremes say which columns to clip without reading
+        the output again.  Clipping runs in place and only on the
+        columns whose extremes leave the clip range; every other column
+        is already inside it.
         """
         check_fitted(self, "median_")
         X = np.asarray(X, dtype=np.float64)
@@ -92,36 +71,27 @@ class TrainStatImputer:
                 f"X has {X.shape[1]} features, imputer was fitted on "
                 f"{self.n_features_in_}"
             )
-        if report is None:
-            missing, stuck = ~np.isfinite(X), None
-        elif report.missing.shape != X.shape:
+        if report.missing.shape != X.shape:
             raise ValueError(
                 f"report covers a batch of shape {report.missing.shape}, "
                 f"expected {X.shape}"
             )
-        else:
-            missing, stuck = report.missing, report.stuck
         out = X.copy()
-        if missing.any():
-            np.copyto(out, self.median_, where=missing)
-        if stuck is not None:
-            out[:, stuck] = self.median_[stuck]
-        if self.clip and out.shape[0]:
-            if report is None:
-                outside = (out.min(axis=0) < self.lower_) | (out.max(axis=0) > self.upper_)
-            else:
-                # The training median lies inside the clip range, so a
-                # filled entry never moves a column past it: the finite
-                # extremes decide, and a stuck column (all median) never
-                # clips.  NaN extremes and the identities of a column
-                # with no finite entry compare False.
-                outside = (
-                    (report.finite_min < self.lower_)
-                    | (report.finite_max > self.upper_)
-                ) & ~stuck
-            outside = np.flatnonzero(outside)
-            if outside.size:
-                out[:, outside] = np.clip(
-                    out[:, outside], self.lower_[outside], self.upper_[outside]
-                )
+        if report.missing.any():
+            np.copyto(out, self.median_, where=report.missing)
+        stuck = report.stuck
+        out[:, stuck] = self.median_[stuck]
+        # The training median lies inside the clip range, so a filled
+        # entry never moves a column past it: the finite extremes
+        # decide, and a stuck column (all median) never clips.  NaN
+        # extremes and the identities of a column with no finite entry
+        # compare False.
+        outside = np.flatnonzero(
+            ((report.finite_min < self.lower_) | (report.finite_max > self.upper_))
+            & ~stuck
+        )
+        if outside.size:
+            out[:, outside] = np.clip(
+                out[:, outside], self.lower_[outside], self.upper_[outside]
+            )
         return out

@@ -9,7 +9,8 @@ inside it (primary and fallback flows, the CQR band's lower and upper
 quantile models, feature-selection wrappers) and reports their kernels
 in manifest-ready JSON.  ``ModelRegistry.publish`` records it, so the
 manifest documents *how* a version scores, not just what it is, and the
-CLI/soak harness can surface it without unpickling.
+CLI/soak harness can surface it without unpickling, each entry as one
+:func:`kernel_label`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Dict, Iterator, List
 from repro.models.gbm import GradientBoostingRegressor
 from repro.models.oblivious import ObliviousBoostingRegressor
 
-__all__ = ["compiled_summary"]
+__all__ = ["compiled_summary", "kernel_label"]
 
 # Fitted-attribute edges the walk follows from a flow object down to
 # its boosting ensembles.  Templates (unfitted ``estimator`` params)
@@ -75,3 +76,12 @@ def compiled_summary(model: Any) -> List[Dict[str, Any]]:
         if kernel is not None:
             summaries.append(kernel.summary())
     return summaries
+
+
+def kernel_label(entry: Dict[str, Any]) -> str:
+    """One manifest entry as text: ``oblivious(n_trees=100, n_leaves=64)``,
+    ``depthwise(n_trees=100, max_nodes=63)``."""
+    size_key = "n_leaves" if "n_leaves" in entry else "max_nodes"
+    return "{}(n_trees={}, {}={})".format(
+        entry["kernel"], entry["n_trees"], size_key, entry[size_key]
+    )

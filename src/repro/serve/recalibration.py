@@ -26,8 +26,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.adaptive import AdaptiveConformalPredictor
-from repro.serve.health import ReasonCode
 from repro.serve.service import VminServingService
 
 __all__ = ["DriftRecalibrator", "RecalibrationEvent"]
@@ -109,41 +107,19 @@ class DriftRecalibrator:
         return self.maybe_republish()
 
     def maybe_republish(self) -> Optional[RecalibrationEvent]:
-        """Republish now if the trigger conditions hold, else ``None``."""
-        service = self.service
-        model = service.served_model
-        parent = service.model_version
-        calibration = getattr(model, "calibration_", None)
-        if not isinstance(calibration, AdaptiveConformalPredictor):
-            return None
+        """Republish now if the trigger conditions hold, else ``None``.
+
+        The snapshot, publication, audit note and hot-swap happen in
+        :meth:`~repro.serve.service.VminServingService.republish_adaptive`
+        under the service's own locks.
+        """
         if self._labels_since_publish < self.min_labels:
             return None
-        alpha_t = float(calibration.alpha_t)
-        parent_name = (
-            parent if parent in service.registry.versions() else None
-        )
-        record = service.registry.publish(
-            model,
-            reason="recalibrated",
-            parent=parent_name,
-            metadata={
-                "alpha_t": alpha_t,
-                "n_labels": self._labels_since_publish,
-                "recalibrations": int(model.recalibrations_),
-            },
-        )
-        service.health.note(
-            ReasonCode.RECALIBRATED,
-            f"published {record.name} (parent {parent}, "
-            f"alpha_t={alpha_t:.3f})",
-        )
-        service.hot_swap()
-        event = RecalibrationEvent(
-            version=record.name,
-            parent=parent,
-            n_labels=self._labels_since_publish,
-            alpha_t=alpha_t,
-        )
+        published = self.service.republish_adaptive(self._labels_since_publish)
+        if published is None:
+            return None
+        version, parent, alpha_t = published
+        event = RecalibrationEvent(version, parent, self._labels_since_publish, alpha_t)
         self.events_.append(event)
         self._labels_since_publish = 0
         return event

@@ -50,6 +50,7 @@ from typing import Any, Callable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveConformalPredictor
 from repro.robust.fallback import DegradedPrediction
 from repro.robust.flow import RobustVminFlow
 from repro.runtime.artifacts import ArtifactError
@@ -236,7 +237,8 @@ class VminServingService:
         self._version: str = PARAMETRIC_VERSION
         self._level: FallbackLevel = FallbackLevel.REJECT
         self._lock = threading.RLock()
-        # observe and repair_shift run one at a time; score never waits.
+        # observe, repair_shift and republish_adaptive run one at a time;
+        # score never waits.
         self._feedback_lock = threading.Lock()
         self._slots = threading.Semaphore(self.config.max_in_flight)
         self._waiting = 0
@@ -598,9 +600,7 @@ class VminServingService:
             ):
                 # The flow scored the batch against its primary band while
                 # observing it; the sentinels take those scores as they are.
-                verdict = guard.observe(
-                    model, X, y, zones=zones, scores=observed.scores
-                )
+                verdict = guard.observe(model, X, y, observed.scores, zones=zones)
             with self._lock:
                 if alarm is not None and self.health.state is ServiceState.READY:
                     self.health.transition(
@@ -673,7 +673,6 @@ class VminServingService:
         self,
         X_recent: np.ndarray,
         ratio_columns: Optional[Sequence[int]] = None,
-        min_ess: float = 10.0,
         ratio_estimator: Optional[Any] = None,
     ) -> float:
         """Apply a weighted-conformal repair for a detected covariate shift.
@@ -708,7 +707,6 @@ class VminServingService:
                 ess = model.recalibrate_weighted(
                     X_recent,
                     ratio_columns=ratio_columns,
-                    min_ess=min_ess,
                     ratio_estimator=ratio_estimator,
                 )
             except DegenerateWeightsError as error:
@@ -732,3 +730,37 @@ class VminServingService:
                     "weighted recalibration restored nominal serving",
                 )
             return float(ess)
+
+    def republish_adaptive(self, n_labels: int) -> Optional[Tuple[str, str, float]]:
+        """Publish the served adaptive state as a new version; swap onto it.
+
+        Runs under the feedback lock on one (model, version) snapshot, so
+        the bundle holds the ``alpha_t`` its manifest records (beside
+        ``n_labels``); the note is written under the service lock.  Returns
+        ``(version, parent, alpha_t)``, or ``None`` with no adaptive state.
+        """
+        with self._feedback_lock:
+            with self._lock:
+                model, parent = self._model, self._version
+            calibration = getattr(model, "calibration_", None)
+            if not isinstance(calibration, AdaptiveConformalPredictor):
+                return None
+            alpha_t = float(calibration.alpha_t)
+            record = self.registry.publish(
+                model,
+                reason="recalibrated",
+                parent=parent if parent in self.registry.versions() else None,
+                metadata={
+                    "alpha_t": alpha_t,
+                    "n_labels": int(n_labels),
+                    "recalibrations": int(model.recalibrations_),
+                },
+            )
+            with self._lock:
+                self.health.note(
+                    ReasonCode.RECALIBRATED,
+                    f"published {record.name} (parent {parent}, "
+                    f"alpha_t={alpha_t:.3f})",
+                )
+            self.hot_swap()
+        return record.name, parent, alpha_t

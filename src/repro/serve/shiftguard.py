@@ -46,7 +46,23 @@ from repro.robust.flow import RobustVminFlow
 from repro.robust.monitoring import CoverageMonitor
 from repro.shift import ConformalTestMartingale, CovariateShiftDetector
 
-__all__ = ["ShiftGuard", "ShiftVerdict"]
+__all__ = [
+    "ShiftGuard",
+    "ShiftVerdict",
+    "ZONE_MIN_OBSERVATIONS",
+    "ZONE_TOLERANCE",
+    "ZONE_WINDOW",
+]
+
+ZONE_WINDOW = 40
+"""Labels each wafer-zone coverage monitor's rolling rate spans."""
+
+ZONE_TOLERANCE = 0.10
+"""Rolling zone coverage may sit this far below ``1 - alpha`` before the
+zone alarms."""
+
+ZONE_MIN_OBSERVATIONS = 20
+"""Labels a zone needs before its monitor may alarm."""
 
 
 @dataclass(frozen=True)
@@ -97,12 +113,16 @@ class ShiftVerdict:
 class ShiftGuard:
     """Exchangeability, covariate, and per-zone sentinels for one service.
 
+    Every :meth:`arm` starts a fresh
+    :class:`~repro.shift.ConformalTestMartingale` with tie-break seed 0,
+    and the per-wafer-zone Mondrian
+    :class:`~repro.robust.monitoring.CoverageMonitor` instances run at
+    :data:`ZONE_WINDOW`, :data:`ZONE_TOLERANCE` and
+    :data:`ZONE_MIN_OBSERVATIONS` (target coverage from the armed
+    flow's ``alpha``).
+
     Parameters
     ----------
-    martingale:
-        Template :class:`~repro.shift.ConformalTestMartingale`; copied
-        (never mutated) at every :meth:`arm`.  ``None`` uses the
-        default configuration with a fixed tie-break seed.
     detector:
         Template :class:`~repro.shift.CovariateShiftDetector`; copied at
         every :meth:`arm`.  ``None`` uses a configuration tuned on the
@@ -114,37 +134,15 @@ class ShiftGuard:
         detector watches.  ``None`` watches every monitor column of the
         served flow -- fine for narrow models, but subsampling (e.g.
         every 8th monitor) keeps per-batch PSI evaluation cheap.
-    zone_window, zone_tolerance, zone_min_observations:
-        Rolling-window parameters of the per-wafer-zone Mondrian
-        :class:`~repro.robust.monitoring.CoverageMonitor` instances
-        (target coverage comes from the armed flow's ``alpha``).
     """
 
     def __init__(
         self,
-        martingale: Optional[ConformalTestMartingale] = None,
         detector: Optional[CovariateShiftDetector] = None,
         feature_columns: Optional[Sequence[int]] = None,
-        zone_window: int = 40,
-        zone_tolerance: float = 0.10,
-        zone_min_observations: int = 20,
     ) -> None:
-        if zone_window < 1:
-            raise ValueError(f"zone_window must be >= 1, got {zone_window}")
-        if not 0.0 <= zone_tolerance < 1.0:
-            raise ValueError(
-                f"zone_tolerance must be in [0, 1), got {zone_tolerance}"
-            )
-        if zone_min_observations < 1:
-            raise ValueError(
-                f"zone_min_observations must be >= 1, got {zone_min_observations}"
-            )
-        self.martingale = martingale
         self.detector = detector
         self.feature_columns = feature_columns
-        self.zone_window = int(zone_window)
-        self.zone_tolerance = float(zone_tolerance)
-        self.zone_min_observations = int(zone_min_observations)
         self.martingale_: Optional[ConformalTestMartingale] = None
         self.detector_: Optional[CovariateShiftDetector] = None
         self.zone_monitors_: Dict[str, CoverageMonitor] = {}
@@ -178,11 +176,6 @@ class ShiftGuard:
                 )
         else:
             columns = np.asarray(flow.monitor_columns_, dtype=np.int64)
-        martingale = (
-            copy.deepcopy(self.martingale)
-            if self.martingale is not None
-            else ConformalTestMartingale(random_state=0)
-        )
         detector = (
             copy.deepcopy(self.detector)
             if self.detector is not None
@@ -190,7 +183,7 @@ class ShiftGuard:
                 psi_threshold=1.0, alarm_fraction=0.10, min_observations=40
             )
         )
-        self.martingale_ = martingale.arm(scores)
+        self.martingale_ = ConformalTestMartingale(random_state=0).arm(scores)
         self.detector_ = detector.arm(features[:, columns])
         self.zone_monitors_ = {}
         self.n_observed_ = 0
@@ -212,30 +205,24 @@ class ShiftGuard:
         flow: RobustVminFlow,
         X: np.ndarray,
         y: np.ndarray,
+        scores: np.ndarray,
         zones: Optional[Sequence] = None,
-        scores: Optional[np.ndarray] = None,
     ) -> ShiftVerdict:
         """Stream one labelled batch through every sentinel.
 
-        Feeds the conformity scores of ``(X, y)`` to the martingale, the
+        ``scores`` are the batch's conformity scores against the primary
+        band, as :meth:`RobustVminFlow.observe` returns them for the
+        batch it streams.  Feeds them to the martingale, the
         watched feature columns to the covariate detector (rows with
         damaged values in those columns are skipped -- data health is
         the flow guard's jurisdiction, not a distribution question), and
         -- when ``zones`` labels each chip with its wafer zone -- the
         served interval's hit/miss outcome to that zone's Mondrian
         coverage monitor.  Returns the post-batch :class:`ShiftVerdict`.
-
-        ``scores`` are the batch's conformity scores when the caller
-        already has them -- :meth:`RobustVminFlow.observe` returns them
-        for the batch it streams; ``None`` scores the batch here with
-        :meth:`RobustVminFlow.conformity_scores`.  The primary band does
-        not change after fitting, so both are the same floats.
         """
         if not self.armed:
             raise RuntimeError("shift guard is not armed")
-        if scores is None:
-            scores = flow.conformity_scores(X, y)
-        elif np.shape(scores) != np.shape(y):
+        if np.shape(scores) != np.shape(y):
             raise ValueError(
                 f"scores has shape {np.shape(scores)} for labels of shape "
                 f"{np.shape(y)}"
@@ -260,9 +247,9 @@ class ShiftGuard:
                 if monitor is None:
                     monitor = CoverageMonitor(
                         target_coverage=self._target,
-                        window=self.zone_window,
-                        tolerance=self.zone_tolerance,
-                        min_observations=self.zone_min_observations,
+                        window=ZONE_WINDOW,
+                        tolerance=ZONE_TOLERANCE,
+                        min_observations=ZONE_MIN_OBSERVATIONS,
                     )
                     self.zone_monitors_[str(zone)] = monitor
                 monitor.update(contains[zone_labels == zone])

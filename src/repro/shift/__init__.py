@@ -8,7 +8,7 @@ makes the violation an observable event and provides the repair:
 - :mod:`repro.shift.sentinel` -- online conformal test martingale
   (exchangeability sentinel with a Ville's-inequality alarm threshold)
   and per-feature PSI/KS covariate-shift detectors.
-- :mod:`repro.shift.weights` -- seeded logistic density-ratio
+- :mod:`repro.shift.weights` -- deterministic logistic density-ratio
   estimation and the Kish effective-sample-size degeneracy guard.
 - :mod:`repro.shift.weighted` -- likelihood-ratio-weighted margins
   around a fitted CQR band (split CP over a point band) that restore

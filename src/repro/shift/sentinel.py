@@ -43,13 +43,36 @@ import numpy as np
 from repro.models.base import check_fitted, check_random_state
 
 __all__ = [
+    "BETTING_EPSILONS",
     "ConformalTestMartingale",
     "CovariateShiftAlarm",
     "CovariateShiftDetector",
+    "EXCHANGEABILITY_THRESHOLD",
     "ExchangeabilityAlarm",
+    "PSI_BINS",
+    "PSI_EPSILON",
+    "PSI_WINDOW",
 ]
 
-_DEFAULT_EPSILONS = tuple(round(0.05 + 0.10 * k, 2) for k in range(10))
+EXCHANGEABILITY_THRESHOLD = 100.0
+"""The martingale value that rejects exchangeability.  By Ville's
+inequality an exchangeable stream ever reaches it with probability at
+most ``1 / 100``: a 1 % stream-wise false-alarm budget."""
+
+BETTING_EPSILONS = tuple(round(0.05 + 0.10 * k, 2) for k in range(10))
+"""Betting grid of the mixture power martingale
+``M_t = mean_eps prod_i eps * p_i**(eps - 1)``: ten points 0.05 ... 0.95,
+each betting on a different shift severity, so the mixture needs no
+tuning."""
+
+PSI_BINS = 10
+"""Quantile bins of the reference distribution the PSI is computed on."""
+
+PSI_WINDOW = 200
+"""Length (rows) of the sliding current window; older rows age out."""
+
+PSI_EPSILON = 1e-4
+"""Proportion floor that keeps empty bins out of the PSI logarithms."""
 
 
 @dataclass(frozen=True)
@@ -82,18 +105,11 @@ class ExchangeabilityAlarm:
 class ConformalTestMartingale:
     """Online conformal test martingale over conformity scores.
 
+    Alarms when the mixture martingale over :data:`BETTING_EPSILONS`
+    reaches :data:`EXCHANGEABILITY_THRESHOLD`.
+
     Parameters
     ----------
-    threshold:
-        Alarm when the mixture martingale reaches this value.  By
-        Ville's inequality the probability of ever alarming on an
-        exchangeable stream is at most ``1 / threshold`` (default 100:
-        1 % stream-wise false-alarm budget).
-    epsilons:
-        Betting grid of the mixture power martingale
-        ``M_t = mean_eps prod_i eps * p_i**(eps - 1)``; each epsilon in
-        ``(0, 1)`` bets on a different shift severity and the mixture
-        needs no tuning.  Default: ten points 0.05 ... 0.95.
     random_state:
         Seed for the randomised p-value tie-break (theta ~ U[0, 1)).
         The tie-break is what makes the p-values exactly uniform under
@@ -101,24 +117,7 @@ class ConformalTestMartingale:
         deterministic.
     """
 
-    def __init__(
-        self,
-        threshold: float = 100.0,
-        epsilons: Optional[Sequence[float]] = None,
-        random_state: Optional[int] = None,
-    ) -> None:
-        if not threshold > 1.0:
-            raise ValueError(f"threshold must be > 1, got {threshold}")
-        if epsilons is None:
-            epsilons = _DEFAULT_EPSILONS
-        eps = tuple(float(e) for e in epsilons)
-        if len(eps) == 0:
-            raise ValueError("epsilons must be non-empty")
-        for e in eps:
-            if not 0.0 < e < 1.0:
-                raise ValueError(f"every epsilon must be in (0, 1), got {e}")
-        self.threshold = float(threshold)
-        self.epsilons = eps
+    def __init__(self, random_state: Optional[int] = None) -> None:
         self.random_state = random_state
         self.alarms_: Optional[List[ExchangeabilityAlarm]] = None
 
@@ -137,8 +136,8 @@ class ConformalTestMartingale:
         if not np.all(np.isfinite(scores)):
             raise ValueError("reference_scores must be finite")
         self._pool: List[float] = sorted(float(s) for s in scores)
-        self._log_wealth = np.zeros(len(self.epsilons), dtype=np.float64)
-        self._eps = np.asarray(self.epsilons, dtype=np.float64)
+        self._log_wealth = np.zeros(len(BETTING_EPSILONS), dtype=np.float64)
+        self._eps = np.asarray(BETTING_EPSILONS, dtype=np.float64)
         self._rng = check_random_state(self.random_state)
         self.n_observed_ = 0
         self.log10_history_: List[float] = []
@@ -157,12 +156,6 @@ class ConformalTestMartingale:
         """Current ``log10`` of the mixture martingale (0.0 at arm time)."""
         check_fitted(self, "alarms_")
         return self._log10_mixture()
-
-    @property
-    def martingale_value_(self) -> float:
-        """Current mixture martingale (clamped to avoid float overflow)."""
-        check_fitted(self, "alarms_")
-        return float(np.exp(min(self._log10_mixture() * math.log(10.0), 700.0)))
 
     def _log10_mixture(self) -> float:
         peak = float(np.max(self._log_wealth))
@@ -186,7 +179,7 @@ class ConformalTestMartingale:
         if not np.all(np.isfinite(batch)):
             raise ValueError("scores must be finite")
         fired: Optional[ExchangeabilityAlarm] = None
-        log_threshold = math.log10(self.threshold)
+        log_threshold = math.log10(EXCHANGEABILITY_THRESHOLD)
         for raw in batch:
             score = float(raw)
             pool_size = len(self._pool)
@@ -210,7 +203,7 @@ class ConformalTestMartingale:
                 fired = ExchangeabilityAlarm(
                     n_observed=self.n_observed_,
                     log10_martingale=log10_mixture,
-                    threshold=self.threshold,
+                    threshold=EXCHANGEABILITY_THRESHOLD,
                 )
                 self.alarms_.append(fired)
         return fired
@@ -248,12 +241,12 @@ class CovariateShiftAlarm:
 class CovariateShiftDetector:
     """Per-feature PSI / KS drift detection against a fixed reference.
 
+    PSI is computed on :data:`PSI_BINS` reference-quantile bins with
+    proportions floored at :data:`PSI_EPSILON`, over a sliding window of
+    the last :data:`PSI_WINDOW` rows.
+
     Parameters
     ----------
-    n_bins:
-        Quantile bins of the reference distribution used for PSI.
-    window:
-        Sliding current-window length (rows); older rows age out.
     psi_threshold:
         A feature counts as drifted when its PSI reaches this value
         (0.25 is the conventional "significant shift" cut).
@@ -261,9 +254,8 @@ class CovariateShiftDetector:
         Alarm when at least this fraction of watched features is
         drifted simultaneously -- single-feature noise does not page.
     min_observations:
-        Rows required in the current window before PSI is evaluated.
-    epsilon:
-        Proportion floor that keeps empty bins out of the PSI logs.
+        Rows required in the current window before PSI is evaluated
+        (at most :data:`PSI_WINDOW`).
     feature_names:
         Optional labels for the watched columns (alarm readability);
         column indices are used when omitted.
@@ -271,24 +263,15 @@ class CovariateShiftDetector:
 
     def __init__(
         self,
-        n_bins: int = 10,
-        window: int = 200,
         psi_threshold: float = 0.25,
         alarm_fraction: float = 0.25,
         min_observations: int = 50,
-        epsilon: float = 1e-4,
         feature_names: Optional[Sequence[str]] = None,
     ) -> None:
-        if n_bins < 2:
-            raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-        if min_observations < 1:
+        if not 1 <= min_observations <= PSI_WINDOW:
             raise ValueError(
-                f"min_observations must be >= 1, got {min_observations}"
-            )
-        if window < min_observations:
-            raise ValueError(
-                f"window ({window}) must be >= min_observations "
-                f"({min_observations})"
+                f"min_observations must be in [1, {PSI_WINDOW}] (the window "
+                f"length), got {min_observations}"
             )
         if not psi_threshold > 0:
             raise ValueError(f"psi_threshold must be > 0, got {psi_threshold}")
@@ -296,14 +279,9 @@ class CovariateShiftDetector:
             raise ValueError(
                 f"alarm_fraction must be in (0, 1], got {alarm_fraction}"
             )
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        self.n_bins = n_bins
-        self.window = window
         self.psi_threshold = psi_threshold
         self.alarm_fraction = alarm_fraction
         self.min_observations = min_observations
-        self.epsilon = epsilon
         self.feature_names = (
             None if feature_names is None else tuple(str(n) for n in feature_names)
         )
@@ -314,10 +292,10 @@ class CovariateShiftDetector:
         ref = np.asarray(reference, dtype=np.float64)
         if ref.ndim != 2:
             raise ValueError(f"reference must be 2-D, got shape {ref.shape}")
-        if ref.shape[0] < self.n_bins:
+        if ref.shape[0] < PSI_BINS:
             raise ValueError(
-                f"reference needs at least n_bins={self.n_bins} rows, got "
-                f"{ref.shape[0]}"
+                f"reference needs at least one row per PSI bin ({PSI_BINS}), "
+                f"got {ref.shape[0]}"
             )
         if not np.all(np.isfinite(ref)):
             raise ValueError("reference must be finite")
@@ -327,19 +305,19 @@ class CovariateShiftDetector:
                 f"{ref.shape[1]} reference columns"
             )
         d = ref.shape[1]
-        quantiles = np.linspace(0.0, 1.0, self.n_bins + 1)[1:-1]
-        self._edges = np.quantile(ref, quantiles, axis=0).T  # (d, n_bins - 1)
-        self._ref_proportions = np.empty((d, self.n_bins), dtype=np.float64)
+        quantiles = np.linspace(0.0, 1.0, PSI_BINS + 1)[1:-1]
+        self._edges = np.quantile(ref, quantiles, axis=0).T  # (d, PSI_BINS - 1)
+        self._ref_proportions = np.empty((d, PSI_BINS), dtype=np.float64)
         for feature in range(d):
             counts = np.bincount(
                 np.searchsorted(self._edges[feature], ref[:, feature], side="right"),
-                minlength=self.n_bins,
+                minlength=PSI_BINS,
             )
             self._ref_proportions[feature] = np.maximum(
-                counts / ref.shape[0], self.epsilon
+                counts / ref.shape[0], PSI_EPSILON
             )
         self._ref_sorted = np.sort(ref, axis=0)
-        self._rows: Deque[np.ndarray] = deque(maxlen=self.window)
+        self._rows: Deque[np.ndarray] = deque(maxlen=PSI_WINDOW)
         self.n_observed_ = 0
         self.alarms_ = []
         self._in_alarm = False
@@ -379,9 +357,9 @@ class CovariateShiftDetector:
                 np.searchsorted(
                     self._edges[feature], current[:, feature], side="right"
                 ),
-                minlength=self.n_bins,
+                minlength=PSI_BINS,
             )
-            proportions = np.maximum(counts / current.shape[0], self.epsilon)
+            proportions = np.maximum(counts / current.shape[0], PSI_EPSILON)
             reference = self._ref_proportions[feature]
             psi[feature] = float(
                 np.sum((proportions - reference) * np.log(proportions / reference))

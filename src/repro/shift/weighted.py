@@ -51,16 +51,21 @@ from repro.shift.weights import LogisticDensityRatio, effective_sample_size
 
 __all__ = [
     "DegenerateWeightsError",
+    "MIN_ESS",
     "WeightedBandCalibrator",
     "weighted_band_calibrator",
 ]
+
+MIN_ESS = 10.0
+"""Effective-sample-size floor of the calibration weights: below it the
+weighted quantile rests on too few chips and a repair is refused."""
 
 
 class DegenerateWeightsError(RuntimeError):
     """The density-ratio weights collapsed; no honest interval exists.
 
     Raised when the effective sample size of the calibration weights
-    falls below the configured minimum -- the shift is so severe that
+    falls below :data:`MIN_ESS` -- the shift is so severe that
     the reference data carries almost no information about the current
     distribution, and a weighted quantile would be an arbitrary number
     wearing a coverage guarantee.  Callers should treat this like a
@@ -92,9 +97,9 @@ class WeightedBandCalibrator:
     ratio_columns:
         Columns of the serving matrix the ratio model was estimated on
         (``None``: all columns).
-    min_ess:
-        Effective-sample-size floor; construction raises
-        :class:`DegenerateWeightsError` below it.
+
+    Construction raises :class:`DegenerateWeightsError` when the
+    weights' effective sample size falls below :data:`MIN_ESS`.
     """
 
     def __init__(
@@ -105,7 +110,6 @@ class WeightedBandCalibrator:
         alpha: float = 0.1,
         ratio: Optional[LogisticDensityRatio] = None,
         ratio_columns: Optional[Sequence[int]] = None,
-        min_ess: float = 10.0,
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -113,8 +117,6 @@ class WeightedBandCalibrator:
             raise TypeError(
                 f"band of type {type(band).__name__} has no predict_interval"
             )
-        if not min_ess > 0:
-            raise ValueError(f"min_ess must be > 0, got {min_ess}")
         scores = np.asarray(calibration_scores, dtype=np.float64).ravel()
         weights = np.asarray(calibration_weights, dtype=np.float64).ravel()
         if scores.size == 0:
@@ -134,13 +136,12 @@ class WeightedBandCalibrator:
             if ratio_columns is None
             else np.asarray(list(ratio_columns), dtype=np.int64)
         )
-        self.min_ess = float(min_ess)
         # effective_sample_size also rejects non-finite or negative weights.
         self.ess_ = effective_sample_size(weights)
-        if self.ess_ < self.min_ess:
+        if self.ess_ < MIN_ESS:
             raise DegenerateWeightsError(
                 f"weighted calibration ESS {self.ess_:.2f} below minimum "
-                f"{self.min_ess:g} ({scores.size} calibration scores); "
+                f"{MIN_ESS:g} ({scores.size} calibration scores); "
                 "refusing to emit intervals"
             )
         self._scores = scores
@@ -194,7 +195,6 @@ def weighted_band_calibrator(
     alpha: float = 0.1,
     ratio_estimator: Optional[LogisticDensityRatio] = None,
     ratio_columns: Optional[Sequence[int]] = None,
-    min_ess: float = 10.0,
 ) -> WeightedBandCalibrator:
     """Weighted margins around ``band``, re-targeted at ``current``.
 
@@ -203,7 +203,7 @@ def weighted_band_calibrator(
     shifted serving distribution) and returns the
     :class:`WeightedBandCalibrator` that serves it.  Raises
     :class:`DegenerateWeightsError` when the weights' effective sample
-    size falls below ``min_ess``.
+    size falls below :data:`MIN_ESS`.
 
     Parameters
     ----------
@@ -222,8 +222,6 @@ def weighted_band_calibrator(
         Feature columns the ratio is estimated on (``None``: all).
         Restricting to the monitor block keeps the logistic solve
         well-posed when the full matrix is wide.
-    min_ess:
-        Effective-sample-size floor.
     """
     reference = np.asarray(reference, dtype=np.float64)
     current = np.asarray(current, dtype=np.float64)
@@ -251,5 +249,4 @@ def weighted_band_calibrator(
         alpha=alpha,
         ratio=ratio,
         ratio_columns=ratio_columns,
-        min_ess=min_ess,
     )

@@ -35,13 +35,27 @@ emit intervals below a minimum ESS (see
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.models.base import check_fitted, check_random_state
+from repro.models.base import check_fitted
 
-__all__ = ["LogisticDensityRatio", "effective_sample_size"]
+__all__ = [
+    "CLIP_LOGIT",
+    "LogisticDensityRatio",
+    "MAX_ITER",
+    "TOL",
+    "effective_sample_size",
+]
+
+MAX_ITER = 100
+"""Newton iteration budget of the IRLS solve."""
+
+TOL = 1e-8
+"""The solve stops once no coefficient moves more than this in a step."""
+
+CLIP_LOGIT = 30.0
+"""Symmetric logit clamp applied in both training and inference; it
+bounds every weight inside ``(n_ref / n_cur) * e**(+-CLIP_LOGIT)``."""
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -65,7 +79,10 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 
 class LogisticDensityRatio:
-    """Seeded logistic-classification estimate of a density ratio.
+    """Logistic-classification estimate of a density ratio.
+
+    The solve is deterministic: at most :data:`MAX_ITER` Newton steps,
+    stopping at :data:`TOL`, with logits clamped to ``+-CLIP_LOGIT``.
 
     Parameters
     ----------
@@ -76,45 +93,13 @@ class LogisticDensityRatio:
         ridge is what keeps the optimum finite and the weights bounded.
         Larger values shrink logits toward 0 and weights toward
         uniform -- a conservatism knob.
-    max_iter, tol:
-        Newton iteration budget and coefficient-change stop.
-    clip_logit:
-        Symmetric logit clamp applied in both training and inference;
-        bounds every weight inside ``(n_ref/n_cur) * e**(+-clip_logit)``.
-    max_rows:
-        Optional per-class row cap; larger inputs are subsampled with
-        the seeded RNG before the solve (the IRLS is O(n d^2)).
-    random_state:
-        Seed for the subsample draw.  The solve itself is deterministic,
-        so with ``max_rows=None`` the estimate is seed-independent.
     """
 
-    def __init__(
-        self,
-        ridge: float = 1.0,
-        max_iter: int = 100,
-        tol: float = 1e-8,
-        clip_logit: float = 30.0,
-        max_rows: Optional[int] = None,
-        random_state: Optional[int] = None,
-    ) -> None:
+    def __init__(self, ridge: float = 1.0) -> None:
         if not ridge > 0:
             raise ValueError(f"ridge must be > 0, got {ridge}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        if not tol > 0:
-            raise ValueError(f"tol must be > 0, got {tol}")
-        if not clip_logit > 0:
-            raise ValueError(f"clip_logit must be > 0, got {clip_logit}")
-        if max_rows is not None and max_rows < 4:
-            raise ValueError(f"max_rows must be >= 4 when set, got {max_rows}")
         self.ridge = ridge
-        self.max_iter = max_iter
-        self.tol = tol
-        self.clip_logit = clip_logit
-        self.max_rows = max_rows
-        self.random_state = random_state
-        self.coef_: Optional[np.ndarray] = None
+        self.coef_ = None
 
     def _check_matrix(self, X: np.ndarray, name: str) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -145,19 +130,6 @@ class LogisticDensityRatio:
             )
         self.n_reference_ = int(reference.shape[0])
         self.n_current_ = int(current.shape[0])
-        if self.max_rows is not None:
-            rng = check_random_state(self.random_state)
-            if reference.shape[0] > self.max_rows:
-                keep = rng.choice(
-                    reference.shape[0], size=self.max_rows, replace=False
-                )
-                reference = reference[np.sort(keep)]
-            if current.shape[0] > self.max_rows:
-                keep = rng.choice(
-                    current.shape[0], size=self.max_rows, replace=False
-                )
-                current = current[np.sort(keep)]
-
         X = np.vstack([reference, current])
         labels = np.concatenate(
             [np.zeros(reference.shape[0]), np.ones(current.shape[0])]
@@ -171,9 +143,9 @@ class LogisticDensityRatio:
         Xa = np.hstack([np.ones((Xs.shape[0], 1)), Xs])
         beta = np.zeros(Xa.shape[1], dtype=np.float64)
         identity = np.eye(Xa.shape[1], dtype=np.float64)
-        self.n_iterations_ = self.max_iter
-        for iteration in range(self.max_iter):
-            logits = np.clip(Xa @ beta, -self.clip_logit, self.clip_logit)
+        self.n_iterations_ = MAX_ITER
+        for iteration in range(MAX_ITER):
+            logits = np.clip(Xa @ beta, -CLIP_LOGIT, CLIP_LOGIT)
             p = 1.0 / (1.0 + np.exp(-logits))
             gradient = Xa.T @ (p - labels) + self.ridge * beta
             curvature = np.maximum(p * (1.0 - p), 1e-10)
@@ -184,7 +156,7 @@ class LogisticDensityRatio:
                     "IRLS diverged (non-finite Newton step); increase ridge"
                 )
             beta = beta - step
-            if float(np.max(np.abs(step))) < self.tol:
+            if float(np.max(np.abs(step))) < TOL:
                 self.n_iterations_ = iteration + 1
                 break
         self.intercept_ = float(beta[0])
@@ -195,9 +167,7 @@ class LogisticDensityRatio:
         check_fitted(self, "coef_")
         X = self._check_matrix_like(X)
         Xs = (X - self.mean_) / self.scale_
-        return np.clip(
-            Xs @ self.coef_ + self.intercept_, -self.clip_logit, self.clip_logit
-        )
+        return np.clip(Xs @ self.coef_ + self.intercept_, -CLIP_LOGIT, CLIP_LOGIT)
 
     def _check_matrix_like(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

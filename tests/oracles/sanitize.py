@@ -10,11 +10,9 @@ parity tests assert that their outputs equal these, array for array.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.robust.guard import FeatureHealthGuard, HealthReport
+from repro.robust.guard import UNHEALTHY_FRACTION, FeatureHealthGuard, HealthReport
 from repro.robust.imputation import TrainStatImputer
 
 
@@ -46,7 +44,7 @@ def assess_reference(guard: FeatureHealthGuard, X: np.ndarray) -> HealthReport:
         broken_fraction = np.zeros(X.shape[1])
     else:
         broken_fraction = (missing | out_of_range).mean(axis=0)
-    unhealthy = stuck | (broken_fraction > guard.unhealthy_fraction)
+    unhealthy = stuck | (broken_fraction > UNHEALTHY_FRACTION)
     return HealthReport(
         missing=missing,
         out_of_range=out_of_range,
@@ -58,14 +56,11 @@ def assess_reference(guard: FeatureHealthGuard, X: np.ndarray) -> HealthReport:
 
 
 def transform_reference(
-    imputer: TrainStatImputer, X: np.ndarray, stuck: Optional[np.ndarray] = None
+    imputer: TrainStatImputer, X: np.ndarray, stuck: np.ndarray
 ) -> np.ndarray:
     """Median fill, stuck-column medianisation and full-matrix clipping."""
     X = np.asarray(X, dtype=np.float64)
     out = np.where(np.isfinite(X), X, imputer.median_)
-    if stuck is not None:
-        stuck = np.asarray(stuck, dtype=bool)
-        out[:, stuck] = imputer.median_[stuck]
-    if imputer.clip:
-        out = np.clip(out, imputer.lower_, imputer.upper_)
-    return out
+    stuck = np.asarray(stuck, dtype=bool)
+    out[:, stuck] = imputer.median_[stuck]
+    return np.clip(out, imputer.lower_, imputer.upper_)

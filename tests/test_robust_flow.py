@@ -13,16 +13,17 @@ Covers the three ISSUE acceptance criteria directly:
 import numpy as np
 import pytest
 
+from repro.core.scores import cqr_score
 from repro.eval.stress import StressReport, StressResult, run_fault_campaign
 from repro.models import QuantileLinearRegression
 from repro.models.base import NotFittedError
 from repro.robust import (
-    DegradationPolicy,
     DegradationStatus,
     DegradedPrediction,
     FaultCampaign,
     RobustVminFlow,
 )
+from repro.robust.fallback import classify, inflation_factor
 
 N_PARAMETRIC = 4
 N_MONITORS = 8
@@ -134,7 +135,7 @@ class TestServing:
         prediction = flow.predict_interval(damaged)
         assert prediction.status is DegradationStatus.FALLBACK
         assert not prediction.used_fallback
-        assert prediction.inflation == flow.policy.max_inflation
+        assert prediction.inflation == 3.0
         assert any("no fallback" in note for note in prediction.notes)
 
     def test_predict_is_interval_midpoint(self, serving_stack):
@@ -176,6 +177,46 @@ class TestServing:
     def test_guaranteed_coverage_passthrough(self, serving_stack):
         flow, _, _ = serving_stack
         assert flow.guaranteed_coverage_ >= 1.0 - flow.alpha
+
+
+class TestDegradationSchedule:
+    """The degradation schedule at its edges, one row per rule; the
+    baseline any replacement schedule is compared against."""
+
+    TINY = np.nextafter(0.0, 1.0)  # the least damage there is
+    JUST_UNDER = np.nextafter(0.3, 0.0)  # monitor damage short of fallback
+
+    @pytest.mark.parametrize(
+        "damage, monitor_damage, status",
+        [
+            (0.0, 0.0, DegradationStatus.OK),
+            (TINY, 0.0, DegradationStatus.DEGRADED),
+            (0.55, 0.0, DegradationStatus.DEGRADED),
+            (0.2, JUST_UNDER, DegradationStatus.DEGRADED),
+            (0.3, 0.3, DegradationStatus.FALLBACK),
+            (1.0, 1.0, DegradationStatus.FALLBACK),
+        ],
+    )
+    def test_status_and_inflation(self, damage, monitor_damage, status):
+        assert classify(damage, monitor_damage) is status
+        assert inflation_factor(damage) == 1.0 + 1.5 * damage
+
+    @pytest.mark.parametrize("fallback", ["damaged", "absent"])
+    def test_maximum_inflation_without_a_usable_fallback(self, fallback):
+        X, y = _make_data(seed=7)
+        damaged = X[N_TRAIN:].copy()
+        damaged[:, MONITORS] = np.nan
+        if fallback == "damaged":
+            flow = _fit_flow(X, y)
+            damaged[:, PARAMETRIC] = np.nan
+        else:
+            flow = RobustVminFlow(
+                base_model=QuantileLinearRegression(), alpha=0.1, random_state=0
+            ).fit(X[:N_TRAIN], y[:N_TRAIN], monitor_columns=MONITORS)
+        prediction = flow.predict_interval(damaged)
+        assert prediction.status is DegradationStatus.FALLBACK
+        assert not prediction.used_fallback
+        assert prediction.inflation == 3.0
 
 
 class TestServingEdgeCases:
@@ -222,21 +263,23 @@ class TestServingEdgeCases:
         """An empty labelled batch scores to nothing instead of raising
         (the guard used to average over zero rows)."""
         flow, Xh, yh = serving_stack
-        scores = flow.conformity_scores(Xh[:0], yh[:0])
-        assert scores.shape == (0,)
+        assert flow.observe(Xh[:0], yh[:0]).scores.shape == (0,)
         report = flow.guard_.assess(Xh[:0])
         assert report.healthy and report.unhealthy.shape == (D,)
 
     def test_observe_returns_the_conformity_scores(self):
-        """One labelled pass: the scores observe hands on are the floats
-        conformity_scores computes, before and after adaptation."""
+        """One labelled pass: the scores observe hands on are the CQR
+        scores of the sanitized batch against the primary band, before
+        and after adaptation."""
         X, y = _make_data(seed=23)
         flow = _fit_flow(X, y, monitor_min_observations=10, monitor_window=20)
         Xh, yh = X[N_TRAIN:].copy(), y[N_TRAIN:] + 2.0
         Xh[::7, 5] = np.nan  # damaged entries go through the same sanitize
+        band = flow.primary_.cqr_.band_
         for start in range(0, 200, 10):
             rows = slice(start, start + 10)
-            expected = flow.conformity_scores(Xh[rows], yh[rows])
+            X_clean = flow.imputer_.transform(Xh[rows], flow.guard_.assess(Xh[rows]))
+            expected = cqr_score(yh[rows], *band.predict_interval(X_clean))
             assert np.array_equal(flow.observe(Xh[rows], yh[rows]).scores, expected)
         assert flow.adaptive_active
 

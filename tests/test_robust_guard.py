@@ -97,14 +97,6 @@ class TestFeatureHealthGuard:
         with pytest.raises(NotFittedError):
             FeatureHealthGuard().assess(train)
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="range_quantiles"):
-            FeatureHealthGuard(range_quantiles=(0.9, 0.1))
-        with pytest.raises(ValueError, match="range_inflation"):
-            FeatureHealthGuard(range_inflation=-1.0)
-        with pytest.raises(ValueError, match="unhealthy_fraction"):
-            FeatureHealthGuard(unhealthy_fraction=2.0)
-
     def test_fit_requires_clean_training_data(self, train):
         dirty = train.copy()
         dirty[0, 0] = np.nan
@@ -113,24 +105,25 @@ class TestFeatureHealthGuard:
 
 
 class TestTrainStatImputer:
-    def test_output_is_always_finite(self, train, rng):
+    def test_output_is_always_finite(self, guard, train, rng):
         imputer = TrainStatImputer().fit(train)
         batch = train[:20].copy()
         batch[rng.random(batch.shape) < 0.5] = np.nan
         batch[0, 0] = np.inf
-        out = imputer.transform(batch)
+        out = imputer.transform(batch, guard.assess(batch))
         assert np.isfinite(out).all()
 
-    def test_missing_replaced_by_median(self, train):
+    def test_missing_replaced_by_median(self, guard, train):
         imputer = TrainStatImputer().fit(train)
         batch = train[:5].copy()
         batch[:, 2] = np.nan
-        out = imputer.transform(batch)
+        out = imputer.transform(batch, guard.assess(batch))
         np.testing.assert_allclose(out[:, 2], np.median(train[:, 2]))
 
-    def test_healthy_entries_untouched(self, train):
-        imputer = TrainStatImputer(clip=False).fit(train)
-        out = imputer.transform(train[:20])
+    def test_healthy_entries_untouched(self, guard, train):
+        # Training rows lie inside the clip range: nothing is clipped.
+        imputer = TrainStatImputer().fit(train)
+        out = imputer.transform(train[:20], guard.assess(train[:20]))
         np.testing.assert_array_equal(out, train[:20])
 
     def test_stuck_columns_medianised(self, guard, train):
@@ -139,26 +132,26 @@ class TestTrainStatImputer:
         batch[:, 1] = batch[0, 1]
         report = guard.assess(batch)
         assert report.stuck[1]
-        out = imputer.transform(batch, report=report)
+        out = imputer.transform(batch, report)
         np.testing.assert_allclose(out[:, 1], np.median(train[:, 1]))
-        # Without a report no column counts as stuck.
-        np.testing.assert_array_equal(imputer.transform(batch)[:, 1], batch[:, 1])
 
-    def test_clipping_bounds_extrapolation(self, train):
-        imputer = TrainStatImputer(clip=True, clip_margin=0.0).fit(train)
+    def test_clipping_bounds_extrapolation(self, guard, train):
+        """Values clip to the training range widened by a quarter span."""
+        imputer = TrainStatImputer().fit(train)
         batch = train[:5].copy()
         batch[0, 0] = 1e9
         batch[1, 0] = -1e9
-        out = imputer.transform(batch)
-        assert out[0, 0] == train[:, 0].max()
-        assert out[1, 0] == train[:, 0].min()
+        out = imputer.transform(batch, guard.assess(batch))
+        high, low = train[:, 0].max(), train[:, 0].min()
+        assert out[0, 0] == high + 0.25 * (high - low)
+        assert out[1, 0] == low - 0.25 * (high - low)
 
-    def test_input_not_mutated(self, train):
+    def test_input_not_mutated(self, guard, train):
         imputer = TrainStatImputer().fit(train)
         batch = train[:5].copy()
         batch[0, 0] = np.nan
         snapshot = batch.copy()
-        imputer.transform(batch)
+        imputer.transform(batch, guard.assess(batch))
         np.testing.assert_array_equal(
             np.isnan(batch), np.isnan(snapshot)
         )
@@ -166,14 +159,10 @@ class TestTrainStatImputer:
     def test_structural_errors_raise(self, guard, train):
         imputer = TrainStatImputer().fit(train)
         with pytest.raises(ValueError, match="features"):
-            imputer.transform(train[:5, :3])
+            imputer.transform(train[:5, :3], guard.assess(train[:5]))
         with pytest.raises(ValueError, match="report covers a batch"):
-            imputer.transform(train[:5], report=guard.assess(train[:4]))
+            imputer.transform(train[:5], guard.assess(train[:4]))
 
-    def test_unfitted_raises(self, train):
+    def test_unfitted_raises(self, guard, train):
         with pytest.raises(NotFittedError):
-            TrainStatImputer().transform(train)
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError, match="clip_margin"):
-            TrainStatImputer(clip_margin=-0.1)
+            TrainStatImputer().transform(train, guard.assess(train))

@@ -5,8 +5,7 @@ builds the missing mask only on the columns with a non-finite extreme
 and settles whole columns from their finite extremes;
 ``TrainStatImputer.transform`` takes the guard's report, derives the
 output's column extremes from it and clips only the columns that leave
-the clip range (without a report it finds the non-finite entries and
-the output's extremes itself).  Both must equal the entry-wise reference bodies in
+the clip range.  Both must equal the entry-wise reference bodies in
 :mod:`tests.oracles.sanitize` array for array (``np.array_equal``; the
 report's extremes against masked min/max reductions), on every fault
 the robustness campaigns inject and on the edge cases the shortcuts
@@ -58,10 +57,7 @@ def _assert_parity(guard, imputer, X):
             getattr(report, field), getattr(expected, field), equal_nan=True
         ), field
     reference = transform_reference(imputer, X, stuck=expected.stuck)
-    assert np.array_equal(imputer.transform(X, report=report), reference)
-    # Without a report the imputer finds the non-finite entries and the
-    # columns to clip itself, and medianises no column.
-    assert np.array_equal(imputer.transform(X), transform_reference(imputer, X))
+    assert np.array_equal(imputer.transform(X, report), reference)
     if X.shape[0]:
         damage = expected.missing | expected.out_of_range
         assert report.damaged_entry_fraction == float(np.mean(damage))

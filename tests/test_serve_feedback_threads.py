@@ -4,8 +4,10 @@
 served flow with one assignment, and feedback calls run one at a time.
 A request therefore serves from exactly one state that a whole
 ``observe`` left behind -- never from a batch half applied -- and two
-feedback calls never build from the same state.  The switch interval is
-shortened so the threads interleave as often as the interpreter allows.
+feedback calls never build from the same state.  A republication runs
+among the feedback calls too, so every published bundle holds the state
+its manifest describes.  The switch interval is shortened so the
+threads interleave as often as the interpreter allows.
 """
 
 import pickle
@@ -17,7 +19,7 @@ import numpy as np
 from repro.core.adaptive import AdaptiveConformalPredictor
 from repro.models import QuantileLinearRegression
 from repro.robust import RobustVminFlow
-from repro.serve import ModelRegistry, VminServingService
+from repro.serve import DriftRecalibrator, ModelRegistry, VminServingService
 
 N_PARAMETRIC = 4
 N_MONITORS = 8
@@ -158,6 +160,45 @@ class TestSerializedFeedback:
                 and model.rolling_coverage() == replica.rolling_coverage()
                 for replica in serial
             )
+
+
+class TestRepublishBesideFeedback:
+    def test_every_manifest_alpha_t_is_its_own_bundles(self, tmp_path):
+        service, X_stream, y_stream = _adaptive_service(tmp_path)
+        recalibrator = DriftRecalibrator(service, min_labels=1)
+        done = threading.Event()
+
+        def feeder():
+            while not done.is_set():
+                for start in range(0, X_stream.shape[0] - 39, 40):
+                    rows = slice(start, start + 40)
+                    service.observe(X_stream[rows], y_stream[rows])
+                    if done.is_set():
+                        break
+
+        def republisher():
+            try:
+                for row in range(40):
+                    rows = slice(row, row + 1)
+                    recalibrator.ingest(X_stream[rows], y_stream[rows])
+            finally:
+                done.set()
+
+        _run_threads([feeder, republisher])
+        registry = service.registry
+        republished = [
+            registry.describe(name)
+            for name in registry.versions()
+            if registry.describe(name).reason == "recalibrated"
+        ]
+        assert len(republished) == 40
+        wrong = [
+            record.name
+            for record in republished
+            if registry.load(record.name)[0].calibration_.alpha_t
+            != record.manifest["metadata"]["alpha_t"]
+        ]
+        assert not wrong, f"{len(wrong)} of 40 manifests describe another state"
 
 
 class TestPublishedBundles:

@@ -42,7 +42,7 @@ def _make_data(n=1200, seed=42):
 
 
 def _ratio():
-    return LogisticDensityRatio(ridge=4.0, random_state=0)
+    return LogisticDensityRatio(ridge=4.0)
 
 
 class TestRepairOrder:
@@ -77,9 +77,7 @@ class TestRepairOrder:
 
     def _assert_serves_direct_repair(self, service, X_shift, X_test):
         model = service.served_model
-        X_clean = model.imputer_.transform(
-            X_shift, report=model.guard_.assess(X_shift)
-        )
+        X_clean = model.imputer_.transform(X_shift, model.guard_.assess(X_shift))
         direct = weighted_band_calibrator(
             model.primary_.cqr_.band_,
             model.calibration_scores(),
@@ -88,7 +86,6 @@ class TestRepairOrder:
             alpha=model.alpha,
             ratio_estimator=_ratio(),
             ratio_columns=model.monitor_columns_,
-            min_ess=10.0,
         )
         expected = direct.predict_interval(X_test)
         prediction = service.score(X_test).prediction

@@ -1,5 +1,7 @@
 """Tests for the serving-side shift guard and its service integration."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ def lot():
     return flow, X[N_TRAIN:], y[N_TRAIN:]
 
 
+def _scores(flow, X, y):
+    """The primary-band scores the flow's labelled pass hands the guard
+    (observed on a copy: the shared flow stays untouched)."""
+    return copy.deepcopy(flow).observe(X, y).scores
+
+
 def _service(tmp_path, flow, guard):
     registry = ModelRegistry(tmp_path / "registry")
     registry.publish(flow)
@@ -57,19 +65,6 @@ def _service(tmp_path, flow, guard):
 
 
 class TestShiftGuardUnit:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"zone_window": 0},
-            {"zone_tolerance": 1.0},
-            {"zone_tolerance": -0.1},
-            {"zone_min_observations": 0},
-        ],
-    )
-    def test_rejects_bad_params(self, kwargs):
-        with pytest.raises(ValueError):
-            ShiftGuard(**kwargs)
-
     def test_arm_requires_fitted_flow(self):
         flow = RobustVminFlow(base_model=QuantileLinearRegression())
         with pytest.raises(RuntimeError, match="unfitted"):
@@ -79,7 +74,7 @@ class TestShiftGuardUnit:
         flow, Xh, yh = lot
         guard = ShiftGuard()
         with pytest.raises(RuntimeError, match="not armed"):
-            guard.observe(flow, Xh[:10], yh[:10])
+            guard.observe(flow, Xh[:10], yh[:10], np.zeros(10))
         with pytest.raises(RuntimeError, match="not armed"):
             guard.verdict()
 
@@ -90,10 +85,17 @@ class TestShiftGuardUnit:
         with pytest.raises(ValueError, match="feature_columns"):
             ShiftGuard(feature_columns=[]).arm(flow)
 
+    def test_scores_must_match_the_labels(self, lot):
+        flow, Xh, yh = lot
+        guard = ShiftGuard().arm(flow)
+        with pytest.raises(ValueError, match="scores has shape"):
+            guard.observe(flow, Xh[:10], yh[:10], np.zeros(9))
+
     def test_quiet_on_exchangeable_traffic(self, lot):
         flow, Xh, yh = lot
         guard = ShiftGuard().arm(flow)
-        verdict = guard.observe(flow, Xh[:150], yh[:150])
+        scores = _scores(flow, Xh[:150], yh[:150])
+        verdict = guard.observe(flow, Xh[:150], yh[:150], scores)
         assert not verdict.any_alarm()
         assert verdict.n_observed == 150
         assert "quiet" in verdict.describe()
@@ -101,7 +103,9 @@ class TestShiftGuardUnit:
     def test_martingale_fires_on_label_shift(self, lot):
         flow, Xh, yh = lot
         guard = ShiftGuard().arm(flow)
-        verdict = guard.observe(flow, Xh[:200], yh[:200] + 5.0)
+        y_shift = yh[:200] + 5.0
+        scores = _scores(flow, Xh[:200], y_shift)
+        verdict = guard.observe(flow, Xh[:200], y_shift, scores)
         assert verdict.exchangeability_alarm
         assert "exchangeability rejected" in verdict.describe()
 
@@ -111,27 +115,32 @@ class TestShiftGuardUnit:
         X_shift = Xh[:100].copy()
         X_shift[:, MONITORS] += 3.0
         y_shift = yh[:100]
-        verdict = guard.observe(flow, X_shift, y_shift)
+        scores = _scores(flow, X_shift, y_shift)
+        verdict = guard.observe(flow, X_shift, y_shift, scores)
         assert verdict.covariate_alarm
 
     def test_zone_monitors_flag_the_undercovering_zone(self, lot):
         flow, Xh, yh = lot
-        guard = ShiftGuard(
-            zone_window=40, zone_tolerance=0.10, zone_min_observations=20
-        ).arm(flow)
+        guard = ShiftGuard().arm(flow)
         zones = np.where(np.arange(120) % 2 == 0, "inner", "outer")
         # Push only the "inner" chips out of their intervals.
         y_bad = yh[:120].copy()
         y_bad[zones == "inner"] += 5.0
-        verdict = guard.observe(flow, Xh[:120], y_bad, zones=zones)
+        scores = _scores(flow, Xh[:120], y_bad)
+        verdict = guard.observe(flow, Xh[:120], y_bad, scores, zones=zones)
         assert verdict.zone_alarms == ("inner",)
+        monitor = guard.zone_monitors_["inner"]
+        assert (monitor.window, monitor.min_observations) == (40, 20)
+        assert monitor.threshold == pytest.approx(0.9 - 0.10)
         coverage = guard.zone_coverage()
         assert coverage["inner"] < coverage["outer"]
 
     def test_disarm_and_rearm_reset_state(self, lot):
         flow, Xh, yh = lot
         guard = ShiftGuard().arm(flow)
-        guard.observe(flow, Xh[:200], yh[:200] + 5.0)
+        y_shift = yh[:200] + 5.0
+        scores = _scores(flow, Xh[:200], y_shift)
+        guard.observe(flow, Xh[:200], y_shift, scores)
         assert guard.verdict().any_alarm()
         guard.disarm()
         assert not guard.armed
@@ -240,7 +249,7 @@ class TestServiceIntegration:
         assert service.last_shift_verdict_.covariate_alarm
         ess = service.repair_shift(
             X_shift,
-            ratio_estimator=LogisticDensityRatio(ridge=4.0, random_state=0),
+            ratio_estimator=LogisticDensityRatio(ridge=4.0),
         )
         assert ess >= 10.0
         assert service.state is ServiceState.READY
@@ -276,10 +285,7 @@ class TestServiceIntegration:
         registry, service = _service(tmp_path, flow, guard)
         X_shift = Xh[:120].copy()
         X_shift[:, MONITORS] += 0.4
-        service.repair_shift(
-            X_shift,
-            ratio_estimator=LogisticDensityRatio(ridge=4.0, random_state=0),
-        )
+        service.repair_shift(X_shift, ratio_estimator=LogisticDensityRatio(ridge=4.0))
         assert not guard.armed
         registry.publish(flow, reason="refit")
         service.hot_swap()

@@ -12,6 +12,7 @@ from repro.shift import (
     WeightedBandCalibrator,
     weighted_band_calibrator,
 )
+from repro.shift.weighted import MIN_ESS
 
 
 def _hetero(rng, n, loc=0.0, scale=1.0):
@@ -104,9 +105,7 @@ class TestWeightedBandCalibrator:
         weights = np.zeros(100)
         weights[0] = 1.0
         with pytest.raises(DegenerateWeightsError, match="ESS"):
-            WeightedBandCalibrator(
-                band, np.abs(rng.normal(size=100)), weights, min_ess=10.0
-            )
+            WeightedBandCalibrator(band, np.abs(rng.normal(size=100)), weights)
 
     def test_uniform_weights_reproduce_unweighted_margin(self, rng):
         band, X, y = self._band(rng)
@@ -146,8 +145,6 @@ class TestWeightedBandCalibrator:
             WeightedBandCalibrator(band, [], [])
         with pytest.raises(ValueError, match="match"):
             WeightedBandCalibrator(band, [1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="min_ess"):
-            WeightedBandCalibrator(band, [1.0], [1.0], min_ess=0.0)
 
 
 class TestWeightedConformalRegressor:
@@ -169,12 +166,12 @@ class TestWeightedConformalRegressor:
         repair = _repair(
             model,
             X_shift,
-            ratio_estimator=LogisticDensityRatio(ridge=4.0, random_state=0),
+            ratio_estimator=LogisticDensityRatio(ridge=4.0),
         )
         after = repair.predict_interval(X_shift).coverage(y_shift)
         assert before < 0.80  # the shift genuinely breaks plain split CP
         assert after >= 0.85
-        assert repair.ess_ >= repair.min_ess
+        assert repair.ess_ >= MIN_ESS
 
     def test_degenerate_shift_refuses_and_keeps_previous_weighting(self):
         rng = np.random.default_rng(0)
@@ -220,5 +217,3 @@ class TestWeightedConformalRegressor:
                 X,
                 alpha=0.0,
             )
-        with pytest.raises(ValueError, match="min_ess"):
-            _repair(model, X, min_ess=0.0)
