@@ -136,7 +136,6 @@ def _fit_models(X, y, profile):
             n_estimators=profile.xgb_estimators,
             tree_method=tree_method,
             max_bins=profile.xgb_max_bins,
-            random_state=BENCH_SEED,
         ).fit(X, y)
 
     def oblivious():

@@ -199,7 +199,6 @@ def _point_template(
             n_estimators=profile.xgb_estimators,
             max_bins=profile.xgb_max_bins,
             tree_method=profile.xgb_tree_method,
-            random_state=seed,
         )
     if name == "CatBoost":
         return ObliviousBoostingRegressor(
@@ -226,7 +225,6 @@ def _quantile_template(
             max_bins=profile.xgb_max_bins,
             tree_method=profile.xgb_tree_method,
             quantile=0.5,
-            random_state=seed,
         )
     if name == "CatBoost":
         return ObliviousBoostingRegressor(

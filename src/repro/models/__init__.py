@@ -35,15 +35,10 @@ from repro.models.ensemble import DeepEnsembleRegressor
 from repro.models.gbm import GradientBoostingRegressor
 from repro.models.gp import GaussianProcessRegressor
 from repro.models.linear import LinearRegression, QuantileLinearRegression
-from repro.models.losses import (
-    huber_loss,
-    mse_loss,
-    pinball_loss,
-    smooth_pinball_loss,
-)
+from repro.models.losses import mse_loss, pinball_loss
 from repro.models.nn import MLPRegressor
 from repro.models.oblivious import ObliviousBoostingRegressor
-from repro.models.optim import SGD, Adam
+from repro.models.optim import Adam
 from repro.models.quantile import PackageDefaultQuantileBand, QuantileBandRegressor
 from repro.models.tables import (
     CompiledDepthwiseTables,
@@ -68,15 +63,12 @@ __all__ = [
     "PackageDefaultQuantileBand",
     "QuantileBandRegressor",
     "QuantileLinearRegression",
-    "SGD",
     "check_X",
     "check_X_y",
     "check_fitted",
     "clone",
     "compile_depthwise",
     "compile_oblivious",
-    "huber_loss",
     "mse_loss",
     "pinball_loss",
-    "smooth_pinball_loss",
 ]

@@ -5,9 +5,9 @@ the paper with its default hyper-parameters: 100 boosting rounds of
 depth-6 trees, learning rate 0.3, L2 leaf regularisation λ=1.  Each round
 fits a :class:`~repro.models.tree.GradientTree` to the per-sample gradient
 and Hessian of the objective at the current prediction and takes a
-shrunken Newton step.  A round that samples no rows or columns and
-repeats an earlier round's gradient and Hessian bytes reuses that
-round's tree, which is the tree it would grow.
+shrunken Newton step.  Every round sees every row and every column, so
+a round that repeats an earlier round's gradient and Hessian bytes
+reuses that round's tree, which is the tree it would grow.
 
 Two objectives are supported, selected by the ``quantile`` parameter:
 
@@ -23,13 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.models.base import (
-    BaseRegressor,
-    check_fitted,
-    check_random_state,
-    check_X,
-    check_X_y,
-)
+from repro.models.base import BaseRegressor, check_fitted, check_X, check_X_y
 from repro.models.binning import BinnedDataset, resolve_binned_dataset
 from repro.models.histtree import grow_histogram_tree
 from repro.models.losses import (
@@ -67,10 +61,6 @@ class GradientBoostingRegressor(BaseRegressor):
         Depth limit per tree (default 6).
     reg_lambda, gamma, min_child_weight:
         XGBoost regularisation knobs, passed to the tree grower.
-    subsample:
-        Row subsampling fraction per round (without replacement).
-    colsample_bytree:
-        Column subsampling fraction per round.
     quantile:
         ``None`` for squared error; a value in (0, 1) switches the
         objective to the pinball loss for that quantile.
@@ -88,8 +78,10 @@ class GradientBoostingRegressor(BaseRegressor):
         level scores every candidate column exactly, deeper levels only
         the top-K by root gain.  ``None`` disables (exact at all levels);
         ignored by ``tree_method="exact"``.
-    random_state:
-        Seed for the sub-sampling draws.
+
+    Every round fits on all rows and all columns (XGBoost's
+    ``subsample = colsample_bytree = 1``), and neither grower draws
+    random numbers, so a fit needs no seed.
     """
 
     def __init__(
@@ -100,13 +92,10 @@ class GradientBoostingRegressor(BaseRegressor):
         reg_lambda: float = 1.0,
         gamma: float = 0.0,
         min_child_weight: float = 1.0,
-        subsample: float = 1.0,
-        colsample_bytree: float = 1.0,
         quantile: Optional[float] = None,
         tree_method: str = "hist",
         max_bins: int = 32,
         feature_shortlist: Optional[int] = 256,
-        random_state: Optional[int] = None,
     ) -> None:
         # Every range check is written to fail on NaN.
         if not n_estimators >= 1:
@@ -114,12 +103,6 @@ class GradientBoostingRegressor(BaseRegressor):
         if not 0 < learning_rate < np.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {learning_rate}"
-            )
-        if not 0.0 < subsample <= 1.0:
-            raise ValueError(f"subsample must be in (0, 1], got {subsample}")
-        if not 0.0 < colsample_bytree <= 1.0:
-            raise ValueError(
-                f"colsample_bytree must be in (0, 1], got {colsample_bytree}"
             )
         if quantile is not None:
             quantile = validate_quantile(quantile)
@@ -137,13 +120,10 @@ class GradientBoostingRegressor(BaseRegressor):
         self.reg_lambda = reg_lambda
         self.gamma = gamma
         self.min_child_weight = min_child_weight
-        self.subsample = subsample
-        self.colsample_bytree = colsample_bytree
         self.quantile = quantile
         self.tree_method = tree_method
         self.max_bins = max_bins
         self.feature_shortlist = feature_shortlist
-        self.random_state = random_state
         self.trees_: Optional[List[GradientTree]] = None
 
     def _gradients(self, y: np.ndarray, prediction: np.ndarray):
@@ -158,51 +138,19 @@ class GradientBoostingRegressor(BaseRegressor):
         gradients: np.ndarray,
         hessians: np.ndarray,
         params: TreeGrowthParams,
-        rng: np.random.Generator,
     ) -> GradientTree:
-        """One round's tree, on this round's row and column draws."""
-        n_samples, n_features = X.shape
-        if self.subsample < 1.0:
-            n_rows = max(1, int(round(self.subsample * n_samples)))
-            rows = rng.choice(n_samples, size=n_rows, replace=False)
-        else:
-            # Full-matrix round: no row copy, no RNG draw (the draw
-            # never happened on this branch, so seeds are unchanged).
-            rows = None
-        if self.colsample_bytree < 1.0:
-            n_cols = max(1, int(round(self.colsample_bytree * n_features)))
-            cols = rng.choice(n_features, size=n_cols, replace=False)
-        else:
-            cols = np.arange(n_features)
-
+        """One round's tree, on every row and every column."""
         if dataset is not None:
-            if rows is None:
-                return grow_histogram_tree(
-                    dataset.codes, dataset.binner, gradients, hessians,
-                    params, cols, self.feature_shortlist, dataset=dataset,
-                )
             return grow_histogram_tree(
-                dataset.codes[rows], dataset.binner, gradients[rows],
-                hessians[rows], params, cols, self.feature_shortlist,
+                dataset.codes, dataset.binner, gradients, hessians, params,
+                self.feature_shortlist, dataset=dataset,
             )
-        tree = GradientTree(params)
-        if rows is None:
-            return tree.fit_gradients(X, gradients, hessians, cols)
-        return tree.fit_gradients(X[rows], gradients[rows], hessians[rows], cols)
-
-    def _loss(self, y: np.ndarray, prediction: np.ndarray) -> float:
-        from repro.models.losses import mse_loss, pinball_loss
-
-        if self.quantile is None:
-            return mse_loss(y, prediction)
-        return pinball_loss(y, prediction, self.quantile)
+        return GradientTree(params).fit_gradients(X, gradients, hessians)
 
     def fit(
         self,
         X: np.ndarray,
         y: np.ndarray,
-        eval_set=None,
-        early_stopping_rounds: Optional[int] = None,
         binned: Optional[BinnedDataset] = None,
     ) -> "GradientBoostingRegressor":
         """Fit the boosting ensemble.
@@ -211,13 +159,6 @@ class GradientBoostingRegressor(BaseRegressor):
         ----------
         X, y:
             Training data.
-        eval_set:
-            Optional ``(X_val, y_val)`` pair monitored after every round
-            (objective loss, recorded in ``eval_history_``).
-        early_stopping_rounds:
-            Stop when the validation loss has not improved for this many
-            consecutive rounds, keeping the ensemble truncated at the best
-            round (XGBoost semantics).  Requires ``eval_set``.
         binned:
             Optional pre-binned :class:`~repro.models.binning.BinnedDataset`
             for ``tree_method="hist"``: its codes must come from this very
@@ -229,36 +170,12 @@ class GradientBoostingRegressor(BaseRegressor):
 
         Notes
         -----
-        When early stopping truncates the ensemble, the bookkeeping is
-        truncated with it: ``eval_history_`` keeps exactly one entry per
-        kept tree and ``best_round_ == len(trees_) - 1`` -- the losses of
-        the discarded probe rounds are gone along with their trees, so
-        ``eval_history_[best_round_]`` is always the loss of the last
-        kept round.  A fit that runs to completion keeps the full
-        history (one entry per tree) with ``best_round_`` marking its
-        argmin.  Fitting also compiles the ensemble into flat decision
-        tables (``compiled_``,
-        :class:`~repro.models.tables.CompiledDepthwiseTables`) that
-        ``predict``/``staged_predict`` evaluate batch-at-once.
+        Fitting also compiles the ensemble into flat decision tables
+        (``compiled_``, :class:`~repro.models.tables.CompiledDepthwiseTables`)
+        that ``predict``/``staged_predict`` evaluate batch-at-once.
         """
         X, y = check_X_y(X, y)
         self.n_features_in_ = X.shape[1]
-        rng = check_random_state(self.random_state)
-        if early_stopping_rounds is not None:
-            if early_stopping_rounds < 1:
-                raise ValueError(
-                    f"early_stopping_rounds must be >= 1, got {early_stopping_rounds}"
-                )
-            if eval_set is None:
-                raise ValueError("early_stopping_rounds requires an eval_set")
-        if eval_set is not None:
-            X_val, y_val = check_X_y(*eval_set)
-            if X_val.shape[1] != X.shape[1]:
-                raise ValueError(
-                    f"eval_set has {X_val.shape[1]} features, train has {X.shape[1]}"
-                )
-        else:
-            X_val = y_val = None
 
         if self.quantile is None:
             self.base_score_ = float(np.mean(y))
@@ -275,60 +192,31 @@ class GradientBoostingRegressor(BaseRegressor):
             gamma=self.gamma,
         )
 
-        n_samples = X.shape[0]
         dataset = (
             resolve_binned_dataset(X, self.max_bins, binned)
             if self.tree_method == "hist" else None
         )
 
-        prediction = np.full(n_samples, self.base_score_)
+        prediction = np.full(X.shape[0], self.base_score_)
         trees: List[GradientTree] = []
-        eval_history: List[float] = []
-        val_prediction = (
-            np.full(X_val.shape[0], self.base_score_) if X_val is not None else None
-        )
-        best_round = 0
-        best_loss = np.inf
-        # A round that draws no rows and no columns grows a tree that
-        # depends on its gradient and Hessian vectors alone: the codes,
-        # params and candidates are fixed for the fit, and neither grower
-        # draws random numbers.  Pinball gradients take two values, so
-        # such rounds often repeat an earlier round's vectors byte for
-        # byte; those append the tree already grown for them.
-        reusable = self.subsample == 1.0 and self.colsample_bytree == 1.0
+        # A round's tree depends on its gradient and Hessian vectors
+        # alone: the codes, params and columns are fixed for the fit, and
+        # neither grower draws random numbers.  Pinball gradients take two
+        # values, so rounds often repeat an earlier round's vectors byte
+        # for byte; those append the tree already grown for them.
         grown: Dict[bytes, GradientTree] = {}
-        for round_index in range(self.n_estimators):
+        for _ in range(self.n_estimators):
             gradients, hessians = self._gradients(y, prediction)
-            key = _round_digest(gradients, hessians) if reusable else None
+            key = _round_digest(gradients, hessians)
             tree = grown.get(key)
             if tree is None:
-                tree = self._grow(X, dataset, gradients, hessians, params, rng)
-                if reusable:
-                    grown[key] = tree
+                tree = grown[key] = self._grow(
+                    X, dataset, gradients, hessians, params
+                )
             trees.append(tree)
             prediction += self.learning_rate * tree.predict(X)
 
-            if X_val is not None:
-                val_prediction += self.learning_rate * tree.predict(X_val)
-                loss = self._loss(y_val, val_prediction)
-                eval_history.append(loss)
-                if loss < best_loss - 1e-12:
-                    best_loss = loss
-                    best_round = round_index
-                elif (
-                    early_stopping_rounds is not None
-                    and round_index - best_round >= early_stopping_rounds
-                ):
-                    # Discarded probe rounds take their losses with them:
-                    # after truncation, eval_history_ has one entry per
-                    # kept tree and best_round_ is the last kept index.
-                    trees = trees[: best_round + 1]
-                    eval_history = eval_history[: best_round + 1]
-                    break
-
         self.trees_ = trees
-        self.eval_history_ = eval_history
-        self.best_round_ = best_round if X_val is not None else None
         self.compiled_ = compile_depthwise(trees)
         return self
 
@@ -346,9 +234,8 @@ class GradientBoostingRegressor(BaseRegressor):
     def staged_predict(self, X: np.ndarray) -> np.ndarray:
         """Predictions after each boosting round, shape (n_estimators, n).
 
-        Useful for picking an early-stopping round and for the learning-
-        curve diagnostics in the benchmarks.  Uses the compiled kernel
-        like :meth:`predict`; the last stage always equals ``predict(X)``
+        Learning-curve diagnostics; uses the compiled kernel like
+        :meth:`predict`, and the last stage always equals ``predict(X)``
         exactly.
         """
         check_fitted(self, "trees_")
@@ -358,13 +245,10 @@ class GradientBoostingRegressor(BaseRegressor):
         )
 
     def __setstate__(self, state: dict) -> None:
-        """Unpickle, compiling the kernel a pre-kernel bundle lacks
-        (setattr interns the names, so a re-pickled booster is byte for
-        byte the bundle it was loaded from)."""
+        """Unpickle by setattr, which interns the names, so a re-pickled
+        booster is byte for byte the bundle it was loaded from."""
         for name, value in state.items():
             setattr(self, name, value)
-        if self.trees_ is not None and getattr(self, "compiled_", None) is None:
-            self.compiled_ = compile_depthwise(self.trees_)
 
     def _check_predict_X(self, X: np.ndarray) -> np.ndarray:
         X = check_X(X)
@@ -374,13 +258,3 @@ class GradientBoostingRegressor(BaseRegressor):
                 f"{self.n_features_in_}"
             )
         return X
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Normalised split counts across all trees (XGBoost 'weight')."""
-        check_fitted(self, "trees_")
-        counts = np.zeros(self.n_features_in_)
-        for tree in self.trees_:
-            counts += tree.feature_importances(self.n_features_in_)
-        total = counts.sum()
-        return counts / total if total > 0 else counts

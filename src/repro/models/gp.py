@@ -38,6 +38,30 @@ from repro.models.kernels import ConstantKernel, Kernel, RBFKernel, WhiteKernel
 __all__ = ["GaussianProcessRegressor"]
 
 
+def _jittered_cholesky(K: np.ndarray, alpha: float) -> Tuple[tuple, float]:
+    """Cholesky factor of ``K + jitter * I`` and the jitter it took.
+
+    The jitter is ``alpha`` whenever that factors, so such fits keep their
+    floats.  Hyper-parameters at the corner of the kernel bounds (a huge
+    signal variance and length scale over a tiny noise) make ``K`` every
+    entry alike and numerically singular; the jitter then grows tenfold
+    per try, from at least ``eps * max|K|``, until ``K`` factors -- as it
+    must once the jitter outweighs ``K``'s rounding.  So the marginal
+    likelihood is finite at every hyper-parameter, and the optimiser's
+    finite differences never subtract infinities.
+    """
+    diagonal = np.diag_indices_from(K)
+    jitter = alpha
+    while True:
+        jittered = K.copy()
+        jittered[diagonal] += jitter
+        try:
+            return cho_factor(jittered, lower=True), jitter
+        except np.linalg.LinAlgError:
+            floor = np.finfo(np.float64).eps * max(float(np.max(np.abs(K))), 1.0)
+            jitter = max(10.0 * jitter, floor)
+
+
 class GaussianProcessRegressor(BaseRegressor):
     """Exact GP regression with ML-II hyper-parameter fitting.
 
@@ -49,7 +73,8 @@ class GaussianProcessRegressor(BaseRegressor):
         variance, length scale, and noise are all learnt from data.
     alpha:
         Jitter added to the kernel diagonal for numerical stability (on top
-        of any learnt WhiteKernel noise).
+        of any learnt WhiteKernel noise); grown where the kernel matrix
+        would not factor with it (``jitter_``).
     n_restarts:
         Number of additional random restarts for the marginal-likelihood
         optimisation (0 = optimise from the initial theta only).
@@ -91,12 +116,7 @@ class GaussianProcessRegressor(BaseRegressor):
     def _log_marginal_likelihood(
         self, kernel: Kernel, X: np.ndarray, y: np.ndarray
     ) -> float:
-        K = kernel(X)
-        K[np.diag_indices_from(K)] += self.alpha
-        try:
-            factor = cho_factor(K, lower=True)
-        except np.linalg.LinAlgError:
-            return -np.inf
+        factor, _ = _jittered_cholesky(kernel(X), self.alpha)
         alpha_vec = cho_solve(factor, y)
         log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
         n = y.shape[0]
@@ -162,9 +182,7 @@ class GaussianProcessRegressor(BaseRegressor):
         self.kernel_ = kernel
         self.log_marginal_likelihood_ = lml
 
-        K = kernel(X)
-        K[np.diag_indices_from(K)] += self.alpha
-        self._cho = cho_factor(K, lower=True)
+        self._cho, self.jitter_ = _jittered_cholesky(kernel(X), self.alpha)
         self._alpha_vec = cho_solve(self._cho, y_work)
         self._y_train = y_work
         return self
@@ -192,7 +210,7 @@ class GaussianProcessRegressor(BaseRegressor):
         if not return_std:
             return mean
         solved = cho_solve(self._cho, K_cross.T)
-        prior_var = self.kernel_.diag(X) + self.alpha
+        prior_var = self.kernel_.diag(X) + self.jitter_
         variance = prior_var - np.einsum("ij,ji->i", K_cross, solved)
         variance = np.maximum(variance, 0.0)
         std = np.sqrt(variance) * self._y_std

@@ -103,7 +103,6 @@ def grow_histogram_tree(
     gradients: np.ndarray,
     hessians: np.ndarray,
     params: TreeGrowthParams,
-    candidate_features: Optional[np.ndarray] = None,
     feature_shortlist: Optional[int] = None,
     dataset: Optional[BinnedDataset] = None,
 ) -> GradientTree:
@@ -123,17 +122,13 @@ def grow_histogram_tree(
     params:
         Growth limits and regularisation (same semantics as the exact
         grower).
-    candidate_features:
-        Columns eligible for splitting (``colsample`` support); all by
-        default.
     feature_shortlist:
-        Wide-data speedup: after the root level scores every candidate
+        Wide-data speedup: after the root level scores every column
         exactly, deeper levels only consider the top-K features by root
         gain.  ``None`` keeps the exact search at every level.
     dataset:
         Optional :class:`~repro.models.binning.BinnedDataset` whose
-        ``codes`` are this very ``binned`` matrix with
-        ``candidate_features`` spanning every column.  When given, the
+        ``codes`` are this very ``binned`` matrix.  When given, the
         level-0 cell index and unit-weight histogram come from the
         dataset's cache instead of being recomputed -- they are
         round-invariant, and recomputing them dominated the per-round
@@ -150,8 +145,9 @@ def grow_histogram_tree(
     hessians = np.asarray(hessians, dtype=np.float64)
     if gradients.shape != (n_samples,) or hessians.shape != (n_samples,):
         raise ValueError("gradients/hessians must be 1-D with len(binned) entries")
-    if candidate_features is None:
-        candidate_features = np.arange(n_features)
+    # Every column is a candidate at the root; the shortlist, when it
+    # binds, narrows the deeper levels.
+    candidate_features = np.arange(n_features)
     n_bins = binner.n_bins
     lam = params.reg_lambda
 
@@ -194,13 +190,7 @@ def grow_histogram_tree(
         unit_hessian = bool(np.all(hessians == 1.0))
         n_candidates = candidate_features.size
         root_unit = None
-        if (
-            dataset is not None
-            and depth == 0
-            and all_live
-            and n_candidates == n_features
-            and np.array_equal(candidate_features, np.arange(n_features))
-        ):
+        if dataset is not None and depth == 0:
             # Round-invariant level-0 state shared across the whole
             # boosting run (and across the lo/hi quantile pair).
             cell, root_unit = dataset.root_level(n_bins)

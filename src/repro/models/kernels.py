@@ -6,7 +6,6 @@ likelihood.  This module provides the small kernel algebra required:
 
 * :class:`RBFKernel` -- squared-exponential with a shared or per-dimension
   (ARD) length scale,
-* :class:`MaternKernel` -- ν ∈ {0.5, 1.5, 2.5} family,
 * :class:`ConstantKernel` / :class:`WhiteKernel` -- signal variance and
   observation noise,
 * :class:`SumKernel` / :class:`ProductKernel` -- composition via ``+``/``*``.
@@ -28,7 +27,6 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "ConstantKernel",
     "Kernel",
-    "MaternKernel",
     "ProductKernel",
     "RBFKernel",
     "SumKernel",
@@ -135,55 +133,6 @@ class RBFKernel(Kernel):
         scaled_Z = Z / self.length_scale
         squared = cdist(scaled_X, scaled_Z, metric="sqeuclidean")
         return np.exp(-0.5 * squared)
-
-    def diag(self, X: np.ndarray) -> np.ndarray:
-        return np.ones(np.asarray(X).shape[0])
-
-
-class MaternKernel(Kernel):
-    """Matérn kernel with smoothness ν ∈ {0.5, 1.5, 2.5}.
-
-    ν=0.5 is the exponential (Ornstein-Uhlenbeck) kernel; ν→∞ recovers the
-    RBF.  Only the three closed-form values are supported -- they cover all
-    practical use and avoid Bessel-function evaluation.
-    """
-
-    _SUPPORTED_NU = (0.5, 1.5, 2.5)
-
-    def __init__(self, length_scale: float = 1.0, nu: float = 1.5) -> None:
-        if length_scale <= 0:
-            raise ValueError(f"length_scale must be positive, got {length_scale}")
-        if nu not in self._SUPPORTED_NU:
-            raise ValueError(f"nu must be one of {self._SUPPORTED_NU}, got {nu}")
-        self.length_scale = float(length_scale)
-        self.nu = float(nu)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([math.log(self.length_scale)])
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        value = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        if value.size != 1:
-            raise ValueError(f"theta must have 1 entry, got {value.size}")
-        self.length_scale = float(np.exp(value[0]))
-
-    @property
-    def bounds(self) -> np.ndarray:
-        return np.array([_LOG_BOUND])
-
-    def __call__(self, X: np.ndarray, Z: Optional[np.ndarray] = None) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        Z = X if Z is None else np.asarray(Z, dtype=np.float64)
-        distance = cdist(X, Z, metric="euclidean") / self.length_scale
-        if self.nu == 0.5:
-            return np.exp(-distance)
-        if self.nu == 1.5:
-            scaled = math.sqrt(3.0) * distance
-            return (1.0 + scaled) * np.exp(-scaled)
-        scaled = math.sqrt(5.0) * distance
-        return (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.ones(np.asarray(X).shape[0])

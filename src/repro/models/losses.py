@@ -8,12 +8,9 @@ predictors with the pinball loss of Eq. (5):
     \\mathcal{L}_q(y, \\hat y) = \\max\\{q (y - \\hat y),\\ (1 - q)(\\hat y - y)\\}.
 
 Gradient-boosting models additionally need per-sample gradients and
-Hessians of the loss with respect to the prediction; the neural network
-needs gradients only.  The pinball loss has a zero Hessian almost
-everywhere, so boosting uses the standard unit-Hessian surrogate (the same
-choice XGBoost and LightGBM make), and the neural network can optionally
-use :func:`smooth_pinball_loss`, a Huberised pinball that is differentiable
-at the kink.
+Hessians of the loss with respect to the prediction.  The pinball loss
+has a zero Hessian almost everywhere, so boosting uses the standard
+unit-Hessian surrogate (the same choice XGBoost and LightGBM make).
 """
 
 from __future__ import annotations
@@ -23,13 +20,10 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "huber_loss",
     "mse_gradient_hessian",
     "mse_loss",
     "pinball_gradient_hessian",
     "pinball_loss",
-    "smooth_pinball_gradient",
-    "smooth_pinball_loss",
     "validate_quantile",
 ]
 
@@ -97,55 +91,3 @@ def pinball_gradient_hessian(
     gradient = np.where(y_true > y_pred, -quantile, 1.0 - quantile)
     hessian = np.ones_like(gradient)
     return gradient, hessian
-
-
-def smooth_pinball_loss(
-    y_true: np.ndarray, y_pred: np.ndarray, quantile: float, smoothing: float = 1e-3
-) -> float:
-    """Huberised pinball loss, differentiable at the kink.
-
-    Within ``|r| ≤ smoothing`` the loss is quadratic and matches the pinball
-    value and slope at the boundary; outside, it is exactly the pinball loss.
-    As ``smoothing → 0`` this converges uniformly to :func:`pinball_loss`.
-    """
-    quantile = validate_quantile(quantile)
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    residual = y_true - y_pred
-    slope = np.where(residual >= 0, quantile, 1.0 - quantile)
-    absolute = np.abs(residual)
-    quadratic = slope * absolute**2 / (2.0 * smoothing)
-    linear = slope * (absolute - smoothing / 2.0)
-    return float(np.mean(np.where(absolute <= smoothing, quadratic, linear)))
-
-
-def smooth_pinball_gradient(
-    y_true: np.ndarray, y_pred: np.ndarray, quantile: float, smoothing: float = 1e-3
-) -> np.ndarray:
-    """Gradient of :func:`smooth_pinball_loss` w.r.t. the prediction."""
-    quantile = validate_quantile(quantile)
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    residual = y_true - y_pred
-    slope = np.where(residual >= 0, quantile, 1.0 - quantile)
-    inside = np.abs(residual) <= smoothing
-    # d/dŷ of slope·r²/(2s) is −slope·r/s; of slope·|r| is −slope·sign(r).
-    gradient_inside = -slope * residual / smoothing
-    gradient_outside = -slope * np.sign(residual)
-    return np.where(inside, gradient_inside, gradient_outside)
-
-
-def huber_loss(y_true: np.ndarray, y_pred: np.ndarray, delta: float = 1.0) -> float:
-    """Mean Huber loss: quadratic within ``|r| ≤ delta``, linear outside."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    residual = np.abs(y_true - y_pred)
-    quadratic = 0.5 * residual**2
-    linear = delta * (residual - 0.5 * delta)
-    return float(np.mean(np.where(residual <= delta, quadratic, linear)))

@@ -219,8 +219,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
     max_bins:
         Maximum quantile bins per feature for threshold candidates
         (CatBoost ``border_count``; 32 is ample for 156-chip data).
-    rsm:
-        Fraction of features sampled per *level* (CatBoost ``rsm``).
     feature_shortlist:
         Wide-data speedup: the root level of each tree scores every
         feature exactly, then deeper levels only consider the top-K
@@ -228,11 +226,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
         level (exact, O(features x leaves x bins) per level).  With the
         paper's ~2000 columns and 156 chips, K=256 is indistinguishable
         in accuracy and an order of magnitude faster.
-    bagging_temperature:
-        Bayesian-bootstrap strength: per-round exponential sample weights
-        raised to this power (0 disables).  Off by default: on the
-        156-chip regime the extra split noise measurably hurts accuracy,
-        and split-score randomisation already provides tree diversity.
     random_strength:
         Amplitude of the Gaussian noise added to split scores, relative to
         the score spread (CatBoost ``random_strength``, default 1).  The
@@ -244,7 +237,10 @@ class ObliviousBoostingRegressor(BaseRegressor):
     quantile:
         ``None`` for squared error, a value in (0, 1) for pinball loss.
     random_state:
-        Seed for feature sampling and score noise.
+        Seed for the score noise.
+
+    Every round fits on all rows with unit weights and scores every
+    column at the root (CatBoost's ``rsm = 1``, no bootstrap).
     """
 
     def __init__(
@@ -254,10 +250,8 @@ class ObliviousBoostingRegressor(BaseRegressor):
         depth: int = 6,
         l2_leaf_reg: float = 3.0,
         max_bins: int = 32,
-        rsm: float = 1.0,
         feature_shortlist: Optional[int] = 256,
         random_strength: float = 1.0,
-        bagging_temperature: float = 0.0,
         quantile: Optional[float] = None,
         random_state: Optional[int] = None,
     ) -> None:
@@ -274,8 +268,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
             raise ValueError(f"l2_leaf_reg must be >= 0, got {l2_leaf_reg}")
         if not max_bins >= 2:
             raise ValueError(f"max_bins must be >= 2, got {max_bins}")
-        if not 0.0 < rsm <= 1.0:
-            raise ValueError(f"rsm must be in (0, 1], got {rsm}")
         if feature_shortlist is not None and not feature_shortlist >= 1:
             raise ValueError(
                 f"feature_shortlist must be >= 1 or None, got {feature_shortlist}"
@@ -284,11 +276,6 @@ class ObliviousBoostingRegressor(BaseRegressor):
             raise ValueError(
                 f"random_strength must be >= 0 and finite, got {random_strength}"
             )
-        if not 0 <= bagging_temperature < np.inf:
-            raise ValueError(
-                "bagging_temperature must be >= 0 and finite, "
-                f"got {bagging_temperature}"
-            )
         if quantile is not None:
             quantile = validate_quantile(quantile)
         self.n_estimators = n_estimators
@@ -296,10 +283,8 @@ class ObliviousBoostingRegressor(BaseRegressor):
         self.depth = depth
         self.l2_leaf_reg = l2_leaf_reg
         self.max_bins = max_bins
-        self.rsm = rsm
         self.feature_shortlist = feature_shortlist
         self.random_strength = random_strength
-        self.bagging_temperature = bagging_temperature
         self.quantile = quantile
         self.random_state = random_state
         self.trees_: Optional[List[ObliviousTree]] = None
@@ -370,10 +355,10 @@ class ObliviousBoostingRegressor(BaseRegressor):
 
         ``splittable`` is the fit's ``(n_features, n_bins - 1)`` mask of
         splits that send at least one row each way, and ``work`` the
-        fit's scan arrays (see :func:`level_split_scores`).  When the
-        candidates span every column and a single leaf is active, the
-        cell index (and, for unit Hessians, the Hessian histogram) comes
-        from :meth:`BinnedDataset.root_level` -- bit-identical by
+        fit's scan arrays (see :func:`level_split_scores`).  At the root
+        (a single leaf, every column a candidate) the cell index (and,
+        for unit Hessians, the Hessian histogram) comes from
+        :meth:`BinnedDataset.root_level` -- bit-identical by
         construction.  Deeper levels histogram only the leaves some row
         reaches, and the scan puts the empty ones back where its sums
         need them.
@@ -383,11 +368,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
         n_candidates = candidate_features.size
         root_unit = None
         occupied = None
-        if (
-            n_leaves == 1
-            and n_candidates == binned.shape[1]
-            and np.array_equal(candidate_features, np.arange(binned.shape[1]))
-        ):
+        if n_leaves == 1:
             cell, root_unit = dataset.root_level(n_bins)
         else:
             # Deep levels of small fits leave many leaves without a row:
@@ -413,7 +394,7 @@ class ObliviousBoostingRegressor(BaseRegressor):
         )
         if score.size == 0:
             return -1, -1, -np.inf, np.full(n_candidates, -np.inf)
-        if self.random_strength > 0 and rng is not None:
+        if self.random_strength > 0:
             # CatBoost-style score perturbation: noise proportional to the
             # spread of candidate scores breaks argmax ties differently in
             # every round, keeping the tree ensemble diverse.
@@ -458,63 +439,46 @@ class ObliviousBoostingRegressor(BaseRegressor):
             self.base_score_ = float(np.quantile(y, self.quantile))
 
         # Splits that send at least one row each way, counted on the codes
-        # (some row at or below the bin, some above).  Hessian mass is no
-        # count: bootstrap weights make it non-integral, and a right-hand
-        # mass a few ulps above zero past a feature's last edge would let
-        # a bin with no threshold behind it win.
+        # (some row at or below the bin, some above): a bin past a
+        # feature's last edge has no threshold behind it.
         bins = np.arange(n_bins - 1)
         splittable = (binned.min(axis=0)[:, None] <= bins) & (
             binned.max(axis=0)[:, None] > bins
         )
         # Scan arrays for the largest level, reused by every level of every
         # round; local to this fit, so concurrent fits never share them.
-        n_root = max(1, int(round(self.rsm * n_features)))
         n_deep = (
-            n_root if self.feature_shortlist is None
-            else min(n_root, self.feature_shortlist)
+            n_features if self.feature_shortlist is None
+            else min(n_features, self.feature_shortlist)
         )
         work = np.empty(
-            (_WORK_ARRAYS, bins.size * max(n_root, 2 ** (self.depth - 1) * n_deep))
+            (_WORK_ARRAYS, bins.size * max(n_features, 2 ** (self.depth - 1) * n_deep))
         )
 
+        # The root level scans every column; the shortlist, when it
+        # binds, narrows the deeper levels of the same tree.
+        columns = np.arange(n_features)
         prediction = np.full(n_samples, self.base_score_)
         trees: List[ObliviousTree] = []
         for _ in range(self.n_estimators):
             gradients, hessians = self._gradients(y, prediction)
-            if self.bagging_temperature > 0:
-                # CatBoost's default Bayesian bootstrap: exponential-like
-                # per-sample weights each round, diversifying the trees.
-                weights = (
-                    -np.log(rng.uniform(1e-12, 1.0, size=n_samples))
-                ) ** self.bagging_temperature
-            else:
-                weights = np.ones(n_samples)
-            weighted_grad = gradients * weights
-            weighted_hess = hessians * weights
-
             leaf_idx = np.zeros(n_samples, dtype=np.int64)
             features: List[int] = []
             thresholds: List[float] = []
             n_leaves = 1
-            shortlist = None
-            for _level in range(self.depth):
-                if shortlist is not None:
-                    candidates = shortlist
-                elif self.rsm < 1.0:
-                    candidates = rng.choice(n_features, size=n_root, replace=False)
-                else:
-                    candidates = np.arange(n_features)
+            candidates = columns
+            for level in range(self.depth):
                 feature, bin_index, _score, feature_scores = self._best_level_split(
-                    dataset, leaf_idx, weighted_grad, weighted_hess, n_leaves,
+                    dataset, leaf_idx, gradients, hessians, n_leaves,
                     candidates, rng, splittable, work,
                 )
                 if (
-                    shortlist is None
+                    level == 0
                     and self.feature_shortlist is not None
-                    and candidates.size > self.feature_shortlist
+                    and n_features > self.feature_shortlist
                 ):
                     top = np.argsort(feature_scores)[-self.feature_shortlist :]
-                    shortlist = np.sort(candidates[top])
+                    candidates = np.sort(columns[top])
                 if feature < 0:
                     break
                 feature_edges = edges[feature]
@@ -574,13 +538,10 @@ class ObliviousBoostingRegressor(BaseRegressor):
         )
 
     def __setstate__(self, state: dict) -> None:
-        """Unpickle, compiling the kernel a pre-kernel bundle lacks
-        (setattr interns the names, so a re-pickled booster is byte for
-        byte the bundle it was loaded from)."""
+        """Unpickle by setattr, which interns the names, so a re-pickled
+        booster is byte for byte the bundle it was loaded from."""
         for name, value in state.items():
             setattr(self, name, value)
-        if self.trees_ is not None and getattr(self, "compiled_", None) is None:
-            self.compiled_ = compile_oblivious(self.trees_)
 
     def _check_predict_X(self, X: np.ndarray) -> np.ndarray:
         X = check_X(X)
@@ -590,14 +551,3 @@ class ObliviousBoostingRegressor(BaseRegressor):
                 f"{self.n_features_in_}"
             )
         return X
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Normalised level-usage counts per feature across all trees."""
-        check_fitted(self, "trees_")
-        counts = np.zeros(self.n_features_in_)
-        for tree in self.trees_:
-            for feature in tree.features:
-                counts[feature] += 1.0
-        total = counts.sum()
-        return counts / total if total > 0 else counts

@@ -1,11 +1,11 @@
-"""First-order optimisers for the numpy neural network.
+"""First-order optimiser for the numpy neural network.
 
 The paper's MLP (Section IV-C.4) is trained with Adam (Kingma & Ba, 2015)
 at learning rate 0.01.  Because :mod:`repro.models.nn` implements backprop
-by hand, the optimisers here operate on plain lists of numpy parameter
+by hand, the optimiser here operates on plain lists of numpy parameter
 arrays and their gradients -- no autograd framework is involved.
 
-Both optimisers mutate the parameter arrays in place, which lets the
+The optimiser mutates the parameter arrays in place, which lets the
 network keep stable references to its weight matrices across steps.
 """
 
@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["Adam", "SGD"]
+__all__ = ["Adam"]
 
 
 class Adam:
@@ -88,40 +88,3 @@ class Adam:
         self._first_moments = []
         self._second_moments = []
         self._step_count = 0
-
-
-class SGD:
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocities: List[np.ndarray] = []
-
-    def step(
-        self, parameters: Sequence[np.ndarray], gradients: Sequence[np.ndarray]
-    ) -> None:
-        """Apply one (momentum-)SGD update to ``parameters`` in place."""
-        if len(parameters) != len(gradients):
-            raise ValueError(
-                f"got {len(parameters)} parameters but {len(gradients)} gradients"
-            )
-        if not self._velocities:
-            self._velocities = [np.zeros_like(p) for p in parameters]
-        elif len(self._velocities) != len(parameters):
-            raise ValueError(
-                "parameter list length changed between steps: "
-                f"{len(self._velocities)} vs {len(parameters)}"
-            )
-        for param, grad, velocity in zip(parameters, gradients, self._velocities):
-            velocity *= self.momentum
-            velocity -= self.learning_rate * grad
-            param += velocity
-
-    def reset(self) -> None:
-        """Forget accumulated momentum."""
-        self._velocities = []

@@ -43,10 +43,8 @@ models document -- a kernel comparing in float32 would route rows with
 values between a threshold's float32 neighbours differently.
 
 Compilation happens at ``fit`` time (the boosting models store the
-result as a ``compiled_`` fitted attribute), never inside ``predict``
--- prediction stays read-only.  Bundles pickled before this module
-existed lack the attribute; the boosting models' ``__setstate__``
-compiles it when such a bundle is unpickled, so ``predict`` always has
+result as a ``compiled_`` fitted attribute, pickled with the trees),
+never inside ``predict`` -- prediction stays read-only, and always has
 a kernel to score through.
 """
 

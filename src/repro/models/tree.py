@@ -204,18 +204,15 @@ class GradientTree:
         X: np.ndarray,
         gradients: np.ndarray,
         hessians: np.ndarray,
-        feature_indices: Optional[np.ndarray] = None,
     ) -> "GradientTree":
         """Grow the tree on ``X`` against per-sample gradients/Hessians.
 
         Exact greedy search, depth first: every node scans all candidate
-        boundaries of all candidate features in one batched prefix-sum
-        pass (:func:`_best_split_all_features`) over its rows, sliced once
+        boundaries of every column in one batched prefix-sum pass
+        (:func:`_best_split_all_features`) over its rows, sliced once
         through :func:`_node_view`.  A node stays a leaf at ``max_depth``,
         below ``2 * min_samples_leaf`` rows, or when no split gains more
-        than ``gamma``.  ``feature_indices`` restricts split search to a
-        column subset (used by the boosting layer's ``colsample``
-        option); leaf values are always Newton steps
+        than ``gamma``; leaf values are always Newton steps
         :math:`-G/(H+\\lambda)`.
         """
         X = np.asarray(X, dtype=np.float64)
@@ -225,14 +222,6 @@ class GradientTree:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if gradients.shape != (X.shape[0],) or hessians.shape != (X.shape[0],):
             raise ValueError("gradients/hessians must be 1-D with len(X) entries")
-        if feature_indices is None:
-            feature_indices = np.arange(X.shape[1])
-        feature_indices = np.asarray(feature_indices, dtype=np.int64)
-        # Restrict to the candidate columns once per fit; per-node work
-        # then only ever touches the (n_node, n_candidates) block.
-        columns = X if feature_indices.size == X.shape[1] and bool(
-            np.all(feature_indices == np.arange(X.shape[1]))
-        ) else np.ascontiguousarray(X[:, feature_indices])
         params = self.params
 
         buffers = _NodeBuffers()
@@ -242,7 +231,7 @@ class GradientTree:
         while stack:
             node_id, rows, depth = stack.pop()
             node_columns, node_grad, node_hess = _node_view(
-                columns, gradients, hessians, rows
+                X, gradients, hessians, rows
             )
             grad_sum = float(node_grad.sum())
             hess_sum = float(node_hess.sum())
@@ -259,7 +248,7 @@ class GradientTree:
             goes_left = node_columns[:, feature_pos] <= threshold
             left_id = buffers.new_node()
             right_id = buffers.new_node()
-            buffers.feature[node_id] = int(feature_indices[feature_pos])
+            buffers.feature[node_id] = feature_pos
             buffers.threshold[node_id] = threshold
             buffers.left[node_id] = left_id
             buffers.right[node_id] = right_id
@@ -285,20 +274,17 @@ class GradientTree:
         thresholds regardless of its input dtype, and its width is
         validated against the fitted feature count: extra columns used
         to score silently while missing ones raised a bare
-        ``IndexError`` mid-walk.  Trees unpickled from bundles that
-        predate the recorded width skip the check (``n_features_in_``
-        absent) rather than refusing to predict.
+        ``IndexError`` mid-walk.
         """
         if self.feature_ is None:
             raise RuntimeError("GradientTree is not fitted")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        n_expected = getattr(self, "n_features_in_", None)
-        if n_expected is not None and X.shape[1] != n_expected:
+        if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fitted with "
-                f"{n_expected}"
+                f"{self.n_features_in_}"
             )
         node_ids = np.zeros(X.shape[0], dtype=np.int64)
         active = self.feature_[node_ids] != _LEAF
@@ -322,15 +308,6 @@ class GradientTree:
         if self.feature_ is None:
             return 0
         return int(np.sum(self.feature_ == _LEAF))
-
-    def feature_importances(self, n_features: int) -> np.ndarray:
-        """Split counts per feature (unnormalised)."""
-        counts = np.zeros(n_features)
-        if self.feature_ is not None:
-            for feature in self.feature_:
-                if feature != _LEAF:
-                    counts[feature] += 1.0
-        return counts
 
 
 class DecisionTreeRegressor(BaseRegressor):
@@ -376,10 +353,3 @@ class DecisionTreeRegressor(BaseRegressor):
                 f"{self.n_features_in_}"
             )
         return self.tree_.predict(X)
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        check_fitted(self, "tree_")
-        counts = self.tree_.feature_importances(self.n_features_in_)
-        total = counts.sum()
-        return counts / total if total > 0 else counts

@@ -32,7 +32,7 @@ has been fitted.  Four layers, each usable on its own:
 * :mod:`repro.serve.compiled` -- :func:`compiled_summary` records the
   batch-at-once inference kernels (:mod:`repro.models.tables`) of a
   flow's boosting ensembles in every published manifest; the ensembles
-  compile them at ``fit`` and, for pre-kernel bundles, on unpickle.
+  compile them at ``fit``.
 
 The soak harness (:func:`repro.eval.stress.run_serving_campaign`)
 exercises all four under injected artifact corruption, worker crashes,

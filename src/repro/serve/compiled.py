@@ -1,9 +1,8 @@
 """Which compiled kernels a served model scores through.
 
 The boosting models compile themselves into decision tables at ``fit``
-time (:mod:`repro.models.tables`), and compile again when unpickled from
-a bundle that predates the kernels (their ``__setstate__``), so every
-ensemble a registry load hands to the service already carries one.
+time (:mod:`repro.models.tables`) and pickle them with their trees, so
+every ensemble a registry load hands to the service already carries one.
 :func:`compiled_summary` walks a fitted flow to every boosting ensemble
 inside it (primary and fallback flows, the CQR band's lower and upper
 quantile models, feature-selection wrappers) and reports their kernels

@@ -16,76 +16,58 @@ def boost_data(rng):
 class TestPointObjective:
     def test_fits_nonlinear_signal(self, boost_data):
         Xtr, ytr, Xte, yte = boost_data
-        model = GradientBoostingRegressor(random_state=0).fit(Xtr, ytr)
+        model = GradientBoostingRegressor().fit(Xtr, ytr)
         assert model.score(Xte, yte) > 0.7
 
     def test_more_rounds_reduce_training_error(self, boost_data):
         Xtr, ytr, *_ = boost_data
-        few = GradientBoostingRegressor(n_estimators=5, random_state=0).fit(Xtr, ytr)
-        many = GradientBoostingRegressor(n_estimators=80, random_state=0).fit(Xtr, ytr)
+        few = GradientBoostingRegressor(n_estimators=5).fit(Xtr, ytr)
+        many = GradientBoostingRegressor(n_estimators=80).fit(Xtr, ytr)
         assert many.score(Xtr, ytr) > few.score(Xtr, ytr)
 
     def test_base_score_is_target_mean(self, boost_data):
         Xtr, ytr, *_ = boost_data
-        model = GradientBoostingRegressor(n_estimators=1, random_state=0).fit(Xtr, ytr)
+        model = GradientBoostingRegressor(n_estimators=1).fit(Xtr, ytr)
         assert model.base_score_ == pytest.approx(ytr.mean())
 
     def test_staged_predict_last_stage_matches_predict(self, boost_data):
         Xtr, ytr, Xte, _ = boost_data
-        model = GradientBoostingRegressor(n_estimators=10, random_state=0).fit(Xtr, ytr)
+        model = GradientBoostingRegressor(n_estimators=10).fit(Xtr, ytr)
         stages = model.staged_predict(Xte)
         assert stages.shape == (10, Xte.shape[0])
-        np.testing.assert_allclose(stages[-1], model.predict(Xte), atol=1e-10)
+        np.testing.assert_array_equal(stages[-1], model.predict(Xte))
 
-    def test_deterministic_with_seed(self, boost_data):
+    def test_refit_is_bit_identical(self, boost_data):
         Xtr, ytr, Xte, _ = boost_data
-        a = GradientBoostingRegressor(subsample=0.8, random_state=3).fit(Xtr, ytr)
-        b = GradientBoostingRegressor(subsample=0.8, random_state=3).fit(Xtr, ytr)
-        np.testing.assert_allclose(a.predict(Xte), b.predict(Xte))
-
-    def test_subsample_and_colsample_run(self, boost_data):
-        Xtr, ytr, Xte, yte = boost_data
-        model = GradientBoostingRegressor(
-            subsample=0.7, colsample_bytree=0.5, random_state=0
-        ).fit(Xtr, ytr)
-        assert model.score(Xte, yte) > 0.5
+        a = GradientBoostingRegressor().fit(Xtr, ytr)
+        b = GradientBoostingRegressor().fit(Xtr, ytr)
+        np.testing.assert_array_equal(a.predict(Xte), b.predict(Xte))
 
     def test_exact_method_close_to_hist(self, rng):
         X = rng.normal(size=(60, 3))
         y = X[:, 0] + rng.normal(scale=0.1, size=60)
-        hist = GradientBoostingRegressor(
-            n_estimators=10, max_bins=256, random_state=0
-        ).fit(X, y)
+        hist = GradientBoostingRegressor(n_estimators=10, max_bins=256).fit(X, y)
         exact = GradientBoostingRegressor(
-            n_estimators=10, tree_method="exact", random_state=0
+            n_estimators=10, tree_method="exact"
         ).fit(X, y)
         np.testing.assert_allclose(hist.predict(X), exact.predict(X), atol=1e-8)
-
-    def test_feature_importances(self, boost_data):
-        Xtr, ytr, *_ = boost_data
-        model = GradientBoostingRegressor(n_estimators=20, random_state=0).fit(Xtr, ytr)
-        importances = model.feature_importances_
-        assert importances.sum() == pytest.approx(1.0)
-        assert importances[0] > importances[3]
 
 
 class TestQuantileObjective:
     def test_base_score_is_empirical_quantile(self, boost_data):
         Xtr, ytr, *_ = boost_data
-        model = GradientBoostingRegressor(
-            n_estimators=1, quantile=0.9, random_state=0
-        ).fit(Xtr, ytr)
+        model = GradientBoostingRegressor(n_estimators=1, quantile=0.9).fit(Xtr, ytr)
         assert model.base_score_ == pytest.approx(np.quantile(ytr, 0.9))
 
     def test_band_ordering_on_average(self, boost_data):
         Xtr, ytr, Xte, _ = boost_data
-        lo = GradientBoostingRegressor(quantile=0.1, random_state=0).fit(Xtr, ytr)
-        hi = GradientBoostingRegressor(quantile=0.9, random_state=0).fit(Xtr, ytr)
+        lo = GradientBoostingRegressor(quantile=0.1).fit(Xtr, ytr)
+        hi = GradientBoostingRegressor(quantile=0.9).fit(Xtr, ytr)
         assert np.mean(hi.predict(Xte) - lo.predict(Xte)) > 0
 
     def test_training_exceedance_tracks_quantile(self, boost_data):
         Xtr, ytr, *_ = boost_data
-        model = GradientBoostingRegressor(quantile=0.8, random_state=0).fit(Xtr, ytr)
+        model = GradientBoostingRegressor(quantile=0.8).fit(Xtr, ytr)
         below = np.mean(ytr <= model.predict(Xtr))
         assert 0.6 < below <= 1.0
 
@@ -96,9 +78,6 @@ class TestValidation:
         [
             {"n_estimators": 0},
             {"learning_rate": 0.0},
-            {"subsample": 0.0},
-            {"subsample": 1.5},
-            {"colsample_bytree": 0.0},
             {"quantile": 1.0},
             {"tree_method": "gpu"},
             {"feature_shortlist": 0},
@@ -114,75 +93,6 @@ class TestValidation:
 
     def test_predict_rejects_wrong_width(self, boost_data):
         Xtr, ytr, *_ = boost_data
-        model = GradientBoostingRegressor(n_estimators=3, random_state=0).fit(Xtr, ytr)
+        model = GradientBoostingRegressor(n_estimators=3).fit(Xtr, ytr)
         with pytest.raises(ValueError, match="features"):
             model.predict(np.zeros((2, 3)))
-
-
-class TestEarlyStopping:
-    def test_eval_history_recorded(self, boost_data):
-        Xtr, ytr, Xte, yte = boost_data
-        model = GradientBoostingRegressor(n_estimators=15, random_state=0).fit(
-            Xtr, ytr, eval_set=(Xte, yte)
-        )
-        assert len(model.eval_history_) == 15
-        assert model.best_round_ is not None
-
-    def test_stops_before_budget_on_overfit(self, rng):
-        X = rng.normal(size=(80, 3))
-        y = rng.normal(size=80)  # pure noise: validation loss turns early
-        X_val = rng.normal(size=(40, 3))
-        y_val = rng.normal(size=40)
-        model = GradientBoostingRegressor(
-            n_estimators=200, learning_rate=0.5, random_state=0
-        ).fit(X, y, eval_set=(X_val, y_val), early_stopping_rounds=5)
-        assert len(model.trees_) < 200
-        # Ensemble truncated at the best validation round.
-        assert len(model.trees_) == model.best_round_ + 1
-
-    def test_truncation_aligns_history_and_best_round(self, rng):
-        """A truncating early stop discards the probe rounds' bookkeeping
-        along with their trees: one eval_history_ entry per kept tree and
-        best_round_ pointing at the last kept round."""
-        X = rng.normal(size=(80, 3))
-        y = rng.normal(size=80)
-        X_val = rng.normal(size=(40, 3))
-        y_val = rng.normal(size=40)
-        model = GradientBoostingRegressor(
-            n_estimators=200, learning_rate=0.5, random_state=0
-        ).fit(X, y, eval_set=(X_val, y_val), early_stopping_rounds=5)
-        assert len(model.eval_history_) == len(model.trees_)
-        assert model.best_round_ == len(model.trees_) - 1
-        assert model.eval_history_[model.best_round_] == min(model.eval_history_)
-
-    def test_truncated_staged_predict_matches_predict_exactly(self, rng):
-        X = rng.normal(size=(80, 3))
-        y = rng.normal(size=80)
-        X_val = rng.normal(size=(40, 3))
-        y_val = rng.normal(size=40)
-        model = GradientBoostingRegressor(
-            n_estimators=200, learning_rate=0.5, random_state=0
-        ).fit(X, y, eval_set=(X_val, y_val), early_stopping_rounds=5)
-        Xte = rng.normal(size=(25, 3))
-        stages = model.staged_predict(Xte)
-        assert stages.shape[0] == len(model.trees_)
-        assert np.array_equal(stages[-1], model.predict(Xte))
-
-    def test_early_stopping_requires_eval_set(self, boost_data):
-        Xtr, ytr, *_ = boost_data
-        with pytest.raises(ValueError, match="requires an eval_set"):
-            GradientBoostingRegressor().fit(Xtr, ytr, early_stopping_rounds=3)
-
-    def test_rejects_bad_patience(self, boost_data):
-        Xtr, ytr, Xte, yte = boost_data
-        with pytest.raises(ValueError, match="early_stopping_rounds"):
-            GradientBoostingRegressor().fit(
-                Xtr, ytr, eval_set=(Xte, yte), early_stopping_rounds=0
-            )
-
-    def test_eval_set_width_checked(self, boost_data):
-        Xtr, ytr, Xte, yte = boost_data
-        with pytest.raises(ValueError, match="features"):
-            GradientBoostingRegressor().fit(
-                Xtr, ytr, eval_set=(Xte[:, :2], yte)
-            )

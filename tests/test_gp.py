@@ -1,5 +1,7 @@
 """Tests for Gaussian process regression."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -112,3 +114,49 @@ class TestValidation:
         a = GaussianProcessRegressor(random_state=5, n_restarts=2).fit(X, y)
         b = GaussianProcessRegressor(random_state=5, n_restarts=2).fit(X, y)
         np.testing.assert_allclose(a.predict(X), b.predict(X))
+
+
+class TestSingularKernelMatrix:
+    """At the corner of the kernel bounds -- signal variance and length
+    scale at their maxima, noise at its minimum -- every entry of ``K``
+    is alike and ``K + alpha * I`` does not factor.  The marginal
+    likelihood must stay finite there, or L-BFGS-B's finite differences
+    subtract infinities."""
+
+    @pytest.fixture()
+    def data(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 2))
+        y = np.sin(X[:, 0]) + rng.normal(scale=0.05, size=60)
+        return X, y
+
+    @staticmethod
+    def corner():
+        return ConstantKernel(1e5) * RBFKernel(1e5) + WhiteKernel(1e-10)
+
+    def test_marginal_likelihood_is_finite(self, data):
+        X, y = data
+        gp = GaussianProcessRegressor()
+        assert np.isfinite(gp._log_marginal_likelihood(self.corner(), X, y))
+
+    def test_fit_started_at_the_corner_is_warning_free(self, data):
+        X, y = data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = GaussianProcessRegressor(kernel=self.corner(), n_restarts=0)
+            model.fit(X, y)
+        mean, std = model.predict(X, return_std=True)
+        assert np.isfinite(model.log_marginal_likelihood_)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+
+    def test_fixed_corner_kernel_fits_with_a_grown_jitter(self, data):
+        X, y = data
+        model = GaussianProcessRegressor(kernel=self.corner(), optimizer=None)
+        model.fit(X, y)
+        assert model.jitter_ > model.alpha
+        assert np.all(np.isfinite(model.predict(X)))
+
+    def test_factorable_kernel_keeps_alpha(self, data):
+        X, y = data
+        model = GaussianProcessRegressor(random_state=0).fit(X, y)
+        assert model.jitter_ == model.alpha

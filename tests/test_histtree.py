@@ -178,9 +178,7 @@ class TestHistogramGrower:
         X = np.full((30, 4), 2.5)
         y = rng.normal(size=30)
         hist = GradientBoostingRegressor(n_estimators=5).fit(X, y)
-        exact = GradientBoostingRegressor(
-            n_estimators=5, tree_method="exact"
-        ).fit(X, y)
+        exact = GradientBoostingRegressor(n_estimators=5, tree_method="exact").fit(X, y)
         assert all(tree.n_nodes == 1 for tree in hist.trees_)
         np.testing.assert_allclose(
             hist.predict(X), exact.predict(X), rtol=0.0, atol=1e-12

@@ -211,7 +211,7 @@ class TestOtherMembers:
     @pytest.mark.parametrize(
         "template",
         [
-            GradientBoostingRegressor(n_estimators=6, random_state=0),
+            GradientBoostingRegressor(n_estimators=6),
             QuantileLinearRegression(),
         ],
         ids=["gbm", "linear"],

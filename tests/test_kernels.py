@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.models.kernels import (
     ConstantKernel,
-    MaternKernel,
     ProductKernel,
     RBFKernel,
     SumKernel,
@@ -22,9 +21,6 @@ def _random_inputs(seed=0, n=12, d=3):
 ALL_KERNELS = [
     RBFKernel(0.7),
     RBFKernel([0.5, 1.0, 2.0]),
-    MaternKernel(1.2, nu=0.5),
-    MaternKernel(1.2, nu=1.5),
-    MaternKernel(1.2, nu=2.5),
     ConstantKernel(2.0),
     WhiteKernel(0.3),
     ConstantKernel(1.5) * RBFKernel(1.0) + WhiteKernel(0.1),
@@ -75,23 +71,6 @@ class TestRBF:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             RBFKernel(0.0)
-
-
-class TestMatern:
-    def test_nu_half_is_exponential(self):
-        X = np.array([[0.0], [1.0]])
-        K = MaternKernel(1.0, nu=0.5)(X)
-        assert K[0, 1] == pytest.approx(np.exp(-1.0))
-
-    def test_larger_nu_is_smoother_at_small_distance(self):
-        X = np.array([[0.0], [0.1]])
-        rough = MaternKernel(1.0, nu=0.5)(X)[0, 1]
-        smooth = MaternKernel(1.0, nu=2.5)(X)[0, 1]
-        assert smooth > rough
-
-    def test_rejects_unsupported_nu(self):
-        with pytest.raises(ValueError, match="nu"):
-            MaternKernel(1.0, nu=2.0)
 
 
 class TestWhite:

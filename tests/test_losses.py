@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.losses import (
-    huber_loss,
     mse_gradient_hessian,
     mse_loss,
     pinball_gradient_hessian,
     pinball_loss,
-    smooth_pinball_gradient,
-    smooth_pinball_loss,
     validate_quantile,
 )
 
@@ -101,59 +98,3 @@ class TestPinball:
                 - pinball_loss(y, np.array([pred - eps]), q)
             ) / (2 * eps)
             assert grad[0] == pytest.approx(numeric, abs=1e-5)
-
-
-class TestSmoothPinball:
-    def test_converges_to_pinball_as_smoothing_vanishes(self):
-        y = np.array([1.0, -2.0, 0.5])
-        pred = np.array([0.0, 0.0, 0.0])
-        exact = pinball_loss(y, pred, 0.3)
-        smooth = smooth_pinball_loss(y, pred, 0.3, smoothing=1e-9)
-        assert smooth == pytest.approx(exact, rel=1e-6)
-
-    def test_continuous_at_boundary(self):
-        q, s = 0.7, 0.1
-        y = np.array([0.0])
-        inside = smooth_pinball_loss(y, np.array([s - 1e-9]), q, smoothing=s)
-        outside = smooth_pinball_loss(y, np.array([s + 1e-9]), q, smoothing=s)
-        assert inside == pytest.approx(outside, abs=1e-6)
-
-    def test_gradient_zero_at_kink(self):
-        grad = smooth_pinball_gradient(
-            np.array([0.0]), np.array([0.0]), 0.7, smoothing=0.1
-        )
-        assert grad[0] == pytest.approx(0.0)
-
-    @given(q=quantiles)
-    @settings(max_examples=30)
-    def test_gradient_matches_numeric(self, q):
-        y = np.array([0.3])
-        s = 0.05
-        for pred in (-0.5, 0.31, 0.8):
-            grad = smooth_pinball_gradient(y, np.array([pred]), q, smoothing=s)
-            eps = 1e-7
-            numeric = (
-                smooth_pinball_loss(y, np.array([pred + eps]), q, smoothing=s)
-                - smooth_pinball_loss(y, np.array([pred - eps]), q, smoothing=s)
-            ) / (2 * eps)
-            assert grad[0] == pytest.approx(numeric, abs=1e-4)
-
-    def test_rejects_nonpositive_smoothing(self):
-        with pytest.raises(ValueError, match="smoothing"):
-            smooth_pinball_loss(np.zeros(1), np.zeros(1), 0.5, smoothing=0.0)
-
-
-class TestHuber:
-    def test_quadratic_inside(self):
-        assert huber_loss(np.array([0.5]), np.array([0.0]), delta=1.0) == pytest.approx(
-            0.125
-        )
-
-    def test_linear_outside(self):
-        assert huber_loss(np.array([3.0]), np.array([0.0]), delta=1.0) == pytest.approx(
-            2.5
-        )
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            huber_loss(np.zeros(1), np.zeros(1), delta=-1.0)

@@ -106,11 +106,6 @@ class TestPointObjective:
         model = ObliviousBoostingRegressor(n_estimators=5, random_state=0).fit(X, y)
         np.testing.assert_allclose(model.predict(X), 5.0, atol=1e-8)
 
-    def test_feature_importances_normalised(self, boost_data):
-        Xtr, ytr, *_ = boost_data
-        model = ObliviousBoostingRegressor(n_estimators=20, random_state=0).fit(Xtr, ytr)
-        assert model.feature_importances_.sum() == pytest.approx(1.0)
-
     def test_shortlist_matches_exhaustive_closely(self, boost_data):
         Xtr, ytr, Xte, yte = boost_data
         fast = ObliviousBoostingRegressor(
@@ -156,9 +151,7 @@ class TestValidation:
             {"depth": 0},
             {"l2_leaf_reg": -1.0},
             {"max_bins": 1},
-            {"rsm": 0.0},
             {"random_strength": -1.0},
-            {"bagging_temperature": -0.5},
             {"quantile": 0.0},
             {"feature_shortlist": 0},
         ],
@@ -258,15 +251,12 @@ def rounded_first_column(seed):
 
 class TestSplitMaskAndEmptyLeaves:
     @pytest.mark.parametrize("seed", range(8))
-    def test_bootstrap_weights_never_pick_a_bin_past_the_last_edge(self, seed):
-        """Bootstrap weights make the Hessian mass non-integral, so the
-        right-hand mass past a feature's last edge could sit a few ulps
-        above zero; a mask built on it let such a bin win (IndexError).
-        The mask counts rows instead."""
+    def test_splits_never_pick_a_bin_past_the_last_edge(self, seed):
+        """The split mask counts rows on the codes, so every chosen bin
+        is one of the feature's edges and sends rows both ways, even on a
+        column with a handful of values under score noise."""
         X, y = rounded_first_column(seed)
-        model = ObliviousBoostingRegressor(
-            n_estimators=20, bagging_temperature=1.0, random_state=0
-        ).fit(X, y)
+        model = ObliviousBoostingRegressor(n_estimators=20, random_state=0).fit(X, y)
         edges = shared_binned_dataset(X, model.max_bins).binner.edges_
         for tree in model.trees_:
             for feature, threshold in zip(tree.features, tree.thresholds):

@@ -1,9 +1,9 @@
-"""Tests for the Adam and SGD optimisers."""
+"""Tests for the Adam optimiser."""
 
 import numpy as np
 import pytest
 
-from repro.models.optim import SGD, Adam
+from repro.models.optim import Adam
 
 
 def _minimise(optimizer, steps=500):
@@ -61,28 +61,3 @@ class TestAdam:
     def test_rejects_bad_betas(self):
         with pytest.raises(ValueError, match="betas"):
             Adam(beta1=1.0)
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        w, target = _minimise(SGD(learning_rate=0.05), steps=300)
-        np.testing.assert_allclose(w, target, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        plain, target = _minimise(SGD(learning_rate=0.01), steps=50)
-        momentum, _ = _minimise(SGD(learning_rate=0.01, momentum=0.9), steps=50)
-        assert np.linalg.norm(momentum - target) < np.linalg.norm(plain - target)
-
-    def test_rejects_bad_momentum(self):
-        with pytest.raises(ValueError, match="momentum"):
-            SGD(momentum=1.0)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            SGD().step([np.zeros(1)], [])
-
-    def test_reset_clears_velocity(self):
-        opt = SGD(momentum=0.9)
-        opt.step([np.zeros(1)], [np.ones(1)])
-        opt.reset()
-        opt.step([np.zeros(3)], [np.ones(3)])

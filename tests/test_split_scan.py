@@ -273,8 +273,8 @@ class TestFitParity:
     @pytest.mark.parametrize("quantile", [None, 0.05, 0.95])
     @pytest.mark.parametrize(
         "params",
-        [{}, {"feature_shortlist": None, "max_bins": 8}, {"rsm": 0.5}],
-        ids=["default", "no-shortlist-8-bins", "rsm"],
+        [{}, {"feature_shortlist": None, "max_bins": 8}],
+        ids=["default", "no-shortlist-8-bins"],
     )
     def test_oblivious_fit_matches_oracle_scan(self, monkeypatch, quantile, params):
         X, y, X_test = wide_problem()
@@ -291,9 +291,8 @@ class TestFitParity:
     @pytest.mark.parametrize("quantile", [None, 0.05, 0.95])
     @pytest.mark.parametrize(
         "params",
-        [{}, {"max_bins": 2}, {"one_candidate": True}, {"l2_leaf_reg": 0.0},
-         {"bagging_temperature": 1.0}],
-        ids=["default", "2-bins", "one-candidate", "lambda-0", "bagging"],
+        [{}, {"max_bins": 2}, {"one_candidate": True}, {"l2_leaf_reg": 0.0}],
+        ids=["default", "2-bins", "one-candidate", "lambda-0"],
     )
     def test_deep_oblivious_fit_on_few_rows_matches_oracle_scan(
         self, monkeypatch, quantile, params
@@ -337,16 +336,15 @@ class TestFitParity:
     @pytest.mark.parametrize("quantile", [None, 0.05, 0.95])
     @pytest.mark.parametrize(
         "params",
-        [{}, {"feature_shortlist": None, "max_bins": 8},
-         {"subsample": 0.7, "colsample_bytree": 0.5, "reg_lambda": 0.0}],
-        ids=["default", "no-shortlist-8-bins", "sampled-lambda-0"],
+        [{}, {"feature_shortlist": None, "max_bins": 8}, {"reg_lambda": 0.0}],
+        ids=["default", "no-shortlist-8-bins", "lambda-0"],
     )
     def test_gbm_fit_matches_oracle_scan(self, monkeypatch, quantile, params):
         X, y, X_test = wide_problem()
 
         def fit():
             return GradientBoostingRegressor(
-                n_estimators=10, quantile=quantile, random_state=4, **params
+                n_estimators=10, quantile=quantile, **params
             ).fit(X, y)
 
         got = fit()

@@ -63,21 +63,6 @@ class TestGradientTree:
         strict.fit_gradients(X, grads, np.ones(50))
         assert strict.n_leaves == 1
 
-    def test_feature_restriction(self):
-        X = np.column_stack([np.arange(8.0), np.zeros(8)])
-        grads = np.array([-1.0] * 4 + [1.0] * 4)
-        tree = GradientTree(TreeGrowthParams(max_depth=2, reg_lambda=0.0))
-        tree.fit_gradients(X, grads, np.ones(8), feature_indices=np.array([1]))
-        assert tree.n_leaves == 1  # feature 1 is constant: nothing to split
-
-    def test_importances_count_splits(self):
-        X = np.column_stack([np.arange(16.0), np.zeros(16)])
-        grads = np.sign(np.arange(16) - 7.5)
-        tree = GradientTree(TreeGrowthParams(max_depth=2, reg_lambda=0.0))
-        tree.fit_gradients(X, grads, np.ones(16))
-        importances = tree.feature_importances(2)
-        assert importances[0] > 0 and importances[1] == 0
-
     def test_rejects_bad_shapes(self):
         tree = GradientTree()
         with pytest.raises(ValueError):
@@ -102,17 +87,6 @@ class TestGradientTree:
             tree.predict(np.zeros((3, 1)))
         with pytest.raises(ValueError, match="2-D"):
             tree.predict(np.zeros(2))
-
-    def test_predict_without_recorded_width_still_scores(self):
-        """Trees unpickled from pre-width bundles lack n_features_in_
-        and must keep predicting rather than refuse."""
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        grads = np.array([-1.0, -1.0, 1.0, 1.0])
-        tree = GradientTree(TreeGrowthParams(max_depth=1, reg_lambda=0.0))
-        tree.fit_gradients(X, grads, np.ones(4))
-        reference = tree.predict(X)
-        del tree.n_features_in_
-        np.testing.assert_array_equal(tree.predict(X), reference)
 
 
 class TestDecisionTreeRegressor:
@@ -139,14 +113,6 @@ class TestDecisionTreeRegressor:
         shallow = DecisionTreeRegressor(max_depth=1).fit(X, y)
         deep = DecisionTreeRegressor(max_depth=6).fit(X, y)
         assert deep.score(X, y) > shallow.score(X, y)
-
-    def test_importances_normalised(self, rng):
-        X = rng.normal(size=(60, 4))
-        y = X[:, 2] * 3.0
-        model = DecisionTreeRegressor(max_depth=3).fit(X, y)
-        importances = model.feature_importances_
-        assert importances.sum() == pytest.approx(1.0)
-        assert importances.argmax() == 2
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
