@@ -2,7 +2,8 @@
 
 Implements the paper's protocol (Section IV-B): 4-fold cross-validation
 with a shared seed across all methods, :math:`R^2`/RMSE for point
-prediction, and average interval length / empirical coverage for region
+prediction, and average interval length / empirical coverage
+(:class:`~repro.core.intervals.PredictionIntervals`) for region
 prediction.  :mod:`repro.eval.experiments` encodes each table and figure
 of the paper as a declarative experiment the benchmark harness runs, and
 :mod:`repro.eval.stress` measures coverage/length degradation under the
@@ -26,12 +27,7 @@ calendar-time corner drift, and a sensor re-referencing -- see
 ``docs/SHIFT.md``.
 """
 
-from repro.eval.diagnostics import (
-    CoverageReport,
-    calibration_curve,
-    coverage_by_group,
-    width_quantiles,
-)
+from repro.eval.diagnostics import CoverageReport, coverage_by_group
 from repro.eval.crossval import (
     IntervalCVResult,
     KFold,
@@ -39,14 +35,7 @@ from repro.eval.crossval import (
     cross_validate_intervals,
     cross_validate_point,
 )
-from repro.eval.metrics import (
-    coverage_width_criterion,
-    empirical_coverage,
-    mean_interval_width,
-    pinball_score,
-    r2_score,
-    rmse,
-)
+from repro.eval.metrics import r2_score, rmse
 from repro.eval.experiments import (
     POINT_MODEL_NAMES,
     REGION_METHOD_NAMES,
@@ -92,17 +81,11 @@ __all__ = [
     "ShiftStressReport",
     "StressReport",
     "StressResult",
-    "coverage_width_criterion",
     "cross_validate_intervals",
     "cross_validate_point",
-    "empirical_coverage",
-    "calibration_curve",
     "coverage_by_group",
     "format_series",
     "format_table",
-    "width_quantiles",
-    "mean_interval_width",
-    "pinball_score",
     "r2_score",
     "rmse",
     "run_execution_campaign",

@@ -1,61 +1,33 @@
-"""Coverage and calibration diagnostics for interval predictors.
+"""Per-group coverage diagnostics for interval predictors.
 
 Beyond the two headline metrics (length, coverage), a silicon quality
 team auditing an interval predictor needs to know *where* coverage is
-spent: is the 90 % marginal rate hiding 70 % on defective parts?  Does
-the nominal level track the empirical one across alphas?  This module
-provides those reports:
-
-* :func:`coverage_by_group` -- empirical coverage/width per chip group
-  (e.g. defective vs healthy, per speed grade, per wafer zone),
-* :func:`calibration_curve` -- empirical coverage as a function of the
-  nominal level, for any refittable interval-model builder,
-* :func:`width_quantiles` -- the spread of interval widths (a constant-
-  width method shows zero spread; an adaptive one should not),
-* :class:`CoverageReport` -- a small container that renders as text.
+spent: is the 90 % marginal rate hiding 70 % on defective parts, or on
+one wafer zone?  :func:`coverage_by_group` answers that with a
+:class:`CoverageReport` (the Mondrian ablation and
+``examples/wafer_zone_guarantees.py`` read it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.intervals import PredictionIntervals
-from repro.eval.reporting import format_table
 
-__all__ = [
-    "CoverageReport",
-    "calibration_curve",
-    "coverage_by_group",
-    "width_quantiles",
-]
+__all__ = ["CoverageReport", "coverage_by_group"]
 
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Per-group coverage/width summary with a text rendering."""
+    """Per-group chip count, empirical coverage and mean width."""
 
     groups: Tuple[Hashable, ...]
     counts: Tuple[int, ...]
     coverages: Tuple[float, ...]
     mean_widths: Tuple[float, ...]
-
-    def render(self, title: str = "Coverage by group") -> str:
-        rows = [
-            [str(group), count, coverage * 100.0, width]
-            for group, count, coverage, width in zip(
-                self.groups, self.counts, self.coverages, self.mean_widths
-            )
-        ]
-        return format_table(
-            ["Group", "Chips", "Coverage (%)", "Mean width"], rows, title=title
-        )
-
-    def worst_group(self) -> Hashable:
-        """The group with the lowest empirical coverage."""
-        return self.groups[int(np.argmin(self.coverages))]
 
 
 def coverage_by_group(
@@ -89,41 +61,3 @@ def coverage_by_group(
         coverages=tuple(coverages),
         mean_widths=tuple(widths),
     )
-
-
-def calibration_curve(
-    builder: Callable[[float], object],
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    alphas: Sequence[float] = (0.05, 0.1, 0.2, 0.3, 0.5),
-) -> Dict[float, float]:
-    """Empirical coverage at each nominal level.
-
-    ``builder(alpha)`` must return a *fitted* object exposing
-    ``predict_interval(X)``.  A well-calibrated method tracks the
-    diagonal ``coverage ≈ 1 − alpha``; an uncalibrated one (plain QR, GP)
-    drifts below it.
-    """
-    y_test = np.asarray(y_test, dtype=np.float64)
-    curve: Dict[float, float] = {}
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        model = builder(alpha)
-        intervals = model.predict_interval(X_test)
-        if not isinstance(intervals, PredictionIntervals):
-            intervals = PredictionIntervals(*intervals)
-        curve[alpha] = intervals.coverage(y_test)
-    return curve
-
-
-def width_quantiles(
-    intervals: PredictionIntervals,
-    quantiles: Sequence[float] = (0.1, 0.5, 0.9),
-) -> Dict[float, float]:
-    """Selected quantiles of the per-sample interval width distribution."""
-    for q in quantiles:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantiles must be in [0, 1], got {q}")
-    width = intervals.width
-    return {float(q): float(np.quantile(width, q)) for q in quantiles}

@@ -43,9 +43,7 @@ from repro.eval.crossval import (
     cross_validate_point,
     fold_row_subsets,
 )
-from repro.features.cfs import CFSSelector
 from repro.features.selection import CFSSelectedRegressor
-from repro.features.preprocessing import StandardScaler
 from repro.models.base import BaseRegressor, check_random_state, clone
 from repro.models.binning import (
     BinnedDataset,
@@ -239,57 +237,29 @@ def _quantile_template(
 
 
 # ---------------------------------------------------------------------------
-# preprocessing wrappers
+# GP interval adapter
 # ---------------------------------------------------------------------------
 
-class _SelectedFeatureModel:
-    """CFS selection + standardisation + model, fitted leak-free per fold."""
+class _GPIntervalAdapter(BaseRegressor):
+    """A GP template whose ``predict_interval`` uses one fixed ``alpha``.
 
-    def __init__(self, model, k: int, scale: bool) -> None:
-        self._model = model
-        self._k = k
-        self._scale = scale
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "_SelectedFeatureModel":
-        self._selector = CFSSelector(k_max=self._k).fit(X, y)
-        X = self._selector.transform(X)
-        if self._scale:
-            self._scaler = StandardScaler().fit(X)
-            X = self._scaler.transform(X)
-        else:
-            self._scaler = None
-        self._model.fit(X, y)
-        return self
-
-    def _transform(self, X: np.ndarray) -> np.ndarray:
-        X = self._selector.transform(X)
-        if self._scaler is not None:
-            X = self._scaler.transform(X)
-        return X
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._model.predict(self._transform(X))
-
-    def predict_interval(self, X: np.ndarray):
-        return self._model.predict_interval(self._transform(X))
-
-
-class _GPIntervalAdapter:
-    """Expose a fixed-alpha ``predict_interval`` on a fitted GP."""
+    Clonable, so the Table-III GP cell fits it through
+    :class:`CFSSelectedRegressor` like every other CFS model.
+    """
 
     def __init__(self, gp: GaussianProcessRegressor, alpha: float) -> None:
-        self._gp = gp
-        self._alpha = alpha
+        self.gp = gp
+        self.alpha = alpha
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_GPIntervalAdapter":
-        self._gp.fit(X, y)
+        self.gp_ = clone(self.gp).fit(X, y)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._gp.predict(X)
+        return self.gp_.predict(X)
 
     def predict_interval(self, X: np.ndarray):
-        return self._gp.predict_interval(X, alpha=self._alpha)
+        return self.gp_.predict_interval(X, alpha=self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +317,19 @@ def run_point_experiment(
     X, y = _experiment_data(dataset, temperature_c, hours, feature_set)
     kfold = KFold(n_splits=profile.n_folds, shuffle=True, random_state=seed)
 
+    template = _point_template(model_name, profile, seed)
     if model_name in _RAW_MODELS:
-        template = _point_template(model_name, profile, seed)
-
-        def builder(X_train, y_train):
-            return clone(template).fit(X_train, y_train)
-
-        return cross_validate_point(builder, X, y, kfold, n_jobs=n_jobs)
-
-    needs_scaling = model_name in ("GP", "NN")
+        candidates = [template]
+    else:
+        candidates = [
+            CFSSelectedRegressor(template, k=k, scale=model_name in ("GP", "NN"))
+            for k in profile.cfs_k_values
+        ]
     best: Optional[PointCVResult] = None
-    for k in profile.cfs_k_values:
-        template = _point_template(model_name, profile, seed)
+    for candidate in candidates:
 
-        def builder(X_train, y_train, k=k, template=template):
-            return _SelectedFeatureModel(
-                clone(template), k=k, scale=needs_scaling
-            ).fit(X_train, y_train)
+        def builder(X_train, y_train, candidate=candidate):
+            return clone(candidate).fit(X_train, y_train)
 
         result = cross_validate_point(builder, X, y, kfold, n_jobs=n_jobs)
         if best is None or result.r2 > best.r2:
@@ -405,15 +371,13 @@ def run_region_experiment(
     kfold = KFold(n_splits=profile.n_folds, shuffle=True, random_state=seed)
 
     if method_name == "GP":
+        gp = GaussianProcessRegressor(n_restarts=profile.gp_restarts, random_state=seed)
+        template = CFSSelectedRegressor(
+            _GPIntervalAdapter(gp, alpha), k=cfs_k, scale=True
+        )
 
         def builder(X_train, y_train):
-            gp = GaussianProcessRegressor(
-                n_restarts=profile.gp_restarts, random_state=seed
-            )
-            model = _SelectedFeatureModel(
-                _GPIntervalAdapter(gp, alpha), k=cfs_k, scale=True
-            )
-            return model.fit(X_train, y_train)
+            return clone(template).fit(X_train, y_train)
 
         return cross_validate_intervals(builder, X, y, kfold, n_jobs=n_jobs)
 

@@ -1,27 +1,17 @@
-"""Scalar evaluation metrics for point and region prediction.
+"""Scalar point-prediction metrics (paper Section IV-B).
 
-Point metrics (paper Section IV-B): coefficient of determination
-:math:`R^2` and root mean squared error.  Region metrics: average
-interval length and empirical coverage (the two columns of Table III),
-plus the coverage-width criterion that combines them for ablation
-rankings, and the pinball score for quantile-model diagnostics.
+The coefficient of determination :math:`R^2` and the root mean squared
+error of Fig. 2.  The region metrics of Table III, empirical coverage
+and average interval length, are
+:meth:`~repro.core.intervals.PredictionIntervals.coverage` and
+:attr:`~repro.core.intervals.PredictionIntervals.mean_width`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.intervals import PredictionIntervals
-from repro.models.losses import pinball_loss
-
-__all__ = [
-    "coverage_width_criterion",
-    "empirical_coverage",
-    "mean_interval_width",
-    "pinball_score",
-    "r2_score",
-    "rmse",
-]
+__all__ = ["r2_score", "rmse"]
 
 
 def _check_pair(y_true: np.ndarray, y_pred: np.ndarray):
@@ -55,53 +45,3 @@ def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Root mean squared error, in the units of the target."""
     y_true, y_pred = _check_pair(y_true, y_pred)
     return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
-
-
-def _as_intervals(intervals) -> PredictionIntervals:
-    if isinstance(intervals, PredictionIntervals):
-        return intervals
-    if isinstance(intervals, tuple) and len(intervals) == 2:
-        return PredictionIntervals(*intervals)
-    raise TypeError(
-        "intervals must be a PredictionIntervals or a (lower, upper) tuple, "
-        f"got {type(intervals).__name__}"
-    )
-
-
-def empirical_coverage(intervals, y_true: np.ndarray) -> float:
-    """Fraction of targets inside their interval (Table III "Coverage")."""
-    return _as_intervals(intervals).coverage(np.asarray(y_true, dtype=np.float64))
-
-
-def mean_interval_width(intervals) -> float:
-    """Average interval length (Table III "Length")."""
-    return _as_intervals(intervals).mean_width
-
-
-def coverage_width_criterion(
-    intervals, y_true: np.ndarray, alpha: float = 0.1, eta: float = 30.0
-) -> float:
-    """Coverage-width criterion (CWC), lower is better.
-
-    ``mean_width * (1 + exp(eta * (target − coverage)))`` when coverage
-    falls short of ``1 − alpha``, else just the width: a single ranking
-    number that punishes under-coverage exponentially, handy for ablation
-    summaries where scanning two columns is awkward.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    intervals = _as_intervals(intervals)
-    coverage = intervals.coverage(np.asarray(y_true, dtype=np.float64))
-    width = intervals.mean_width
-    shortfall = (1.0 - alpha) - coverage
-    if shortfall <= 0:
-        return width
-    return width * (1.0 + float(np.exp(eta * shortfall)))
-
-
-def pinball_score(y_true: np.ndarray, y_pred: np.ndarray, quantile: float) -> float:
-    """Mean pinball loss of a quantile prediction (lower is better)."""
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    return pinball_loss(y_true, y_pred, quantile)

@@ -9,37 +9,20 @@ intrinsic split-based selection.
 
 Modules
 -------
-* :mod:`repro.features.correlation` -- Pearson/Spearman utilities,
-* :mod:`repro.features.cfs` -- the CFS merit and greedy forward search,
-* :mod:`repro.features.selection` -- top-k and best-k-sweep wrappers,
-* :mod:`repro.features.preprocessing` -- scaling / constant-column
-  handling / pipeline composition.
+* :mod:`repro.features.cfs` -- the Pearson kernel and the greedy forward
+  CFS search,
+* :mod:`repro.features.selection` -- :class:`CFSSelectedRegressor`, the
+  select -> scale -> fit estimator every CFS model is fitted through,
+* :mod:`repro.features.preprocessing` -- :class:`StandardScaler`.
 """
 
-from repro.features.cfs import CFSSelector, cfs_merit
-from repro.features.correlation import (
-    feature_feature_correlation,
-    feature_target_correlation,
-    pearson_correlation,
-    spearman_correlation,
-)
-from repro.features.preprocessing import (
-    ConstantFeatureDropper,
-    Pipeline,
-    StandardScaler,
-)
-from repro.features.selection import BestKSweepSelector, SelectKBest
+from repro.features.cfs import CFSSelector, feature_target_correlation
+from repro.features.preprocessing import StandardScaler
+from repro.features.selection import CFSSelectedRegressor
 
 __all__ = [
-    "BestKSweepSelector",
+    "CFSSelectedRegressor",
     "CFSSelector",
-    "ConstantFeatureDropper",
-    "Pipeline",
-    "SelectKBest",
     "StandardScaler",
-    "cfs_merit",
-    "feature_feature_correlation",
     "feature_target_correlation",
-    "pearson_correlation",
-    "spearman_correlation",
 ]

@@ -17,49 +17,53 @@ out of 1800 redundant parametric tests.
 :class:`CFSSelector` runs a greedy forward search: starting from the
 single best feature, it repeatedly adds the feature maximising the merit
 of the enlarged subset, recording the best subset of every size up to
-``k_max`` so the 1..10 sweep of the paper comes out of one search.
+``k_max`` so the 1..10 sweep of the paper comes out of one search.  Every
+correlation it needs -- each column against the target, and each column
+against the newest member -- comes from :func:`feature_target_correlation`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.features.correlation import (
-    feature_target_correlation,
-    pearson_correlation,
-)
+from repro.models.base import check_fitted
 
-__all__ = ["CFSSelector", "cfs_merit"]
+__all__ = ["CFSSelector", "feature_target_correlation"]
 
 
-def cfs_merit(mean_rfy: float, mean_rff: float, k: int) -> float:
-    """CFS merit of a subset from its two mean absolute correlations.
+def feature_target_correlation(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation of every column of ``X`` with ``y``, vectorised.
 
-    ``mean_rfy`` is the mean |feature-target| correlation, ``mean_rff`` the
-    mean |feature-feature| correlation over distinct pairs (defined as 0
-    when ``k == 1``).
+    Returns an array of shape ``(n_features,)``.  A constant column, or a
+    constant ``y``, has undefined correlation, defined here as 0: it
+    carries no linear information, so CFS never prefers a dead channel.
     """
-    if k < 1:
-        raise ValueError(f"subset size k must be >= 1, got {k}")
-    if mean_rfy < 0 or mean_rff < 0:
-        raise ValueError("mean absolute correlations must be non-negative")
-    denominator = np.sqrt(k + k * (k - 1) * mean_rff)
-    if denominator == 0.0:
-        return 0.0
-    return float(k * mean_rfy / denominator)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"X must be 2-D and y 1-D with matching length, got {X.shape}, {y.shape}"
+        )
+    X_centered = X - X.mean(axis=0)
+    y_centered = y - y.mean()
+    x_std = X_centered.std(axis=0)
+    y_std = y_centered.std()
+    if y_std == 0.0:
+        return np.zeros(X.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = (X_centered * y_centered[:, None]).mean(axis=0) / (x_std * y_std)
+    return np.where(x_std == 0.0, 0.0, corr)
 
 
 class CFSSelector:
-    """Greedy forward CFS over a feature matrix.
+    """Greedy forward CFS over a feature matrix, on Pearson correlation.
 
     Parameters
     ----------
     k_max:
         Largest subset size to record (paper sweeps 1..10).
-    method:
-        Correlation flavour, ``"pearson"`` (paper) or ``"spearman"``.
 
     Attributes
     ----------
@@ -70,13 +74,10 @@ class CFSSelector:
         Merit of each prefix subset, aligned with ``selected_``.
     """
 
-    def __init__(self, k_max: int = 10, method: str = "pearson") -> None:
+    def __init__(self, k_max: int = 10) -> None:
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        if method not in ("pearson", "spearman"):
-            raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
         self.k_max = k_max
-        self.method = method
         self.selected_: Optional[List[int]] = None
         self.merits_: Optional[List[float]] = None
 
@@ -94,7 +95,7 @@ class CFSSelector:
         n_features = X.shape[1]
         k_max = min(self.k_max, n_features)
 
-        target_corr = np.abs(feature_target_correlation(X, y, self.method))
+        target_corr = np.abs(feature_target_correlation(X, y))
 
         selected: List[int] = []
         merits: List[float] = []
@@ -125,16 +126,7 @@ class CFSSelector:
             rfy_sum += target_corr[best]
             ff_pair_sum += candidate_ff_sums[best]
             # Update each candidate's correlation-sum with the new member.
-            new_column = X[:, best]
-            if self.method == "spearman":
-                from scipy import stats
-
-                new_rank = stats.rankdata(new_column)
-                ranked = stats.rankdata(X, axis=0)
-                corr_with_new = _batch_abs_pearson(ranked, new_rank)
-            else:
-                corr_with_new = _batch_abs_pearson(X, new_column)
-            candidate_ff_sums += corr_with_new
+            candidate_ff_sums += np.abs(feature_target_correlation(X, X[:, best]))
 
         self.selected_ = selected
         self.merits_ = merits
@@ -142,8 +134,7 @@ class CFSSelector:
 
     def subset(self, k: int) -> List[int]:
         """The selected indices of the best greedy subset of size ``k``."""
-        if self.selected_ is None:
-            raise RuntimeError("CFSSelector is not fitted")
+        check_fitted(self, "selected_")
         if not 1 <= k <= len(self.selected_):
             raise ValueError(
                 f"k must be in [1, {len(self.selected_)}], got {k}"
@@ -152,20 +143,6 @@ class CFSSelector:
 
     def transform(self, X: np.ndarray, k: Optional[int] = None) -> np.ndarray:
         """Project ``X`` onto the best subset of size ``k`` (all by default)."""
-        if self.selected_ is None:
-            raise RuntimeError("CFSSelector is not fitted")
+        check_fitted(self, "selected_")
         k = len(self.selected_) if k is None else k
         return np.asarray(X, dtype=np.float64)[:, self.subset(k)]
-
-
-def _batch_abs_pearson(X: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """|Pearson correlation| of every column of ``X`` with ``column``."""
-    X_centered = X - X.mean(axis=0)
-    c_centered = column - column.mean()
-    x_std = X_centered.std(axis=0)
-    c_std = c_centered.std()
-    if c_std == 0.0:
-        return np.zeros(X.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = (X_centered * c_centered[:, None]).mean(axis=0) / (x_std * c_std)
-    return np.abs(np.where(x_std == 0.0, 0.0, corr))

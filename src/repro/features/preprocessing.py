@@ -1,20 +1,20 @@
-"""Preprocessing transformers used across the prediction flow.
+"""Standardisation for the models that are not scale-free.
 
 Parametric ATE data mixes units spanning many decades (nA leakage next to
-mA supply currents), so linear/GP/NN models are preceded by
-standardisation; dead channels (constant columns, e.g. disabled monitors)
-are dropped before any correlation-based selection.  All transformers
-follow the ``fit`` / ``transform`` / ``fit_transform`` convention and can
-be composed with :class:`Pipeline`.
+mA supply currents), so the GP and NN models see their CFS-selected
+features standardised (:class:`~repro.features.selection.CFSSelectedRegressor`
+with ``scale=True``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["ConstantFeatureDropper", "Pipeline", "StandardScaler"]
+from repro.models.base import check_fitted
+
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -28,7 +28,7 @@ class StandardScaler:
         self.mean_: Optional[np.ndarray] = None
         self.scale_: Optional[np.ndarray] = None
 
-    def fit(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> "StandardScaler":
+    def fit(self, X: np.ndarray) -> "StandardScaler":
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -38,126 +38,10 @@ class StandardScaler:
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
+        check_fitted(self, "mean_")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.mean_.shape[0]:
             raise ValueError(
                 f"X must be 2-D with {self.mean_.shape[0]} columns, got {X.shape}"
             )
         return (X - self.mean_) / self.scale_
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return X * self.scale_ + self.mean_
-
-    def fit_transform(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class ConstantFeatureDropper:
-    """Remove columns whose training-set variance is (near) zero.
-
-    ``tolerance`` is an absolute standard-deviation threshold; the default
-    keeps anything that moves at all, dropping only truly dead channels.
-    """
-
-    def __init__(self, tolerance: float = 0.0) -> None:
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-        self.tolerance = tolerance
-        self.kept_: Optional[np.ndarray] = None
-
-    def fit(
-        self, X: np.ndarray, y: Optional[np.ndarray] = None
-    ) -> "ConstantFeatureDropper":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        std = X.std(axis=0)
-        self.kept_ = np.flatnonzero(std > self.tolerance)
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.kept_ is None:
-            raise RuntimeError("ConstantFeatureDropper is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X must be 2-D with {self.n_features_in_} columns, got {X.shape}"
-            )
-        return X[:, self.kept_]
-
-    def fit_transform(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class Pipeline:
-    """Minimal transformer/estimator chain.
-
-    All steps but the last must expose ``fit``/``transform``; the last step
-    may be a transformer or an estimator (``fit``/``predict``).  The
-    pipeline itself then mirrors whichever interface the last step has.
-    """
-
-    def __init__(self, steps: Sequence[Tuple[str, object]]) -> None:
-        if not steps:
-            raise ValueError("Pipeline needs at least one step")
-        names = [name for name, _ in steps]
-        if len(set(names)) != len(names):
-            raise ValueError(f"step names must be unique, got {names}")
-        self.steps = list(steps)
-
-    def _transformers(self) -> List[object]:
-        return [step for _, step in self.steps[:-1]]
-
-    @property
-    def final_step(self) -> object:
-        return self.steps[-1][1]
-
-    def fit(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> "Pipeline":
-        for transformer in self._transformers():
-            X = _fit_transform_step(transformer, X, y)
-        final = self.final_step
-        if y is not None and hasattr(final, "predict"):
-            final.fit(X, y)
-        else:
-            _fit_step(final, X, y)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        for transformer in self._transformers():
-            X = transformer.transform(X)
-        final = self.final_step
-        if not hasattr(final, "transform"):
-            raise TypeError("final pipeline step has no transform()")
-        return final.transform(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        for transformer in self._transformers():
-            X = transformer.transform(X)
-        final = self.final_step
-        if not hasattr(final, "predict"):
-            raise TypeError("final pipeline step has no predict()")
-        return final.predict(X)
-
-    def fit_transform(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        self.fit(X, y)
-        return self.transform(X)
-
-
-def _fit_step(step: object, X: np.ndarray, y: Optional[np.ndarray]) -> None:
-    try:
-        step.fit(X, y)
-    except TypeError:
-        step.fit(X)
-
-
-def _fit_transform_step(
-    step: object, X: np.ndarray, y: Optional[np.ndarray]
-) -> np.ndarray:
-    _fit_step(step, X, y)
-    return step.transform(X)

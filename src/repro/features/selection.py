@@ -1,24 +1,22 @@
-"""Feature-selection wrappers around CFS.
+"""The one select -> scale -> fit estimator of the paper's CFS models.
 
-The paper (Section IV-C) applies CFS "to pick 1 to 10 features as input
-data and report the best testing scores".  :class:`BestKSweepSelector`
-automates that sweep: it fits CFS once, then evaluates a user-supplied
-estimator at every subset size with an internal validation split and
-keeps the size with the best score.  :class:`SelectKBest` is the simpler
-univariate baseline (top-k by |correlation|).
+The paper (Section IV-C) gives the LR, GP and NN models a CFS-selected
+subset of 1 to 10 features and reports the best testing score;
+:func:`repro.eval.experiments.run_point_experiment` sweeps that size, and
+every fit at one size is a :class:`CFSSelectedRegressor`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.models.base import BaseRegressor, check_random_state, check_X_y, clone
 from repro.features.cfs import CFSSelector
-from repro.features.correlation import feature_target_correlation
+from repro.features.preprocessing import StandardScaler
+from repro.models.base import BaseRegressor, check_fitted, check_X_y, clone
 
-__all__ = ["BestKSweepSelector", "CFSSelectedRegressor", "SelectKBest"]
+__all__ = ["CFSSelectedRegressor"]
 
 
 class CFSSelectedRegressor(BaseRegressor):
@@ -65,8 +63,6 @@ class CFSSelectedRegressor(BaseRegressor):
         self.model_: Optional[BaseRegressor] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CFSSelectedRegressor":
-        from repro.features.preprocessing import StandardScaler
-
         X, y = check_X_y(X, y)
         self.selector_ = CFSSelector(k_max=self.k).fit(X, y)
         X = self.selector_.transform(X)
@@ -89,13 +85,11 @@ class CFSSelectedRegressor(BaseRegressor):
         return X
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.model_ is None:
-            raise RuntimeError("CFSSelectedRegressor is not fitted")
+        check_fitted(self, "model_")
         return self.model_.predict(self._transform(np.asarray(X, dtype=np.float64)))
 
     def predict_interval(self, X: np.ndarray):
-        if self.model_ is None:
-            raise RuntimeError("CFSSelectedRegressor is not fitted")
+        check_fitted(self, "model_")
         if not hasattr(self.model_, "predict_interval"):
             raise TypeError(
                 f"{type(self.model_).__name__} has no predict_interval()"
@@ -103,130 +97,3 @@ class CFSSelectedRegressor(BaseRegressor):
         return self.model_.predict_interval(
             self._transform(np.asarray(X, dtype=np.float64))
         )
-
-
-class SelectKBest:
-    """Keep the ``k`` features with the largest |correlation| to the target."""
-
-    def __init__(self, k: int = 10, method: str = "pearson") -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.method = method
-        self.selected_: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "SelectKBest":
-        X, y = check_X_y(X, y)
-        scores = np.abs(feature_target_correlation(X, y, self.method))
-        k = min(self.k, X.shape[1])
-        # argsort is ascending; take the top-k and re-sort by index for
-        # deterministic column order.
-        top = np.sort(np.argsort(scores)[::-1][:k])
-        self.selected_ = top
-        self.scores_ = scores
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.selected_ is None:
-            raise RuntimeError("SelectKBest is not fitted")
-        return np.asarray(X, dtype=np.float64)[:, self.selected_]
-
-    def fit_transform(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class BestKSweepSelector:
-    """CFS subset-size sweep with validation-based size choice.
-
-    Parameters
-    ----------
-    estimator_factory:
-        Zero-argument callable returning a fresh unfitted estimator; called
-        once per candidate subset size.
-    k_range:
-        Candidate subset sizes (paper: ``range(1, 11)``).
-    validation_fraction:
-        Fraction of the training data held out to score each size.
-    method:
-        Correlation flavour for CFS.
-    random_state:
-        Seed for the validation split.
-
-    Attributes
-    ----------
-    best_k_:
-        Chosen subset size.
-    selected_:
-        Feature indices of the chosen subset.
-    sweep_scores_:
-        Validation :math:`R^2` per candidate size, aligned with ``k_range``.
-    """
-
-    def __init__(
-        self,
-        estimator_factory: Callable[[], object],
-        k_range: Sequence[int] = tuple(range(1, 11)),
-        validation_fraction: float = 0.25,
-        method: str = "pearson",
-        random_state: Optional[int] = None,
-    ) -> None:
-        if not k_range:
-            raise ValueError("k_range must be non-empty")
-        if any(k < 1 for k in k_range):
-            raise ValueError(f"k_range entries must be >= 1, got {list(k_range)}")
-        if not 0.0 < validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must be in (0, 1), got {validation_fraction}"
-            )
-        self.estimator_factory = estimator_factory
-        self.k_range = tuple(k_range)
-        self.validation_fraction = validation_fraction
-        self.method = method
-        self.random_state = random_state
-        self.best_k_: Optional[int] = None
-        self.selected_: Optional[List[int]] = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "BestKSweepSelector":
-        X, y = check_X_y(X, y)
-        rng = check_random_state(self.random_state)
-        n = X.shape[0]
-        n_val = max(1, int(round(self.validation_fraction * n)))
-        if n_val >= n:
-            raise ValueError("validation split leaves no training data")
-        permutation = rng.permutation(n)
-        val_idx = permutation[:n_val]
-        train_idx = permutation[n_val:]
-
-        cfs = CFSSelector(k_max=max(self.k_range), method=self.method)
-        cfs.fit(X[train_idx], y[train_idx])
-        available = len(cfs.selected_)
-
-        scores: List[float] = []
-        best_score = -np.inf
-        best_k = min(self.k_range)
-        for k in self.k_range:
-            if k > available:
-                scores.append(float("nan"))
-                continue
-            columns = cfs.subset(k)
-            model = self.estimator_factory()
-            model.fit(X[np.ix_(train_idx, columns)], y[train_idx])
-            score = model.score(X[np.ix_(val_idx, columns)], y[val_idx])
-            scores.append(float(score))
-            if score > best_score:
-                best_score = score
-                best_k = k
-
-        self.sweep_scores_ = scores
-        self.best_k_ = best_k
-        self.selected_ = cfs.subset(min(best_k, available))
-        self._cfs = cfs
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.selected_ is None:
-            raise RuntimeError("BestKSweepSelector is not fitted")
-        return np.asarray(X, dtype=np.float64)[:, self.selected_]
-
-    def fit_transform(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.fit(X, y).transform(X)

@@ -1,10 +1,12 @@
 """The end-to-end Vmin prediction flow of the paper's Fig. 1.
 
-* :mod:`repro.flow.scenarios` -- which features are available when:
-  production test (time 0) vs simulated in-field read points,
+Which features are available at which read point (production test at
+time 0, simulated in-field read points after it) is
+:meth:`repro.silicon.dataset.SiliconDataset.features`; this package holds
+what a product team deploys on top of it:
+
 * :mod:`repro.flow.pipeline` -- :class:`VminPredictionFlow`, the
-  select -> scale -> fit -> conformalize -> predict-interval pipeline a
-  product team would deploy,
+  fit -> conformalize -> predict-interval pipeline,
 * :mod:`repro.flow.screening` -- interval-based outlier / specification
   screening (the paper's stated production use case, Section V),
 * :mod:`repro.flow.binning` -- guard-banded Vmin binning for power saving
@@ -13,21 +15,13 @@
 
 from repro.flow.binning import BinningOutcome, VminBinningPolicy, optimize_guard_band
 from repro.flow.pipeline import VminPredictionFlow
-from repro.flow.scenarios import (
-    PredictionScenario,
-    build_forecast_scenario,
-    build_scenario,
-)
 from repro.flow.screening import ScreeningDecision, SpecScreeningPolicy
 
 __all__ = [
     "BinningOutcome",
-    "PredictionScenario",
     "ScreeningDecision",
     "SpecScreeningPolicy",
     "VminBinningPolicy",
     "VminPredictionFlow",
-    "build_forecast_scenario",
-    "build_scenario",
     "optimize_guard_band",
 ]

@@ -1,12 +1,12 @@
 """The deployable Vmin interval-prediction pipeline.
 
-:class:`VminPredictionFlow` packages the paper's recommended recipe --
-CFS feature selection, standardisation, a quantile-capable base model,
-and split-CQR calibration -- behind a single fit/predict interface, so a
-test-floor integration only deals with feature matrices in and calibrated
-intervals out.  It also exposes the selected feature names, the conformal
-correction, and the effective finite-sample guarantee for audit trails
-(automotive quality flows require exactly this kind of traceability).
+:class:`VminPredictionFlow` packages the paper's recommended recipe -- a
+quantile-capable base model on every raw column and split-CQR
+calibration -- behind a single fit/predict interface, so a test-floor
+integration only deals with feature matrices in and calibrated intervals
+out.  It also exposes the conformal correction and the effective
+finite-sample guarantee for audit trails (automotive quality flows
+require exactly this kind of traceability).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.calibration import effective_coverage_level
 from repro.core.cqr import ConformalizedQuantileRegressor
 from repro.core.intervals import PredictionIntervals
-from repro.features.selection import CFSSelectedRegressor
 from repro.models.base import BaseRegressor, check_X_y, check_fitted, clone
 from repro.models.oblivious import ObliviousBoostingRegressor
 
@@ -26,7 +25,13 @@ __all__ = ["VminPredictionFlow"]
 
 
 class VminPredictionFlow:
-    """Select -> scale -> fit quantile band -> conformalize -> predict.
+    """Fit quantile band -> conformalize -> predict.
+
+    The band sees every raw column, unscaled, and split CQR holds out a
+    quarter of the training chips for calibration (paper Section IV-C).
+    A base model that needs CFS selection or scaling comes wrapped in
+    :class:`~repro.features.selection.CFSSelectedRegressor`, which the
+    conformal split refits on the proper-training part only.
 
     Parameters
     ----------
@@ -35,14 +40,6 @@ class VminPredictionFlow:
         best variant, CQR CatBoost (oblivious boosting, 100 trees).
     alpha:
         Target miscoverage (paper: 0.1).
-    n_features:
-        CFS subset size; ``None`` skips selection and feeds all columns
-        (the right choice for tree-based base models, Section IV-C).
-    scale:
-        Standardise selected features (recommended for NN/GP bases;
-        harmless for trees).
-    calibration_fraction:
-        Held-out fraction for conformal calibration (paper: 0.25).
     random_state:
         Seed for the internal calibration split.
     """
@@ -51,20 +48,12 @@ class VminPredictionFlow:
         self,
         base_model: Optional[BaseRegressor] = None,
         alpha: float = 0.1,
-        n_features: Optional[int] = None,
-        scale: bool = False,
-        calibration_fraction: float = 0.25,
         random_state: Optional[int] = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if n_features is not None and n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {n_features}")
         self.base_model = base_model
         self.alpha = alpha
-        self.n_features = n_features
-        self.scale = scale
-        self.calibration_fraction = calibration_fraction
         self.random_state = random_state
         self.cqr_: Optional[ConformalizedQuantileRegressor] = None
 
@@ -76,15 +65,13 @@ class VminPredictionFlow:
     ) -> "VminPredictionFlow":
         """Fit the full pipeline on training chips.
 
-        ``feature_names``, if given, must align with the columns of ``X``
-        and enables :attr:`selected_feature_names_`.
+        ``feature_names``, if given, must align with the columns of ``X``.
         """
         X, y = check_X_y(X, y)
         if feature_names is not None and len(feature_names) != X.shape[1]:
             raise ValueError(
                 f"{len(feature_names)} feature names for {X.shape[1]} columns"
             )
-        self._feature_names = list(feature_names) if feature_names is not None else None
 
         template = self.base_model
         if template is None:
@@ -96,40 +83,10 @@ class VminPredictionFlow:
                 f"{type(template).__name__} has no 'quantile' parameter; "
                 "the flow needs a quantile-capable base model"
             )
-        if self.n_features is not None or self.scale:
-            # Selection/scaling live INSIDE the template so the conformal
-            # split refits them on the proper-training part only --
-            # selecting on data that later calibrates the intervals voids
-            # the coverage guarantee (see CFSSelectedRegressor).
-            template = CFSSelectedRegressor(
-                clone(template),
-                k=self.n_features if self.n_features is not None else X.shape[1],
-                scale=self.scale,
-                quantile=0.5,
-            )
         self.cqr_ = ConformalizedQuantileRegressor(
-            clone(template),
-            alpha=self.alpha,
-            calibration_fraction=self.calibration_fraction,
-            random_state=self.random_state,
+            clone(template), alpha=self.alpha, random_state=self.random_state
         ).fit(X, y)
         return self
-
-    @property
-    def selected_feature_names_(self):
-        """Names chosen by the lower quantile model's CFS pass (or all).
-
-        With selection enabled the two quantile models may in principle
-        pick different subsets on the proper-training split; the lower
-        model's choice is reported as the representative one.
-        """
-        check_fitted(self, "cqr_")
-        if self.n_features is None:
-            return self._feature_names
-        if self._feature_names is None:
-            return None
-        selected_model = self.cqr_.band_.lower_
-        return [self._feature_names[i] for i in selected_model.selector_.selected_]
 
     def predict_interval(self, X: np.ndarray) -> PredictionIntervals:
         """Calibrated Vmin interval per chip (V)."""

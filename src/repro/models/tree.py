@@ -276,8 +276,7 @@ class GradientTree:
         to score silently while missing ones raised a bare
         ``IndexError`` mid-walk.
         """
-        if self.feature_ is None:
-            raise RuntimeError("GradientTree is not fitted")
+        check_fitted(self, "feature_")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")

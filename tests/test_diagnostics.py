@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.intervals import PredictionIntervals
-from repro.core.split_cp import SplitConformalRegressor
-from repro.eval.diagnostics import (
-    calibration_curve,
-    coverage_by_group,
-    width_quantiles,
-)
-from repro.models.linear import LinearRegression
+from repro.eval.diagnostics import coverage_by_group
 
 
 @pytest.fixture()
@@ -30,16 +24,6 @@ class TestCoverageByGroup:
         assert report.coverages == (0.5, 1.0)
         assert report.mean_widths == (1.5, 1.5)
 
-    def test_worst_group(self, intervals):
-        y = np.array([0.5, 3.0, 0.5, 1.5])
-        report = coverage_by_group(intervals, y, ["a", "a", "b", "b"])
-        assert report.worst_group() == "a"
-
-    def test_render_contains_groups(self, intervals):
-        y = np.zeros(4)
-        text = coverage_by_group(intervals, y, [0, 0, 1, 1]).render()
-        assert "Coverage by group" in text and "0" in text
-
     def test_boolean_groups(self, intervals):
         y = np.array([0.5, 0.5, 0.5, 0.5])
         report = coverage_by_group(
@@ -50,54 +34,3 @@ class TestCoverageByGroup:
     def test_rejects_length_mismatch(self, intervals):
         with pytest.raises(ValueError, match="labels"):
             coverage_by_group(intervals, np.zeros(4), ["a"])
-
-
-class TestCalibrationCurve:
-    def test_conformal_tracks_diagonal(self, rng):
-        X = rng.normal(size=(600, 2))
-        y = X[:, 0] + rng.normal(scale=0.3, size=600)
-        X_train, y_train = X[:400], y[:400]
-        X_test, y_test = X[400:], y[400:]
-
-        def builder(alpha):
-            return SplitConformalRegressor(
-                LinearRegression(), alpha=alpha, random_state=0
-            ).fit(X_train, y_train)
-
-        curve = calibration_curve(builder, X_test, y_test, alphas=(0.1, 0.3, 0.5))
-        for alpha, coverage in curve.items():
-            assert coverage == pytest.approx(1 - alpha, abs=0.1)
-
-    def test_coverage_monotone_in_level(self, rng):
-        X = rng.normal(size=(400, 2))
-        y = X[:, 0] + rng.normal(size=400)
-
-        def builder(alpha):
-            return SplitConformalRegressor(
-                LinearRegression(), alpha=alpha, random_state=0
-            ).fit(X[:300], y[:300])
-
-        curve = calibration_curve(builder, X[300:], y[300:], alphas=(0.1, 0.5))
-        assert curve[0.1] >= curve[0.5]
-
-    def test_rejects_bad_alpha(self, rng):
-        with pytest.raises(ValueError):
-            calibration_curve(lambda a: None, np.zeros((2, 2)), np.zeros(2), alphas=(0.0,))
-
-
-class TestWidthQuantiles:
-    def test_constant_width_degenerate(self):
-        intervals = PredictionIntervals(np.zeros(10), np.full(10, 2.0))
-        quantiles = width_quantiles(intervals)
-        assert all(v == pytest.approx(2.0) for v in quantiles.values())
-
-    def test_quantile_ordering(self, rng):
-        lower = np.zeros(100)
-        upper = rng.uniform(1.0, 3.0, size=100)
-        quantiles = width_quantiles(PredictionIntervals(lower, upper))
-        assert quantiles[0.1] <= quantiles[0.5] <= quantiles[0.9]
-
-    def test_rejects_out_of_range(self):
-        intervals = PredictionIntervals(np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError):
-            width_quantiles(intervals, quantiles=(1.5,))

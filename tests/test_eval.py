@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.intervals import PredictionIntervals
 from repro.eval.crossval import (
     KFold,
     cross_validate_intervals,
     cross_validate_point,
 )
-from repro.eval.metrics import (
-    coverage_width_criterion,
-    empirical_coverage,
-    mean_interval_width,
-    pinball_score,
-    r2_score,
-    rmse,
-)
+from repro.eval.metrics import r2_score, rmse
 from repro.eval.reporting import format_series, format_table
 from repro.models.linear import LinearRegression, QuantileLinearRegression
 from repro.models.quantile import QuantileBandRegressor
@@ -44,28 +36,6 @@ class TestMetrics:
         assert rmse(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(
             np.sqrt(12.5)
         )
-
-    def test_interval_metrics_accept_tuple_or_object(self):
-        lower, upper = np.zeros(4), np.ones(4)
-        y = np.array([0.5, 0.5, 2.0, -1.0])
-        as_tuple = empirical_coverage((lower, upper), y)
-        as_object = empirical_coverage(PredictionIntervals(lower, upper), y)
-        assert as_tuple == as_object == 0.5
-        assert mean_interval_width((lower, upper)) == 1.0
-
-    def test_cwc_penalises_undercoverage(self):
-        y = np.linspace(0, 1, 100)
-        tight = PredictionIntervals(y + 0.2, y + 0.3)  # zero coverage
-        honest = PredictionIntervals(y - 0.5, y + 0.5)
-        assert coverage_width_criterion(tight, y) > coverage_width_criterion(honest, y)
-
-    def test_cwc_equals_width_when_covered(self):
-        y = np.zeros(10)
-        wide = PredictionIntervals(np.full(10, -1.0), np.full(10, 1.0))
-        assert coverage_width_criterion(wide, y, alpha=0.1) == pytest.approx(2.0)
-
-    def test_pinball_score_wrapper(self):
-        assert pinball_score(np.array([1.0]), np.array([0.0]), 0.9) == pytest.approx(0.9)
 
     def test_metrics_reject_empty(self):
         with pytest.raises(ValueError):

@@ -1,26 +1,22 @@
-"""Tests for correlation utilities, CFS, and selection wrappers."""
+"""Tests for the Pearson kernel, CFS, and the select -> scale -> fit estimator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features.cfs import CFSSelector, cfs_merit
-from repro.features.correlation import (
-    feature_feature_correlation,
-    feature_target_correlation,
-    pearson_correlation,
-    spearman_correlation,
-)
-from repro.features.selection import (
-    BestKSweepSelector,
-    CFSSelectedRegressor,
-    SelectKBest,
-)
+from repro.features.cfs import CFSSelector, feature_target_correlation
+from repro.features.preprocessing import StandardScaler
+from repro.features.selection import CFSSelectedRegressor
+from repro.models.base import NotFittedError
 from repro.models.linear import LinearRegression, QuantileLinearRegression
+from repro.models.tree import GradientTree
+from tests.oracles.features import pearson_correlation
 
 
 class TestPearson:
+    """The scalar oracle the vectorised kernel is checked against."""
+
     def test_perfect_positive(self):
         a = np.arange(10.0)
         assert pearson_correlation(a, 2 * a + 1) == pytest.approx(1.0)
@@ -48,15 +44,6 @@ class TestPearson:
         assert -1.0 - 1e-9 <= pearson_correlation(a, b) <= 1.0 + 1e-9
 
 
-class TestSpearman:
-    def test_monotone_nonlinear_is_one(self):
-        a = np.arange(1.0, 20.0)
-        assert spearman_correlation(a, a**3) == pytest.approx(1.0)
-
-    def test_constant_gives_zero(self):
-        assert spearman_correlation(np.ones(6), np.arange(6.0)) == 0.0
-
-
 class TestVectorisedCorrelation:
     def test_feature_target_matches_scalar(self, rng):
         X = rng.normal(size=(40, 5))
@@ -76,39 +63,28 @@ class TestVectorisedCorrelation:
             feature_target_correlation(X, np.ones(20)), 0.0
         )
 
-    def test_feature_feature_symmetric_unit_diag(self, rng):
-        X = rng.normal(size=(30, 6))
-        corr = feature_feature_correlation(X, np.arange(4))
-        np.testing.assert_allclose(corr, corr.T)
-        np.testing.assert_allclose(np.diag(corr), 1.0)
-
-    def test_spearman_mode(self, rng):
-        X = np.exp(rng.normal(size=(50, 2)))
-        y = X[:, 0] ** 2
-        corr = feature_target_correlation(X, y, method="spearman")
-        assert corr[0] == pytest.approx(1.0)
-
-    def test_rejects_unknown_method(self, rng):
-        with pytest.raises(ValueError, match="method"):
-            feature_target_correlation(np.ones((5, 2)), np.arange(5.0), method="kendall")
-
 
 class TestCFSMerit:
-    def test_single_feature_merit_is_rfy(self):
-        assert cfs_merit(0.8, 0.0, 1) == pytest.approx(0.8)
+    def test_single_feature_merit_is_rfy(self, rng):
+        X = rng.normal(size=(80, 5))
+        y = X[:, 3] - 0.5 * X[:, 1] + rng.normal(size=80)
+        selector = CFSSelector(k_max=1).fit(X, y)
+        best = selector.selected_[0]
+        assert selector.merits_[0] == pytest.approx(
+            abs(pearson_correlation(X[:, best], y))
+        )
 
-    def test_redundancy_lowers_merit(self):
-        independent = cfs_merit(0.8, 0.0, 4)
-        redundant = cfs_merit(0.8, 0.9, 4)
-        assert independent > redundant
+    def test_redundancy_lowers_merit(self, rng):
+        a, b = rng.normal(size=(2, 300))
+        y = a + b
+        independent = CFSSelector(k_max=2).fit(np.column_stack([a, b]), y)
+        twin = a + rng.normal(scale=0.01, size=300)
+        redundant = CFSSelector(k_max=2).fit(np.column_stack([a, twin]), y)
+        assert independent.merits_[1] > redundant.merits_[1]
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k"):
-            cfs_merit(0.5, 0.1, 0)
-
-    def test_rejects_negative_correlation(self):
-        with pytest.raises(ValueError):
-            cfs_merit(-0.1, 0.0, 2)
+        with pytest.raises(ValueError, match="k_max"):
+            CFSSelector(k_max=0)
 
 
 class TestCFSSelector:
@@ -160,39 +136,6 @@ class TestCFSSelector:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             CFSSelector().subset(1)
-
-
-class TestSelectKBest:
-    def test_keeps_top_correlated(self, rng):
-        X = rng.normal(size=(150, 5))
-        y = X[:, 1] * 4 + X[:, 3] + rng.normal(scale=0.2, size=150)
-        selector = SelectKBest(k=2).fit(X, y)
-        assert set(selector.selected_) == {1, 3}
-
-    def test_k_clamped_to_width(self, rng):
-        X = rng.normal(size=(20, 3))
-        selector = SelectKBest(k=10).fit(X, rng.normal(size=20))
-        assert selector.selected_.size == 3
-
-    def test_transform_shape(self, rng):
-        X = rng.normal(size=(20, 6))
-        out = SelectKBest(k=4).fit_transform(X, rng.normal(size=20))
-        assert out.shape == (20, 4)
-
-
-class TestBestKSweep:
-    def test_chooses_small_k_for_single_signal(self, rng):
-        X = rng.normal(size=(200, 12))
-        y = 2.0 * X[:, 0] + rng.normal(scale=0.05, size=200)
-        sweep = BestKSweepSelector(
-            LinearRegression, k_range=(1, 3, 6), random_state=0
-        ).fit(X, y)
-        assert 0 in sweep.selected_
-        assert len(sweep.sweep_scores_) == 3
-
-    def test_rejects_empty_k_range(self):
-        with pytest.raises(ValueError):
-            BestKSweepSelector(LinearRegression, k_range=())
 
 
 class TestCFSSelectedRegressor:
@@ -247,3 +190,29 @@ class TestCFSRobustness:
         X = np.ones((20, 5))
         selector = CFSSelector(k_max=3).fit(X, rng.normal(size=20))
         assert len(selector.selected_) == 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: StandardScaler().transform(np.ones((2, 2))),
+        lambda: CFSSelector().subset(1),
+        lambda: CFSSelector().transform(np.ones((2, 2))),
+        lambda: CFSSelectedRegressor(LinearRegression()).predict(np.ones((2, 2))),
+        lambda: CFSSelectedRegressor(LinearRegression()).predict_interval(
+            np.ones((2, 2))
+        ),
+        lambda: GradientTree().predict(np.ones((2, 2))),
+    ],
+    ids=[
+        "scaler-transform",
+        "cfs-subset",
+        "cfs-transform",
+        "selected-predict",
+        "selected-predict-interval",
+        "gradient-tree-predict",
+    ],
+)
+def test_unfitted_raises_not_fitted_error(call):
+    with pytest.raises(NotFittedError, match="not fitted"):
+        call()

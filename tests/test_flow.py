@@ -1,41 +1,13 @@
-"""Tests for scenarios, the prediction pipeline, and screening."""
+"""Tests for the prediction pipeline, screening, and forecasting a later read point."""
 
 import numpy as np
 import pytest
 
 from repro.core.intervals import PredictionIntervals
-from repro.eval.experiments import FeatureSet
 from repro.flow.pipeline import VminPredictionFlow
-from repro.flow.scenarios import build_scenario
 from repro.flow.screening import ScreeningDecision, SpecScreeningPolicy
 from repro.models import LinearRegression, QuantileLinearRegression
 from repro.silicon.constants import MIN_SPEC_V
-
-
-class TestScenarios:
-    def test_production_scenario(self, lot):
-        scenario = build_scenario(lot, 25.0, 0)
-        assert scenario.kind == "production"
-        assert scenario.n_chips == 156
-        assert scenario.X.shape[1] == len(scenario.feature_names)
-
-    def test_in_field_scenario_accumulates_monitors(self, lot):
-        early = build_scenario(lot, 25.0, 24)
-        late = build_scenario(lot, 25.0, 1008)
-        assert late.kind == "in_field"
-        assert late.n_features > early.n_features
-
-    def test_feature_set_restriction(self, lot):
-        onchip = build_scenario(lot, 25.0, 0, FeatureSet.ONCHIP)
-        assert all(not n.startswith("par_") for n in onchip.feature_names)
-
-    def test_describe_mentions_corner(self, lot):
-        text = build_scenario(lot, -45.0, 48).describe()
-        assert "-45" in text and "48 h" in text
-
-    def test_rejects_bad_corner(self, lot):
-        with pytest.raises(ValueError):
-            build_scenario(lot, 10.0, 0)
 
 
 class TestVminPredictionFlow:
@@ -47,18 +19,6 @@ class TestVminPredictionFlow:
         intervals = flow.predict_interval(X[120:])
         assert intervals.coverage(y[120:]) >= 0.75
         assert intervals.mean_width < 0.1  # volts; sane scale
-
-    def test_selected_feature_names_exposed(self, lot):
-        X, names = lot.features(0)
-        y = lot.target(25.0, 0)
-        flow = VminPredictionFlow(
-            base_model=QuantileLinearRegression(),
-            n_features=5,
-            random_state=0,
-        )
-        flow.fit(X[:120], y[:120], feature_names=names)
-        assert len(flow.selected_feature_names_) == 5
-        assert set(flow.selected_feature_names_) <= set(names)
 
     def test_guaranteed_coverage_reported(self, lot):
         X, _ = lot.features(0)
@@ -149,39 +109,19 @@ class TestScreening:
 
 
 class TestForecastScenario:
-    def test_labels_come_from_future_read_point(self, lot):
-        from repro.flow.scenarios import build_forecast_scenario
-
-        scenario = build_forecast_scenario(lot, 25.0, 48, 1008)
-        assert scenario.kind == "forecast"
-        assert scenario.hours == 1008
-        np.testing.assert_array_equal(scenario.y, lot.target(25.0, 1008))
-        # Features are cut off at 48 h: parametric + 3 monitor snapshots.
-        X48, _ = lot.features(48)
-        np.testing.assert_array_equal(scenario.X, X48)
-
     def test_forecastability_with_cqr(self, lot):
         """The headline extension: a calibrated interval on NEXT-read-point
         Vmin from current telemetry still covers."""
         from repro.core import ConformalizedQuantileRegressor
         from repro.features.selection import CFSSelectedRegressor
-        from repro.flow.scenarios import build_forecast_scenario
 
-        scenario = build_forecast_scenario(lot, 25.0, 168, 504)
-        y = scenario.y * 1000.0
+        X, _ = lot.features(168)
+        y = lot.target(25.0, 504) * 1000.0
         template = CFSSelectedRegressor(
             QuantileLinearRegression(), k=8, quantile=0.5
         )
         cqr = ConformalizedQuantileRegressor(
             template, alpha=0.1, random_state=0
-        ).fit(scenario.X[:117], y[:117])
-        intervals = cqr.predict_interval(scenario.X[117:])
+        ).fit(X[:117], y[:117])
+        intervals = cqr.predict_interval(X[117:])
         assert intervals.coverage(y[117:]) >= 0.7
-
-    def test_rejects_non_causal_order(self, lot):
-        from repro.flow.scenarios import build_forecast_scenario
-
-        with pytest.raises(ValueError, match="after the feature"):
-            build_forecast_scenario(lot, 25.0, 504, 48)
-        with pytest.raises(ValueError, match="after the feature"):
-            build_forecast_scenario(lot, 25.0, 48, 48)
