@@ -10,25 +10,24 @@ Times the stages the fast-training tentpole optimised and writes
 * oblivious (CatBoost-style) ensemble fit,
 * greedy CFS selection,
 * the Table-III grid over the XGBoost-family region methods -- the cells
-  whose training cost the histogram finder actually changes -- run five
+  whose training cost the histogram finder actually changes -- run four
   ways: the pre-optimisation baseline (serial, ``xgb_tree_method="exact"``,
-  every boosting round grown: see :func:`_grow_every_round`),
-  serial hist and parallel hist with the shared-binning cache disabled
-  (so those two stages keep their pre-cache meaning across commits),
-  serial hist with the shared-binning cache on
-  (``table3_grid_hist_shared``), and the process-backend engine
-  (``table3_grid_hist_process``: cache + shared-memory code transport,
-  ``n_jobs`` worker processes).
+  every boosting round grown: see :func:`_grow_every_round`), serial
+  hist with the shared-binning cache disabled (so that stage keeps its
+  pre-cache meaning across commits), serial hist with the
+  shared-binning cache on (``table3_grid_hist_shared``), and the
+  process-pool engine (``table3_grid_hist_process``: cache +
+  shared-memory code transport, :data:`N_JOBS` worker processes).
 
 The grid invariants are recorded as named checks and asserted:
 
-* ``grid_parallel_matches_serial`` / ``grid_shared_matches_serial`` /
-  ``grid_process_matches_serial`` -- every variant equals the serial-hist
-  grid *bit for bit* (every per-fold coverage/width float),
-* ``grid_speedup_ok`` -- on a multi-core runner the optimised grid must
-  be >= 3x faster than the exact serial baseline (recorded, asserted
-  only when the host actually has >= 4 CPUs; a 1-core container cannot
-  realise pool parallelism),
+* ``grid_shared_matches_serial`` / ``grid_process_matches_serial`` --
+  every variant equals the serial-hist grid *bit for bit* (every
+  per-fold coverage/width float),
+* ``grid_speedup_ok`` -- on a multi-core runner the process-pool grid
+  must be >= 3x faster than the exact serial baseline (recorded,
+  asserted only when the host actually has >= 4 CPUs; a 1-core
+  container cannot realise pool parallelism),
 * ``grid_process_speedup_ok`` -- the shared-binning process engine must
   be >= 10x faster than the exact serial baseline (asserted on every
   profile but ``smoke``: the shared-binning savings are algorithmic --
@@ -60,7 +59,6 @@ from repro.models.gbm import GradientBoostingRegressor
 from repro.models.oblivious import ObliviousBoostingRegressor
 from repro.models.tree import DecisionTreeRegressor
 from repro.perf.bench import BenchRecorder, peak_rss_mb, time_call
-from repro.perf.parallel import effective_n_jobs
 from repro.silicon.dataset import SiliconDataset
 
 REPORT_PATH = RESULTS_DIR / "BENCH_training.json"
@@ -69,7 +67,10 @@ REPORT_PATH = RESULTS_DIR / "BENCH_training.json"
 # targets; NN/LR/GP cells are untouched by it and would only add noise.
 GRID_METHODS = ("QR XGBoost", "CQR XGBoost")
 
-# Required multiple on the optimised grid vs the pre-optimisation
+# Worker processes for the process-pool stage.
+N_JOBS = 4
+
+# Required multiple on the process-pool grid vs the pre-optimisation
 # baseline -- enforced on runners with >= 4 CPUs (the CI perf-smoke
 # host), recorded everywhere.
 MIN_GRID_SPEEDUP = 3.0
@@ -80,13 +81,6 @@ MIN_GRID_SPEEDUP = 3.0
 # per fold, per cell), not core-count dependent, so even a 1-CPU
 # container must deliver it.
 MIN_PROCESS_GRID_SPEEDUP = 10.0
-
-
-def _bench_n_jobs() -> int:
-    """Worker count for the parallel stages (REPRO_N_JOBS, default 4)."""
-    if os.environ.get("REPRO_N_JOBS"):
-        return effective_n_jobs(None)
-    return 4
 
 
 @contextmanager
@@ -168,9 +162,8 @@ def _render(recorder: BenchRecorder) -> str:
 
 def test_training_engine_perf(dataset, profile, bench_scope):
     temperatures, read_points = bench_scope
-    n_jobs = _bench_n_jobs()
     recorder = BenchRecorder(
-        benchmark="training", profile=bench_profile_name(), n_jobs=n_jobs
+        benchmark="training", profile=bench_profile_name(), n_jobs=N_JOBS
     )
 
     recorder.timed(
@@ -193,7 +186,7 @@ def test_training_engine_perf(dataset, profile, bench_scope):
         "cfs_select", lambda: CFSSelector(k_max=10).fit(X, y), repeats=3
     )
 
-    def grid(grid_profile, grid_jobs, backend="thread"):
+    def grid(grid_profile, grid_jobs):
         return run_region_grid(
             dataset,
             GRID_METHODS,
@@ -202,12 +195,11 @@ def test_training_engine_perf(dataset, profile, bench_scope):
             profile=grid_profile,
             seed=BENCH_SEED,
             n_jobs=grid_jobs,
-            backend=backend,
         )
 
     exact_profile = dataclasses.replace(profile, xgb_tree_method="exact")
     meta = dict(methods=list(GRID_METHODS))
-    # The first three stages keep their pre-cache meaning across commits:
+    # The first two stages keep their pre-cache meaning across commits:
     # every fit re-bins its own training matrix, exactly as before the
     # shared-binning cache existed.  The exact baseline also grows every
     # boosting round, as before the round memo existed, so the speedup
@@ -223,9 +215,6 @@ def test_training_engine_perf(dataset, profile, bench_scope):
         serial = _timed_grid(
             recorder, "table3_grid_hist_serial", lambda: grid(profile, 1), **meta
         )
-        parallel = _timed_grid(
-            recorder, "table3_grid_hist_parallel", lambda: grid(profile, n_jobs), **meta
-        )
 
     # The cached stages each start cold so they measure build-once,
     # reuse-everywhere rather than a warm cache left by a prior stage.
@@ -237,21 +226,16 @@ def test_training_engine_perf(dataset, profile, bench_scope):
     process = _timed_grid(
         recorder,
         "table3_grid_hist_process",
-        lambda: grid(profile, n_jobs, backend="process"),
+        lambda: grid(profile, N_JOBS),
         **meta,
     )
 
     serial_fp = _grid_fingerprint(serial)
-    parity = serial_fp == _grid_fingerprint(parallel)
     shared_parity = serial_fp == _grid_fingerprint(shared)
     process_parity = serial_fp == _grid_fingerprint(process)
-    recorder.check("grid_parallel_matches_serial", parity)
     recorder.check("grid_shared_matches_serial", shared_parity)
     recorder.check("grid_process_matches_serial", process_parity)
 
-    ratio = recorder.speedup(
-        "table3_grid", "table3_grid_exact_serial", "table3_grid_hist_parallel"
-    )
     recorder.speedup(
         "table3_grid_serial_only", "table3_grid_exact_serial", "table3_grid_hist_serial"
     )
@@ -262,7 +246,7 @@ def test_training_engine_perf(dataset, profile, bench_scope):
         "table3_grid_process", "table3_grid_exact_serial", "table3_grid_hist_process"
     )
     cpus = os.cpu_count() or 1
-    speedup_ok = ratio >= MIN_GRID_SPEEDUP
+    speedup_ok = process_ratio >= MIN_GRID_SPEEDUP
     recorder.check("grid_speedup_ok", speedup_ok)
     process_speedup_ok = process_ratio >= MIN_PROCESS_GRID_SPEEDUP
     recorder.check("grid_process_speedup_ok", process_speedup_ok)
@@ -271,30 +255,30 @@ def test_training_engine_perf(dataset, profile, bench_scope):
     publish("perf_training", _render(recorder))
     print(f"wrote {path}")
 
-    assert parity, "parallel grid diverged from serial grid"
     assert shared_parity, "shared-binning grid diverged from serial grid"
-    assert process_parity, "process-backend grid diverged from serial grid"
-    if cpus >= 4 and n_jobs >= 4:
+    assert process_parity, "process-pool grid diverged from serial grid"
+    if cpus >= N_JOBS:
         assert speedup_ok, (
-            f"optimised grid only {ratio:.2f}x faster than the exact serial "
-            f"baseline (required {MIN_GRID_SPEEDUP}x)"
+            f"process-pool grid only {process_ratio:.2f}x faster than the "
+            f"exact serial baseline (required {MIN_GRID_SPEEDUP}x)"
         )
     if bench_profile_name() != "smoke":
         assert process_speedup_ok, (
-            f"process-backend grid only {process_ratio:.2f}x faster than the "
+            f"process-pool grid only {process_ratio:.2f}x faster than the "
             f"exact serial baseline (required {MIN_PROCESS_GRID_SPEEDUP}x)"
         )
 
 
 def test_parallel_grid_determinism(dataset, profile, bench_scope):
-    """n_jobs=1 and n_jobs=4 grids are identical -- the CI parity gate."""
+    """The serial loop and 4 worker processes give identical grids -- the
+    CI parity gate."""
     temperatures, read_points = bench_scope
     kwargs = dict(profile=profile, seed=BENCH_SEED)
     serial = run_region_grid(
         dataset, GRID_METHODS[:1], temperatures, read_points, n_jobs=1, **kwargs
     )
     parallel = run_region_grid(
-        dataset, GRID_METHODS[:1], temperatures, read_points, n_jobs=4, **kwargs
+        dataset, GRID_METHODS[:1], temperatures, read_points, n_jobs=N_JOBS, **kwargs
     )
     assert _grid_fingerprint(serial) == _grid_fingerprint(parallel)
     for result in serial.values():

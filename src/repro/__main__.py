@@ -506,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-cell watchdog deadline in seconds (default: none)",
     )
     grid.add_argument(
-        "--n-jobs", type=int, default=None,
-        help="grid worker count (default: REPRO_N_JOBS or cpu count)",
+        "--n-jobs", type=int, default=1,
+        help="worker processes for the grid's cells (default: 1, a serial loop)",
     )
     grid.add_argument(
         "--output", default=None,

@@ -38,11 +38,7 @@ from repro.core.cqr import ConformalizedQuantileRegressor, PointBand
 from repro.core.cv_plus import CVPlusRegressor, JackknifePlusRegressor
 from repro.core.intervals import PredictionIntervals
 from repro.core.mondrian import MondrianConformalRegressor, MondrianFallbackWarning
-from repro.core.scores import (
-    absolute_residual_score,
-    cqr_score,
-    normalized_residual_score,
-)
+from repro.core.scores import absolute_residual_score, cqr_score
 from repro.core.split_cp import SplitConformalRegressor
 
 __all__ = [
@@ -59,5 +55,4 @@ __all__ = [
     "conformal_quantile",
     "cqr_score",
     "effective_coverage_level",
-    "normalized_residual_score",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -71,24 +71,18 @@ class _SortedScoreWindow:
         twin._sorted = self._sorted.copy()
         return twin
 
-    def sorted_array(self) -> np.ndarray:
-        return np.asarray(self._sorted, dtype=np.float64)
-
     def margin(self, alpha: float) -> float:
         """The conformal quantile of the window, read off the sorted list.
 
         The rank-``k`` element is the float
         :func:`~repro.core.calibration.conformal_quantile` returns on the
         materialised window; indexing the list costs O(1) where
-        :meth:`sorted_array` would copy all of it.  When the window is
-        too small for the rank, the largest score -- the most
+        materialising the window would copy all of it.  When the window
+        is too small for the rank, the largest score -- the most
         conservative finite margin -- stands in for ``+inf``.
         """
         rank = conformal_rank(len(self._sorted), alpha)
         return self._sorted[min(rank, len(self._sorted)) - 1]
-
-    def __len__(self) -> int:
-        return len(self._arrival)
 
 
 class AdaptiveConformalPredictor:
@@ -107,6 +101,11 @@ class AdaptiveConformalPredictor:
     window:
         Number of most recent scores kept for quantile computation;
         ``None`` keeps all (growing calibration set).
+
+    Besides the score window, the streaming state is ``alpha_t`` and two
+    label counts (``n_labels_`` streamed, ``n_misses_`` of them outside
+    their interval), so a copy costs what the window costs, however
+    long the stream has run.
     """
 
     def __init__(
@@ -142,8 +141,8 @@ class AdaptiveConformalPredictor:
         lower, upper = self.band_.predict_interval(X)
         self._scores = _SortedScoreWindow(cqr_score(y, lower, upper), self.window)
         self._alpha_t = self.alpha
-        self.alpha_history_: List[float] = [self.alpha]
-        self.error_history_: List[bool] = []
+        self.n_labels_ = 0
+        self.n_misses_ = 0
         return self
 
     @classmethod
@@ -190,20 +189,28 @@ class AdaptiveConformalPredictor:
         predictor.band_ = band
         predictor._scores = _SortedScoreWindow(scores, window)
         predictor._alpha_t = alpha
-        predictor.alpha_history_ = [alpha]
-        predictor.error_history_ = []
+        predictor.n_labels_ = 0
+        predictor.n_misses_ = 0
         return predictor
 
     def __copy__(self) -> "AdaptiveConformalPredictor":
-        """A twin sharing the fitted band but owning its score window and
-        histories, so updating it never moves this predictor."""
+        """A twin sharing the fitted band but owning its score window, so
+        updating it never moves this predictor."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         if self.band_ is not None:
             twin._scores = self._scores.copy()
-            twin.alpha_history_ = list(self.alpha_history_)
-            twin.error_history_ = list(self.error_history_)
         return twin
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # A state pickled before the label counts existed carries the
+        # per-label history lists instead; only their counts are kept.
+        if "error_history_" in state:
+            errors = state.pop("error_history_")
+            state.pop("alpha_history_", None)
+            state["n_labels_"] = len(errors)
+            state["n_misses_"] = int(sum(errors))
+        self.__dict__.update(state)
 
     @property
     def alpha_t(self) -> float:
@@ -214,14 +221,6 @@ class AdaptiveConformalPredictor:
     def serving_note(self) -> str:
         """What a served interval notes about its calibration."""
         return f"online recalibration active (alpha_t={self.alpha_t:.3f})"
-
-    def _current_scores(self) -> np.ndarray:
-        """Windowed calibration scores, in ascending order (a copy).
-
-        For inspection; the margin reads the window in place (see
-        :meth:`_SortedScoreWindow.margin`).
-        """
-        return self._scores.sorted_array()
 
     def _correction(self) -> float:
         """Conformal margin of the score window at the current ``α_t``.
@@ -288,11 +287,12 @@ class AdaptiveConformalPredictor:
             error = 0.0 if was_covered else 1.0
             self._alpha_t = self._alpha_t + self.gamma * (self.alpha - error)
             self._scores.append(score)
-            self.alpha_history_.append(self._alpha_t)
-            self.error_history_.append(not was_covered)
+            self.n_labels_ += 1
+            if not was_covered:
+                self.n_misses_ += 1
 
     def long_run_coverage(self) -> float:
         """Fraction of streamed labels covered so far."""
-        if not self.error_history_:
+        if not self.n_labels_:
             raise RuntimeError("no updates observed yet")
-        return 1.0 - float(np.mean(self.error_history_))
+        return 1.0 - self.n_misses_ / self.n_labels_

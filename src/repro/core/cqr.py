@@ -54,11 +54,6 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         Target miscoverage (paper: 0.1).
     calibration_fraction:
         Held-out fraction for calibration (paper: 0.25).
-    symmetric:
-        ``True`` (paper) calibrates one shared margin from the two-sided
-        score of Eq. (9).  ``False`` calibrates the lower and upper
-        violations separately at level ``alpha/2`` each -- the asymmetric
-        CQR variant of Romano et al.
     band_template:
         Optional unfitted band object (``fit``/``predict_interval``,
         cloneable) used instead of building a
@@ -67,14 +62,6 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         :class:`~repro.models.quantile.PackageDefaultQuantileBand`, or
         :class:`PointBand` for split CP around a point model.  When
         given, ``estimator`` may be ``None``.
-    n_jobs:
-        Concurrency for the band fit: the lo/hi quantile clones are
-        independent, so ``n_jobs >= 2`` trains the pair in parallel (see
-        :class:`~repro.models.quantile.QuantileBandRegressor`).  ``None``
-        reads ``REPRO_N_JOBS``; calibration itself is a single quantile
-        computation and always runs inline.  Ignored when
-        ``band_template`` is given (the template carries its own
-        concurrency configuration).
     random_state:
         Seed for the train/calibration split.
     """
@@ -84,9 +71,7 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         estimator: Optional[BaseRegressor],
         alpha: float = 0.1,
         calibration_fraction: float = 0.25,
-        symmetric: bool = True,
         band_template=None,
-        n_jobs: Optional[int] = None,
         random_state: Optional[int] = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
@@ -96,9 +81,7 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         self.estimator = estimator
         self.alpha = alpha
         self.calibration_fraction = calibration_fraction
-        self.symmetric = symmetric
         self.band_template = band_template
-        self.n_jobs = n_jobs
         self.random_state = random_state
         self.band_ = None
 
@@ -111,34 +94,28 @@ class ConformalizedQuantileRegressor(BaseRegressor):
         if self.band_template is not None:
             band = clone(self.band_template)
         else:
-            band = QuantileBandRegressor(
-                self.estimator, alpha=self.alpha, n_jobs=self.n_jobs
-            )
+            band = QuantileBandRegressor(self.estimator, alpha=self.alpha)
         band.fit(X[train_idx], y[train_idx])
         self.band_ = band
 
         cal_lower, cal_upper = band.predict_interval(X[cal_idx])
-        y_cal = y[cal_idx]
-        # The two-sided scores are stored for downstream consumers that
-        # recalibrate online from the deployed model's state (see
-        # AdaptiveConformalPredictor.from_fitted), whichever variant
-        # computes the margins below.
-        self.calibration_scores_ = cqr_score(y_cal, cal_lower, cal_upper)
+        # The scores are stored for downstream consumers that recalibrate
+        # online from the deployed model's state (see
+        # AdaptiveConformalPredictor.from_fitted).
+        self.calibration_scores_ = cqr_score(y[cal_idx], cal_lower, cal_upper)
         # The calibration *features* are the frozen reference window for
         # the shift defense layer: covariate sentinels compare serving
         # batches against them, and weighted recalibration estimates the
         # density ratio from them (repro.shift).  They never flow into a
         # fit -- only into shift detectors and ratio estimation.
         self.calibration_features_ = np.array(X[cal_idx])
-        if self.symmetric:
-            scores = self.calibration_scores_
-            self.quantile_low_ = conformal_quantile(scores, self.alpha)
-            self.quantile_high_ = self.quantile_low_
-        else:
-            # Separate one-sided corrections, each at alpha/2, which also
-            # yields >= 1 - alpha marginal coverage by a union bound.
-            self.quantile_low_ = conformal_quantile(cal_lower - y_cal, self.alpha / 2)
-            self.quantile_high_ = conformal_quantile(y_cal - cal_upper, self.alpha / 2)
+        # One shared margin from the two-sided score of Eq. (9).  Both
+        # attribute names stay: served bundles pickle them, and the
+        # interval and the Mondrian and serving paths read them.
+        self.quantile_low_ = conformal_quantile(
+            self.calibration_scores_, self.alpha
+        )
+        self.quantile_high_ = self.quantile_low_
         self.n_calibration_ = int(cal_idx.size)
         return self
 

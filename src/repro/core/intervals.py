@@ -75,17 +75,6 @@ class PredictionIntervals:
         """Empirical coverage rate -- Table III's "Coverage" column."""
         return float(np.mean(self.contains(y)))
 
-    def clip(self, minimum: float = -np.inf, maximum: float = np.inf) -> "PredictionIntervals":
-        """Return a copy with both bounds clipped to ``[minimum, maximum]``.
-
-        Used by the screening flow to enforce physical limits (a Vmin
-        below 0 V is meaningless).
-        """
-        return PredictionIntervals(
-            np.clip(self.lower, minimum, maximum),
-            np.clip(self.upper, minimum, maximum),
-        )
-
 
 def collapse_crossed(lower: np.ndarray, upper: np.ndarray) -> PredictionIntervals:
     """Intervals from widened bounds, crossed pairs collapsed to their midpoint.

@@ -123,27 +123,6 @@ class MondrianConformalRegressor(BaseRegressor):
         self.group_counts_ = counts
         return self
 
-    def _groups(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.group_function(np.asarray(X, dtype=np.float64)))
-
-    def _unseen(self, groups: np.ndarray) -> Tuple[Hashable, ...]:
-        unseen = {
-            _hashable(key)
-            for key in np.unique(groups)
-            if _hashable(key) not in self.group_quantiles_
-        }
-        return tuple(sorted(unseen, key=str))
-
-    def unseen_group_keys(self, X: np.ndarray) -> Tuple[Hashable, ...]:
-        """Group keys in ``X`` that have no calibrated quantile.
-
-        Rows with these keys would receive the marginal fallback (and a
-        :class:`MondrianFallbackWarning`) from :meth:`predict_interval`.
-        Sorted by string form for determinism.
-        """
-        check_fitted(self, "group_quantiles_")
-        return self._unseen(self._groups(X))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         check_fitted(self, "group_quantiles_")
         if self.point_model_ is not None:
@@ -157,13 +136,17 @@ class MondrianConformalRegressor(BaseRegressor):
         raises rather than silently emitting unbounded intervals.  Rows
         whose group was never seen at calibration get the marginal
         fallback quantile and trigger one :class:`MondrianFallbackWarning`
-        per call carrying the offending keys.
+        per call carrying the offending keys (sorted by string form).
         """
         check_fitted(self, "group_quantiles_")
-        groups = self._groups(X)
-        unseen = self._unseen(groups)
+        groups = np.asarray(self.group_function(np.asarray(X, dtype=np.float64)))
+        unseen = {_hashable(key) for key in np.unique(groups)}
+        unseen -= set(self.group_quantiles_)
         if unseen:
-            warnings.warn(MondrianFallbackWarning(unseen), stacklevel=2)
+            warnings.warn(
+                MondrianFallbackWarning(tuple(sorted(unseen, key=str))),
+                stacklevel=2,
+            )
         # Groups unseen at calibration fall back to the CQR's own
         # marginal margin.
         fallback = self.cqr_.quantile_low_

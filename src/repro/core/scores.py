@@ -8,22 +8,13 @@ added to test-time predictions.  The paper uses two:
   predictor,
 * :func:`cqr_score` -- Eq. (9), the signed distance by which a label
   escapes a quantile band (negative when safely inside), for CQR.
-
-:func:`normalized_residual_score` is the classical locally-weighted
-variant (residual / difficulty estimate), provided as an extension:
-:class:`~repro.core.split_cp.SplitConformalRegressor` scores with it
-when given a ``difficulty_estimator``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "absolute_residual_score",
-    "cqr_score",
-    "normalized_residual_score",
-]
+__all__ = ["absolute_residual_score", "cqr_score"]
 
 
 def _validate_same_shape(*arrays: np.ndarray) -> None:
@@ -59,22 +50,3 @@ def cqr_score(
     if np.any(lower > upper):
         raise ValueError("lower bound exceeds upper bound; sort the band first")
     return np.maximum(lower - y, y - upper)
-
-
-def normalized_residual_score(
-    y: np.ndarray, prediction: np.ndarray, difficulty: np.ndarray
-) -> np.ndarray:
-    """Locally weighted score ``s = |y − ŷ| / σ̂(x)``.
-
-    ``difficulty`` is any positive per-sample difficulty estimate (e.g. a
-    model of the residual magnitude).  Intervals built from this score are
-    ``ŷ ± q̂·σ̂(x)`` -- adaptive like CQR, but requiring an explicit
-    difficulty model.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    prediction = np.asarray(prediction, dtype=np.float64)
-    difficulty = np.asarray(difficulty, dtype=np.float64)
-    _validate_same_shape(y, prediction, difficulty)
-    if np.any(difficulty <= 0):
-        raise ValueError("difficulty estimates must be strictly positive")
-    return np.abs(y - prediction) / difficulty

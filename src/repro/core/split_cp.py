@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.calibration import conformal_quantile
 from repro.core.intervals import PredictionIntervals
-from repro.core.scores import absolute_residual_score, normalized_residual_score
+from repro.core.scores import absolute_residual_score
 from repro.models.base import (
     BaseRegressor,
     check_fitted,
@@ -66,11 +66,6 @@ class SplitConformalRegressor(BaseRegressor):
         Target miscoverage (paper: 0.1 → 90 % coverage).
     calibration_fraction:
         Fraction of ``fit`` data held out for calibration (paper: 0.25).
-    difficulty_estimator:
-        Optional unfitted regressor trained on |residual| of the proper
-        training split to produce locally weighted (normalised-score)
-        intervals instead of constant-width ones.  ``None`` reproduces the
-        vanilla CP of the paper.
     random_state:
         Seed for the train/calibration split.
     """
@@ -80,7 +75,6 @@ class SplitConformalRegressor(BaseRegressor):
         estimator: BaseRegressor,
         alpha: float = 0.1,
         calibration_fraction: float = 0.25,
-        difficulty_estimator: Optional[BaseRegressor] = None,
         random_state: Optional[int] = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
@@ -88,7 +82,6 @@ class SplitConformalRegressor(BaseRegressor):
         self.estimator = estimator
         self.alpha = alpha
         self.calibration_fraction = calibration_fraction
-        self.difficulty_estimator = difficulty_estimator
         self.random_state = random_state
         self.estimator_: Optional[BaseRegressor] = None
 
@@ -100,30 +93,12 @@ class SplitConformalRegressor(BaseRegressor):
         )
         self.estimator_ = clone(self.estimator).fit(X[train_idx], y[train_idx])
 
-        cal_prediction = self.estimator_.predict(X[cal_idx])
-        if self.difficulty_estimator is None:
-            self.difficulty_estimator_ = None
-            scores = absolute_residual_score(y[cal_idx], cal_prediction)
-        else:
-            train_prediction = self.estimator_.predict(X[train_idx])
-            train_residuals = np.abs(y[train_idx] - train_prediction)
-            self.difficulty_estimator_ = clone(self.difficulty_estimator).fit(
-                X[train_idx], train_residuals
-            )
-            difficulty = self._difficulty(X[cal_idx])
-            scores = normalized_residual_score(y[cal_idx], cal_prediction, difficulty)
-
+        scores = absolute_residual_score(
+            y[cal_idx], self.estimator_.predict(X[cal_idx])
+        )
         self.quantile_ = conformal_quantile(scores, self.alpha)
         self.n_calibration_ = int(cal_idx.size)
         return self
-
-    def _difficulty(self, X: np.ndarray) -> np.ndarray:
-        """Positive per-sample difficulty from the auxiliary model."""
-        raw = self.difficulty_estimator_.predict(X)
-        # The difficulty model may output non-positive values on easy
-        # regions; floor it at a small fraction of its median scale.
-        floor = max(1e-12, 0.01 * float(np.median(np.abs(raw))))
-        return np.maximum(raw, floor)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Point prediction of the underlying fitted estimator."""
@@ -131,8 +106,7 @@ class SplitConformalRegressor(BaseRegressor):
         return self.estimator_.predict(X)
 
     def predict_interval(self, X: np.ndarray) -> PredictionIntervals:
-        """Conformal interval ``ŷ ± q̂`` (Eq. 8), or ``± q̂·σ̂(x)`` when a
-        difficulty estimator is configured."""
+        """Conformal interval ``ŷ ± q̂`` (Eq. 8)."""
         check_fitted(self, "estimator_")
         prediction = self.estimator_.predict(X)
         if not np.isfinite(self.quantile_):
@@ -140,8 +114,6 @@ class SplitConformalRegressor(BaseRegressor):
                 f"calibration set of size {self.n_calibration_} is too small "
                 f"for alpha={self.alpha}; intervals would be infinite"
             )
-        if self.difficulty_estimator_ is None:
-            margin = self.quantile_
-        else:
-            margin = self.quantile_ * self._difficulty(X)
-        return PredictionIntervals(prediction - margin, prediction + margin)
+        return PredictionIntervals(
+            prediction - self.quantile_, prediction + self.quantile_
+        )

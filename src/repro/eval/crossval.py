@@ -5,13 +5,9 @@ and reports the average of each metric over the 4 testing folds, using
 the same random seed for every method (Section IV-B).  The builders
 passed in receive raw training data and may do anything inside (feature
 selection, scaling, conformal splitting) -- the harness only guarantees
-that test data never leaks into them.
-
-Folds are mutually independent, so both harnesses accept ``n_jobs`` and
-fan the fold fits out through :func:`repro.perf.parallel.parallel_map`.
-Per-fold metrics are collected in fold order and each fold's model is
-built from the same training slice regardless of scheduling, so results
-are identical for every ``n_jobs`` (the test suite asserts this).
+that test data never leaks into them.  Folds run one after another;
+the experiment grids parallelise over whole cells instead
+(:mod:`repro.eval.experiments`).
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import numpy as np
 from repro.core.intervals import PredictionIntervals
 from repro.eval.metrics import r2_score, rmse
 from repro.models.base import check_random_state
-from repro.perf.parallel import parallel_map
 
 __all__ = [
     "IntervalCVResult",
@@ -152,14 +147,11 @@ def cross_validate_point(
     X: np.ndarray,
     y: np.ndarray,
     kfold: KFold,
-    n_jobs: Optional[int] = None,
 ) -> PointCVResult:
     """Evaluate a point-prediction builder with K-fold CV.
 
     ``builder(X_train, y_train)`` must return a fitted object exposing
     ``predict(X_test)``.  Returns per-fold :math:`R^2` and RMSE.
-    ``n_jobs`` parallelises over folds (``None`` reads ``REPRO_N_JOBS``,
-    defaulting to serial) without changing any metric.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -170,7 +162,7 @@ def cross_validate_point(
         prediction = model.predict(X[test_idx])
         return r2_score(y[test_idx], prediction), rmse(y[test_idx], prediction)
 
-    per_fold = parallel_map(run_fold, kfold.split(X.shape[0]), n_jobs=n_jobs)
+    per_fold = [run_fold(split) for split in kfold.split(X.shape[0])]
     return PointCVResult(
         r2_per_fold=tuple(r2 for r2, _ in per_fold),
         rmse_per_fold=tuple(err for _, err in per_fold),
@@ -182,15 +174,12 @@ def cross_validate_intervals(
     X: np.ndarray,
     y: np.ndarray,
     kfold: KFold,
-    n_jobs: Optional[int] = None,
 ) -> IntervalCVResult:
     """Evaluate an interval-prediction builder with K-fold CV.
 
     ``builder(X_train, y_train)`` must return a fitted object exposing
     ``predict_interval(X_test)`` returning a
     :class:`~repro.core.intervals.PredictionIntervals` or (lower, upper).
-    ``n_jobs`` parallelises over folds exactly as in
-    :func:`cross_validate_point`.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -203,7 +192,7 @@ def cross_validate_intervals(
             intervals = PredictionIntervals(*intervals)
         return intervals.coverage(y[test_idx]), intervals.mean_width
 
-    per_fold = parallel_map(run_fold, kfold.split(X.shape[0]), n_jobs=n_jobs)
+    per_fold = [run_fold(split) for split in kfold.split(X.shape[0])]
     return IntervalCVResult(
         coverage_per_fold=tuple(cov for cov, _ in per_fold),
         width_per_fold=tuple(width for _, width in per_fold),

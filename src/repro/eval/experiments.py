@@ -58,7 +58,7 @@ from repro.models.linear import LinearRegression, QuantileLinearRegression
 from repro.models.nn import MLPRegressor
 from repro.models.oblivious import ObliviousBoostingRegressor
 from repro.models.quantile import PackageDefaultQuantileBand, QuantileBandRegressor
-from repro.perf.parallel import parallel_map_outcomes
+from repro.perf.parallel import TaskOutcome, parallel_map_outcomes
 from repro.perf.shm import ArraySpec, SharedArrayBundle, attach_array
 from repro.runtime.checkpoint import RunJournal, cell_fingerprint
 from repro.runtime.retry import RetryPolicy
@@ -299,15 +299,13 @@ def run_point_experiment(
     feature_set: FeatureSet = FeatureSet.BOTH,
     profile: Optional[ExperimentProfile] = None,
     seed: int = 0,
-    n_jobs: Optional[int] = None,
 ) -> PointCVResult:
     """One Fig.-2 cell: CV point-prediction quality of one model.
 
     For CFS-based models (LR/GP/NN) the CFS size is swept over
     ``profile.cfs_k_values`` and the best mean test :math:`R^2` is
     reported -- the paper's "pick 1 to 10 features and report the best
-    testing scores" protocol.  ``n_jobs`` parallelises the CV folds;
-    every metric is identical to the serial run.
+    testing scores" protocol.
     """
     profile = profile or ExperimentProfile.full()
     if model_name not in POINT_MODEL_NAMES:
@@ -331,7 +329,7 @@ def run_point_experiment(
         def builder(X_train, y_train, candidate=candidate):
             return clone(candidate).fit(X_train, y_train)
 
-        result = cross_validate_point(builder, X, y, kfold, n_jobs=n_jobs)
+        result = cross_validate_point(builder, X, y, kfold)
         if best is None or result.r2 > best.r2:
             best = result
     return best
@@ -348,7 +346,6 @@ def run_region_experiment(
     cfs_k: int = 10,
     profile: Optional[ExperimentProfile] = None,
     seed: int = 0,
-    n_jobs: Optional[int] = None,
 ) -> IntervalCVResult:
     """One Table-III cell: CV interval length/coverage of one method.
 
@@ -357,8 +354,6 @@ def run_region_experiment(
     ``calibration_fraction`` of the training fold (paper: 25 %).  LR/NN
     bases use ``cfs_k`` CFS features (with scaling for NN); boosting bases
     see all raw columns -- the Section IV-C/IV-E configuration.
-    ``n_jobs`` parallelises the CV folds; every metric is identical to
-    the serial run.
     """
     profile = profile or ExperimentProfile.full()
     if not 0.0 < alpha < 1.0:
@@ -379,7 +374,7 @@ def run_region_experiment(
         def builder(X_train, y_train):
             return clone(template).fit(X_train, y_train)
 
-        return cross_validate_intervals(builder, X, y, kfold, n_jobs=n_jobs)
+        return cross_validate_intervals(builder, X, y, kfold)
 
     family, base_name = method_name.split(" ", 1)
     template = _quantile_template(base_name, profile, seed)
@@ -423,7 +418,7 @@ def run_region_experiment(
     else:  # pragma: no cover - guarded by REGION_METHOD_NAMES check
         raise ValueError(f"unknown method family {family!r}")
 
-    return cross_validate_intervals(builder, X, y, kfold, n_jobs=n_jobs)
+    return cross_validate_intervals(builder, X, y, kfold)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +554,13 @@ def _grid_fingerprints(
 
 
 # ---------------------------------------------------------------------------
-# process-backend grid engine (shared-memory bin transport)
+# process-pool grid engine (shared-memory bin transport)
 # ---------------------------------------------------------------------------
 
-# Per-process state for backend="process" grid workers: the (pickled-
-# once) SiliconDataset the cells read from.  Set by _init_grid_worker in
-# every pool worker, and in the parent before fan-out so the serial
-# fallback and the fork-based stuck-worker requeue path find it too.
+# Per-process state for the grid's worker processes: the (pickled-once)
+# SiliconDataset the cells read from.  Set by _init_grid_worker in every
+# pool worker, and in the parent before fan-out so the serial fallback
+# and the fork-based stuck-worker requeue path find it too.
 _WORKER_GRID_STATE: Optional[Dict[str, Any]] = None
 
 _SharedBinEntry = Tuple[str, ArraySpec, Tuple[np.ndarray, ...], int]
@@ -656,7 +651,7 @@ def _grid_bin_subsets(
 def _init_grid_worker(
     dataset: SiliconDataset, shared_entries: Tuple[_SharedBinEntry, ...]
 ) -> None:
-    """Once-per-worker setup for ``backend="process"`` grids.
+    """Once-per-worker setup for the grid's process pool.
 
     Attaches every shared-memory code matrix, rebuilds its binner from
     the pickled edges, and seeds the worker's bin cache so cell fits hit
@@ -676,13 +671,12 @@ def _init_grid_worker(
 
 
 class _GridCellTask:
-    """Picklable per-cell runner for ``backend="process"`` grids.
+    """Picklable per-cell runner for the grid's process pool.
 
-    The thread backend runs closures over the caller's locals; a process
-    pool cannot pickle those, so the small cell parameters travel on
-    this instance while the big objects (the
-    :class:`~repro.silicon.dataset.SiliconDataset`, the shared bin
-    codes) arrive through :func:`_init_grid_worker`.
+    A process pool cannot pickle closures over the caller's locals, so
+    the small cell parameters travel on this instance while the big
+    objects (the :class:`~repro.silicon.dataset.SiliconDataset`, the
+    shared bin codes) arrive through :func:`_init_grid_worker`.
     """
 
     def __init__(self, kind: str, kwargs: Dict[str, Any]) -> None:
@@ -703,11 +697,10 @@ class _GridCellTask:
 def _run_cell(
     kind: str, dataset: SiliconDataset, cell: GridCell, kwargs: Dict[str, Any]
 ) -> GridCVResult:
-    """One grid cell, its CV folds serial: nesting parallelism would
-    oversubscribe the pool the cells fan out over."""
+    """One grid cell: ``run_<kind>_experiment`` on the cell's coordinates."""
     name, temperature, hours = cell
     experiment = run_point_experiment if kind == "point" else run_region_experiment
-    return experiment(dataset, name, temperature, hours, n_jobs=1, **kwargs)
+    return experiment(dataset, name, temperature, hours, **kwargs)
 
 
 @contextmanager
@@ -717,7 +710,7 @@ def _process_grid_session(
     cells: Sequence[GridCell],
     kwargs: Dict[str, Any],
 ):
-    """Stand up the shared-memory transport for one process-backend grid.
+    """Stand up the shared-memory transport for one process-pool grid.
 
     Pre-bins the grid's training matrices (warming the parent cache),
     copies the code matrices into parent-owned shared segments, and
@@ -743,7 +736,7 @@ def _process_grid_session(
     with SharedArrayBundle() as bundle:
         shared_entries: List[_SharedBinEntry] = []
         for digest, binned in entries.items():
-            spec = bundle.share(digest, binned.codes)
+            spec = bundle.share(binned.codes)
             shared_entries.append(
                 (
                     digest,
@@ -774,33 +767,30 @@ def _run_grid(
     retry_policy: Optional[RetryPolicy],
     timeout: Optional[float],
     on_error: str,
-    n_jobs: Optional[int],
+    n_jobs: int,
     task_wrapper: Optional[Callable[[Callable], Callable]],
-    backend: str,
 ) -> GridResult:
     """Shared resilient driver behind both grid runners.
 
-    Every cell is ``run_<kind>_experiment(dataset, *cell, n_jobs=1,
-    **cell_kwargs)``.  Completed cells found in ``journal`` are reused
-    (their payloads round-trip floats exactly, so a resumed grid is
-    bit-identical to an uninterrupted one); pending cells fan out through
-    :func:`~repro.perf.parallel.parallel_map_outcomes` and are journaled
-    the moment they succeed -- before any failure can abort the run.
-
-    ``backend="process"`` runs the cells in worker processes set up by
-    :func:`_process_grid_session` and refuses ``task_wrapper``.  It
-    weakens the journal guarantee: workers cannot share the parent's
-    journal file handle, so completed cells are recorded in the parent
-    as their outcomes drain, and a parent killed mid-grid loses the
-    cells whose outcomes it had not drained yet.  Resume still works --
-    those cells simply re-run.
+    Every cell is ``run_<kind>_experiment(dataset, *cell, **cell_kwargs)``.
+    Completed cells found in ``journal`` are reused (their payloads
+    round-trip floats exactly, so a resumed grid is bit-identical to an
+    uninterrupted one).  Pending cells run in the serial loop
+    (``n_jobs=1``) or on ``n_jobs`` worker processes set up by
+    :func:`_process_grid_session`, and the parent journals each one the
+    moment its outcome arrives -- before any later cell finishes or any
+    failure can abort the run -- so a grid killed mid-run loses only the
+    cells still in flight.  ``task_wrapper`` wraps the serial loop's
+    per-cell callable; worker processes refuse it.
     """
     if on_error not in ("raise", "capture"):
         raise ValueError(
             f"on_error must be 'raise' or 'capture', got {on_error!r}"
         )
-    if backend == "process" and task_wrapper is not None:
-        raise ValueError("task_wrapper (fault injection) requires backend='thread'")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if n_jobs > 1 and task_wrapper is not None:
+        raise ValueError("task_wrapper (fault injection) requires n_jobs=1")
     results: Dict[GridCell, GridCVResult] = {}
     pending: List[GridCell] = list(cells)
     if journal is not None:
@@ -812,10 +802,12 @@ def _run_grid(
                 results[cell] = _result_from_payload(entry["payload"])
             else:
                 pending.append(cell)
+    failed: Dict[int, TaskOutcome] = {}
+    attempts: Dict[GridCell, int] = {}
     with ExitStack() as stack:
-        if backend == "process":
+        if n_jobs > 1:
             fn, initializer, initargs = stack.enter_context(
-                _process_grid_session(dataset, kind, cells, cell_kwargs)
+                _process_grid_session(dataset, kind, pending, cell_kwargs)
             )
         else:
             def fn(cell: GridCell) -> GridCVResult:
@@ -824,52 +816,41 @@ def _run_grid(
             if task_wrapper is not None:
                 fn = task_wrapper(fn)
             initializer, initargs = None, ()
-        journal_in_task = journal is not None and backend != "process"
-        if journal_in_task:
-            # Record from inside the task, not after the fan-out returns:
-            # a SIGKILL mid-grid must only ever lose cells still in flight.
-            inner, recording_journal = fn, journal
-
-            def fn(cell: GridCell) -> GridCVResult:
-                value = inner(cell)
-                recording_journal.record(
-                    fingerprints[cell], list(cell), to_payload(value)
-                )
-                return value
-
-        outcomes = parallel_map_outcomes(
-            fn, pending, n_jobs=n_jobs, backend=backend,
+        for outcome in parallel_map_outcomes(
+            fn, pending, processes=n_jobs,
             retry_policy=retry_policy, timeout=timeout,
             initializer=initializer, initargs=initargs,
-        )
-    failures: List[FailureRecord] = []
-    attempts: Dict[GridCell, int] = {}
-    first_error: Optional[BaseException] = None
-    for cell, outcome in zip(pending, outcomes):
-        attempts[cell] = outcome.attempts
-        if outcome.ok:
+        ):
+            cell = pending[outcome.index]
+            attempts[cell] = outcome.attempts
+            if not outcome.ok:
+                failed[outcome.index] = outcome
+                continue
             results[cell] = outcome.value
-            if journal is not None and not journal_in_task:
+            if journal is not None:
                 journal.record(
                     fingerprints[cell], list(cell), to_payload(outcome.value)
                 )
-        else:
-            if first_error is None:
-                first_error = outcome.error
-            failures.append(
-                FailureRecord(
-                    key=cell,
-                    fingerprint=fingerprints[cell],
-                    error_type=type(outcome.error).__name__,
-                    message=str(outcome.error),
-                    attempts=outcome.attempts,
-                    timed_out=outcome.timed_out,
-                )
-            )
-    if first_error is not None and on_error == "raise":
-        raise first_error
+    # Cell order, not completion order, decides what is raised or listed.
+    if failed and on_error == "raise":
+        raise failed[min(failed)].error
+    failures = [
+        FailureRecord(
+            key=pending[index],
+            fingerprint=fingerprints[pending[index]],
+            error_type=type(outcome.error).__name__,
+            message=str(outcome.error),
+            attempts=outcome.attempts,
+            timed_out=outcome.timed_out,
+        )
+        for index, outcome in sorted(failed.items())
+    ]
     ordered = {cell: results[cell] for cell in cells if cell in results}
-    return GridResult(ordered, failures=failures, attempts=attempts)
+    return GridResult(
+        ordered,
+        failures=failures,
+        attempts={cell: attempts[cell] for cell in pending},
+    )
 
 
 def run_point_grid(
@@ -880,40 +861,35 @@ def run_point_grid(
     feature_set: FeatureSet = FeatureSet.BOTH,
     profile: Optional[ExperimentProfile] = None,
     seed: int = 0,
-    n_jobs: Optional[int] = None,
+    n_jobs: int = 1,
     journal: Optional[RunJournal] = None,
     retry_policy: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
     on_error: str = "raise",
     task_wrapper: Optional[Callable[[Callable], Callable]] = None,
-    backend: str = "thread",
 ) -> GridResult:
     """Fig.-2 grid: every (model, temperature, hours) cell, optionally parallel.
 
-    Cells are mutually independent experiments, so the grid is fanned out
-    through :func:`repro.perf.parallel.parallel_map_outcomes` with the
-    folds inside each cell forced serial (``n_jobs=1``) -- parallelising
-    both levels would oversubscribe the worker pool.  The returned
-    :class:`GridResult` is an ordered dict keyed by
-    ``(model_name, temperature_c, hours)``; every cell value is identical
-    to a serial run of :func:`run_point_experiment`.
+    Cells are mutually independent experiments and the grid's only
+    parallel level: ``n_jobs=1`` runs them in a serial loop, ``n_jobs > 1``
+    on that many worker processes, each cell's CV folds serial inside it.
+    Workers receive the dataset pickled once per worker and the
+    pre-binned code matrices by shared memory (see
+    ``docs/PERFORMANCE.md``).  The returned :class:`GridResult` is an
+    ordered dict keyed by ``(model_name, temperature_c, hours)``; every
+    cell value is identical to a serial run of
+    :func:`run_point_experiment`, whatever ``n_jobs`` is.
 
     Resilience (all optional, see ``docs/RUNTIME.md``): ``journal``
-    checkpoints every completed cell and resumes an interrupted grid
-    bit-identically; ``retry_policy`` re-runs transient worker faults on
-    a deterministic backoff; ``timeout`` bounds each cell (cooperative
-    for threads, hard-kill + requeue for processes);
-    ``on_error="capture"`` returns partial results with structured
-    :class:`FailureRecord` entries instead of raising on the first
-    failed cell.  ``task_wrapper`` is the execution-fault injection seam
-    used by :func:`repro.eval.stress.run_execution_campaign`.
-
-    ``backend="process"`` fans cells out to worker processes instead of
-    threads: the dataset is pickled once per worker, pre-binned code
-    matrices travel by shared memory (see ``docs/PERFORMANCE.md``), and
-    results are bit-identical to the serial and thread paths.  Journal
-    records are written parent-side as outcomes drain (see
-    :func:`_run_grid`); ``task_wrapper`` requires the thread backend.
+    checkpoints every cell as soon as it completes and resumes an
+    interrupted grid bit-identically; ``retry_policy`` re-runs transient
+    worker faults on a deterministic backoff; ``timeout`` bounds each
+    cell (a cooperative deadline, plus hard kill + requeue on worker
+    processes); ``on_error="capture"`` returns partial results with
+    structured :class:`FailureRecord` entries instead of raising on the
+    first failed cell.  ``task_wrapper`` is the execution-fault
+    injection seam used by :func:`repro.eval.stress.run_execution_campaign`;
+    it needs ``n_jobs=1``.
     """
     profile = profile or ExperimentProfile.full()
     cells = [
@@ -938,7 +914,6 @@ def run_point_grid(
         on_error=on_error,
         n_jobs=n_jobs,
         task_wrapper=task_wrapper,
-        backend=backend,
     )
 
 
@@ -953,24 +928,22 @@ def run_region_grid(
     cfs_k: int = 10,
     profile: Optional[ExperimentProfile] = None,
     seed: int = 0,
-    n_jobs: Optional[int] = None,
+    n_jobs: int = 1,
     journal: Optional[RunJournal] = None,
     retry_policy: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
     on_error: str = "raise",
     task_wrapper: Optional[Callable[[Callable], Callable]] = None,
-    backend: str = "thread",
 ) -> GridResult:
     """Table-III grid: every (method, temperature, hours) cell, optionally parallel.
 
     Same contract as :func:`run_point_grid`, including the resilience
     parameters (journaled resume, deterministic retries, per-cell
-    timeouts, failure capture) and the ``backend="process"``
-    shared-memory engine: independent cells fan out with per-cell
-    folds forced serial, results keyed by
-    ``(method_name, temperature_c, hours)`` in cell order, values
-    identical to serial :func:`run_region_experiment` calls.  ``alpha``
-    is validated by :func:`run_region_experiment` in every cell.
+    timeouts, failure capture) and the worker-process engine: results
+    keyed by ``(method_name, temperature_c, hours)`` in cell order,
+    values identical to serial :func:`run_region_experiment` calls.
+    ``alpha`` is validated by :func:`run_region_experiment` in every
+    cell.
     """
     profile = profile or ExperimentProfile.full()
     cells = [
@@ -1012,5 +985,4 @@ def run_region_grid(
         on_error=on_error,
         n_jobs=n_jobs,
         task_wrapper=task_wrapper,
-        backend=backend,
     )

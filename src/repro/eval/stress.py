@@ -300,21 +300,21 @@ def run_execution_campaign(
     scenarios: Optional[Sequence[Tuple[str, ExecutionFault]]] = None,
     profile: Optional[ExperimentProfile] = None,
     seed: int = 0,
-    n_jobs: Optional[int] = 2,
     timeout: float = 30.0,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> ExecutionStressReport:
-    """Kill and hang grid workers mid-flight; assert the grid recovers.
+    """Crash and hang grid cells mid-flight; assert the grid recovers.
 
     Runs the point grid once clean, then once per execution-fault
     scenario with the scenario's :meth:`~repro.robust.faults.ExecutionFault.wrap`
-    installed as the grid's ``task_wrapper``.  The faulted runs execute
-    with a retry policy (default: 3 attempts, fast deterministic
-    backoff) and a per-cell ``timeout`` so crashes are retried and
-    hangs are cut short by the cooperative watchdog; ``identical``
-    then records whether retried work reproduced the clean results bit
-    for bit -- the determinism-under-faults contract of
-    ``docs/RUNTIME.md``.
+    installed as the grid's ``task_wrapper``.  Every run uses the serial
+    loop: the wrapped cell callable and its strike counters live in this
+    process.  The faulted runs execute with a retry policy (default: 3
+    attempts, fast deterministic backoff) and a per-cell ``timeout`` so
+    crashes are retried and hangs are cut short by the cooperative
+    watchdog; ``identical`` then records whether retried work reproduced
+    the clean results bit for bit -- the determinism-under-faults
+    contract of ``docs/RUNTIME.md``.
     """
     profile = profile or ExperimentProfile.smoke()
     if scenarios is None:
@@ -333,7 +333,6 @@ def run_execution_campaign(
         read_points,
         profile=profile,
         seed=seed,
-        n_jobs=n_jobs,
     )
     results = []
     for name, fault in scenarios:
@@ -344,7 +343,6 @@ def run_execution_campaign(
             read_points,
             profile=profile,
             seed=seed,
-            n_jobs=n_jobs,
             retry_policy=retry_policy,
             timeout=timeout,
             on_error="capture",

@@ -19,12 +19,13 @@ single best feature, it repeatedly adds the feature maximising the merit
 of the enlarged subset, recording the best subset of every size up to
 ``k_max`` so the 1..10 sweep of the paper comes out of one search.  Every
 correlation it needs -- each column against the target, and each column
-against the newest member -- comes from :func:`feature_target_correlation`.
+against the newest member -- is :func:`feature_target_correlation`'s,
+computed against one centring of the matrix per fit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +47,28 @@ def feature_target_correlation(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"X must be 2-D and y 1-D with matching length, got {X.shape}, {y.shape}"
         )
+    return _correlation(*_centered(X), y)
+
+
+def _centered(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``X`` minus its column means, and the columns' standard deviations."""
     X_centered = X - X.mean(axis=0)
+    return X_centered, X_centered.std(axis=0)
+
+
+def _correlation(
+    X_centered: np.ndarray, x_std: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """:func:`feature_target_correlation` given :func:`_centered` of ``X``.
+
+    ``y`` is centred here, from its own mean: a column taken from ``X``
+    is a strided view, and its mean is not bit-equal to the same entry
+    of ``X.mean(axis=0)``.
+    """
     y_centered = y - y.mean()
-    x_std = X_centered.std(axis=0)
     y_std = y_centered.std()
     if y_std == 0.0:
-        return np.zeros(X.shape[1])
+        return np.zeros(X_centered.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = (X_centered * y_centered[:, None]).mean(axis=0) / (x_std * y_std)
     return np.where(x_std == 0.0, 0.0, corr)
@@ -95,7 +112,9 @@ class CFSSelector:
         n_features = X.shape[1]
         k_max = min(self.k_max, n_features)
 
-        target_corr = np.abs(feature_target_correlation(X, y))
+        # X never changes during the search: centre it once.
+        X_centered, x_std = _centered(X)
+        target_corr = np.abs(_correlation(X_centered, x_std, y))
 
         selected: List[int] = []
         merits: List[float] = []
@@ -126,7 +145,7 @@ class CFSSelector:
             rfy_sum += target_corr[best]
             ff_pair_sum += candidate_ff_sums[best]
             # Update each candidate's correlation-sum with the new member.
-            candidate_ff_sums += np.abs(feature_target_correlation(X, X[:, best]))
+            candidate_ff_sums += np.abs(_correlation(X_centered, x_std, X[:, best]))
 
         self.selected_ = selected
         self.merits_ = merits

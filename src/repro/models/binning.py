@@ -295,7 +295,7 @@ class BinnedDataset:
         growers fall back to computing their own state otherwise.  Keyed
         by ``n_bins`` because the two boosting models size their
         histograms differently (``binner.n_bins`` vs. ``codes.max()+1``).
-        The lock makes concurrent lo/hi member fits build the state once.
+        The lock makes concurrent fits on one dataset build the state once.
         """
         with self._lock:
             cached = self._root_level.get(n_bins)

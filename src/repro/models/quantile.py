@@ -116,11 +116,6 @@ class QuantileBandRegressor(_MemberBand):
     alpha:
         Target miscoverage; the band spans quantiles ``alpha/2`` and
         ``1 − alpha/2`` (paper Section IV-E uses ``alpha=0.1`` → 5 %–95 %).
-    n_jobs:
-        The lower and upper clones are trained on the same data but are
-        otherwise independent; ``n_jobs >= 2`` fits the pair concurrently
-        via :func:`repro.perf.parallel.parallel_map`.  ``None`` reads
-        ``REPRO_N_JOBS``; results are identical for every setting.
 
     Notes
     -----
@@ -136,13 +131,11 @@ class QuantileBandRegressor(_MemberBand):
         self,
         template: BaseRegressor,
         alpha: float = 0.1,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         self.template = template
         self.alpha = alpha
-        self.n_jobs = n_jobs
         self.lower_: Optional[BaseRegressor] = None
         self.upper_: Optional[BaseRegressor] = None
 
@@ -164,8 +157,6 @@ class QuantileBandRegressor(_MemberBand):
         """
         import inspect
 
-        from repro.perf.parallel import parallel_map
-
         def fit_member(quantile: float) -> BaseRegressor:
             member = clone(self.template, quantile=quantile)
             if (
@@ -175,9 +166,7 @@ class QuantileBandRegressor(_MemberBand):
                 return member.fit(X, y, binned=binned)
             return member.fit(X, y)
 
-        self._set_members(
-            *parallel_map(fit_member, self.quantiles, n_jobs=self.n_jobs)
-        )
+        self._set_members(*(fit_member(q) for q in self.quantiles))
         self.crossing_rate_ = self._crossing_rate(X)
         return self
 

@@ -17,8 +17,9 @@ This is the tree machinery underneath the XGBoost-style booster
   scans every candidate boundary of every feature in one batched
   prefix-sum pass, and gain ties break deterministically (lowest feature
   position, then lowest boundary), so a fit is bit-identical across runs
-  and across ``n_jobs`` settings.  The histogram grower over pre-binned
-  features is :func:`repro.models.histtree.grow_histogram_tree`.
+  and across the grid's serial loop and worker processes.  The histogram
+  grower over pre-binned features is
+  :func:`repro.models.histtree.grow_histogram_tree`.
 
 * :class:`DecisionTreeRegressor` is the stand-alone estimator: fitting a
   single gradient tree to the squared loss from a zero base score makes

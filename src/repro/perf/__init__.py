@@ -1,30 +1,28 @@
-"""Performance layer: deterministic parallel execution and benchmarking.
+"""Performance layer: the grid's process pool and benchmarking.
 
 ``repro.perf`` makes the training/evaluation hot path fast without
 changing a single number:
 
-* :mod:`repro.perf.parallel` -- a seeded, deterministic thread/process
-  map with ordered result collection, a ``REPRO_N_JOBS`` environment
-  override, and graceful serial fallback.  The CQR experiment grid is
-  embarrassingly parallel (split-conformal calibration is independent
-  per model and per fold), so cross-validation folds, experiment grid
-  cells, and the lo/hi quantile pair of a band all fan out through it.
-  :func:`parallel_map_outcomes` is the resilient variant: per-task
-  :class:`TaskOutcome` capture, retry policies, and watchdog timeouts
-  from :mod:`repro.runtime`.
+* :mod:`repro.perf.parallel` -- :func:`parallel_map_outcomes`, the one
+  fan-out of the experiment grids: a serial loop or a pool of worker
+  processes, one :class:`TaskOutcome` per task (retry policies and
+  watchdog timeouts from :mod:`repro.runtime`), yielded as each task
+  finishes.  Grid cells are independent experiments (split-conformal
+  calibration is independent per cell), so they are the one parallel
+  level; folds and band members inside a cell run serially.
+* :mod:`repro.perf.shm` -- parent-owned shared-memory transport for
+  numpy arrays (the process-pool grid ships each pre-binned code
+  matrix to the workers once, zero-copy, instead of pickling it per
+  task).
 * :mod:`repro.perf.bench` -- a benchmark recorder that times training
   stages and writes machine-readable JSON baselines
   (``BENCH_training.json``) so performance regressions are diffable
   across commits.
-* :mod:`repro.perf.shm` -- parent-owned shared-memory transport for
-  numpy arrays (the process-backend grid ships each pre-binned code
-  matrix to the workers once, zero-copy, instead of pickling it per
-  task).
 * :mod:`repro.perf.gate` -- the CI regression gate:
   ``python -m repro.perf.gate BASELINE CURRENT`` fails when a stage's
   wall time regressed past the threshold.
 
-See ``docs/PERFORMANCE.md`` for the environment knobs and the
+See ``docs/PERFORMANCE.md`` for the grid's two execution paths and the
 determinism guarantees.
 """
 
@@ -40,14 +38,8 @@ from repro.perf.bench import (
 # entry point, and importing it from the package would make
 # ``python -m repro.perf.gate`` warn about the module already being in
 # ``sys.modules``.  Import it as ``repro.perf.gate`` directly.
-from repro.perf.parallel import (
-    TaskOutcome,
-    effective_n_jobs,
-    parallel_map,
-    parallel_map_outcomes,
-    spawn_seeds,
-)
-from repro.perf.shm import ArraySpec, SharedArrayBundle, attach_array, detach_all
+from repro.perf.parallel import TaskOutcome, parallel_map_outcomes
+from repro.perf.shm import ArraySpec, SharedArrayBundle, attach_array
 
 __all__ = [
     "ArraySpec",
@@ -56,13 +48,9 @@ __all__ = [
     "SharedArrayBundle",
     "TaskOutcome",
     "attach_array",
-    "detach_all",
-    "effective_n_jobs",
     "load_report",
-    "parallel_map",
     "parallel_map_outcomes",
     "peak_rss_mb",
     "regressions",
-    "spawn_seeds",
     "time_call",
 ]

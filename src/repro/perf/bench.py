@@ -12,7 +12,7 @@ Report schema (``schema_version`` 1)::
       "schema_version": 1,
       "benchmark": "training",
       "profile": "fast",            # REPRO_BENCH profile the run used
-      "n_jobs": 4,                  # resolved REPRO_N_JOBS
+      "n_jobs": 4,                  # grid worker processes
       "git_sha": "abc123" | null,   # passed in by CI via REPRO_GIT_SHA
       "timings": {name: {"wall_s": float, "repeats": int, ...meta}},
       "speedups": {name: float},    # named baseline/candidate ratios
@@ -98,7 +98,7 @@ def peak_rss_mb() -> Optional[float]:
     """Peak resident-set size of this process tree so far, in MiB.
 
     Reads ``getrusage`` high-water marks for the process itself and its
-    waited-for children (the process-backend grid workers) and returns
+    waited-for children (the grid's worker processes) and returns
     the larger -- the honest answer to "how much memory did this stage
     need".  ``None`` where the :mod:`resource` module is unavailable
     (non-POSIX platforms); benchmarks record it as metadata only.

@@ -1,58 +1,43 @@
-"""Deterministic parallel mapping for the training/evaluation hot path.
+"""Run independent tasks to per-task outcomes: a serial loop or worker processes.
 
-The experiment grid of the paper -- 5 model families x 2 quantiles x 4
-CV folds x 3 temperatures x 6 read points -- is embarrassingly parallel:
-split-conformal calibration is independent per model and per fold
-(Romano et al., *Conformalized Quantile Regression*).  This module
-provides the one primitive everything fans out through:
+The experiment grid of the paper -- methods x temperatures x read
+points -- is embarrassingly parallel: split-conformal calibration is
+independent per cell (Romano et al., *Conformalized Quantile
+Regression*).  :func:`parallel_map_outcomes` is the one primitive the
+grids fan out through.  ``processes=1`` runs every task in this process,
+in input order; ``processes > 1`` runs them on a pool of worker
+processes.  Either way each task runs under an optional
+:class:`~repro.runtime.retry.RetryPolicy` and timeout, and the map
+yields one :class:`TaskOutcome` per item -- successes *and* failures --
+as soon as that task has finished, so the caller can record each result
+before the next one arrives.
 
-* :func:`parallel_map` -- an ordered map over a worker pool.  Results
-  come back in input order regardless of completion order, worker
-  exceptions propagate to the caller, and the map degrades to a plain
-  serial loop when one job is requested, when there is at most one item,
-  or when the pool cannot be created (restricted sandboxes).
-* :func:`parallel_map_outcomes` -- the resilient variant: every task is
-  run under an optional :class:`~repro.runtime.retry.RetryPolicy` and
-  timeout, and the return value is one :class:`TaskOutcome` per item --
-  successes *and* failures, in input order -- instead of the first
-  exception discarding every completed sibling.
-* :func:`effective_n_jobs` -- resolves the job count from an explicit
-  argument, the ``REPRO_N_JOBS`` environment variable, or the serial
-  default, with ``-1`` meaning "all cores".
-* :func:`spawn_seeds` -- deterministic per-task child seeds from one
-  parent seed via :class:`numpy.random.SeedSequence`, so seeded work
-  stays reproducible no matter how it is scheduled.
+Timeouts follow :mod:`repro.runtime.watchdog`.  In this process a task
+gets a *cooperative* deadline (code that calls ``check_deadline`` is
+interrupted; code that never checks is not).  On the pool, a task gets
+the same deadline inside its worker, and the parent adds a hard kill:
+when no task finishes within ``timeout`` seconds (or a worker dies), the
+pool is torn down and every unfinished task re-runs serially, each in
+its own kill-able subprocess, so one stuck worker degrades the map to
+serial re-execution instead of hanging or aborting it.
 
-Timeout semantics follow the backend's capabilities (see
-:mod:`repro.runtime.watchdog`): thread workers get a *cooperative*
-deadline (code that calls ``check_deadline`` is interrupted; code that
-never checks is not), while process workers that blow their budget are
-**hard-killed** -- the pool is torn down and the unfinished tasks are
-re-executed serially, each in its own kill-able subprocess, so one
-stuck worker degrades the map to serial re-execution instead of
-hanging or aborting it.
-
-Determinism contract: for a pure ``fn``, ``parallel_map(fn, items, n)``
-returns the same list for every ``n`` -- the test suite asserts this for
-the cross-validation and experiment-grid callers.  Retries and timeouts
-only change *when* work runs, never what it computes.
+Determinism contract: for a pure ``fn``, every item's outcome value is
+the same for every ``processes``; only the order in which outcomes
+arrive depends on scheduling.  Retries and timeouts only change *when*
+work runs, never what it computes.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Dict,
     Generic,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -60,64 +45,13 @@ from typing import (
     TypeVar,
 )
 
-import numpy as np
-
 from repro.runtime.retry import RetryPolicy, run_attempts
 from repro.runtime.watchdog import TaskTimeout, deadline_scope, run_in_subprocess
 
-__all__ = [
-    "TaskOutcome",
-    "effective_n_jobs",
-    "parallel_map",
-    "parallel_map_outcomes",
-    "spawn_seeds",
-]
+__all__ = ["TaskOutcome", "parallel_map_outcomes"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-_ENV_VAR = "REPRO_N_JOBS"
-
-
-def effective_n_jobs(n_jobs: Optional[int] = None) -> int:
-    """Resolve the worker count for a parallel region.
-
-    ``None`` defers to the ``REPRO_N_JOBS`` environment variable and
-    falls back to 1 (serial) -- the deterministic-by-default posture.
-    ``-1`` means one worker per available core; any other value must be
-    a positive integer.
-    """
-    if n_jobs is None:
-        raw = os.environ.get(_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            n_jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if n_jobs == -1:
-        return max(1, os.cpu_count() or 1)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
-    return int(n_jobs)
-
-
-def spawn_seeds(seed: Optional[int], n: int) -> List[Optional[int]]:
-    """``n`` independent child seeds derived deterministically from ``seed``.
-
-    A ``None`` parent yields ``None`` children (fresh entropy per task,
-    explicitly not reproducible).  Otherwise children come from
-    ``SeedSequence(seed).spawn`` and are stable across processes,
-    platforms, and scheduling order.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if seed is None:
-        return [None] * n
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [int(child.generate_state(1)[0]) for child in children]
 
 
 @dataclass(frozen=True)
@@ -125,9 +59,8 @@ class TaskOutcome(Generic[R]):
     """Per-task result of :func:`parallel_map_outcomes`.
 
     Exactly one of ``value`` / ``error`` is meaningful, discriminated by
-    :attr:`ok`.  ``attempts`` counts executions including retries;
-    ``timed_out`` marks failures whose final error was a
-    :class:`~repro.runtime.watchdog.TaskTimeout`.
+    :attr:`ok`.  ``index`` is the item's position in the input;
+    ``attempts`` counts executions including retries.
     """
 
     index: int
@@ -157,7 +90,7 @@ def _execute_task(
     """Run one task under deadline + retry, capturing the outcome.
 
     ``isolate=True`` runs every attempt in a dedicated subprocess with a
-    hard kill (the requeue path of the process backend); otherwise the
+    hard kill (the requeue path after a pool failure); otherwise the
     attempt runs in-process under a cooperative deadline scope.
     """
     if isolate:
@@ -208,204 +141,169 @@ def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _drain_after_failure(
-    futures: Sequence["Future[TaskOutcome]"],
-    outcomes: List[Optional[TaskOutcome]],
-) -> List[int]:
-    """Harvest finished futures after a pool failure; return requeue indices."""
-    requeue: List[int] = []
-    for index, future in enumerate(futures):
-        if outcomes[index] is not None:
-            continue
-        harvested = False
-        if future.done() and not future.cancelled():
-            try:
-                outcomes[index] = future.result(timeout=0)
-                harvested = True
-            except Exception:
-                harvested = False
-        if not harvested:
-            future.cancel()
-            requeue.append(index)
-    return requeue
+def _finished_outcome(future: "Future[TaskOutcome]") -> Optional[TaskOutcome]:
+    """The outcome of a future that finished cleanly, else ``None``."""
+    if future.done() and not future.cancelled():
+        try:
+            return future.result(timeout=0)
+        except Exception:
+            return None
+    return None
 
 
-def _pooled_outcomes(
-    fn: Callable[[T], R],
+def _submit_all(
+    task: _ResilientTask,
     work: Sequence[T],
-    jobs: int,
-    backend: str,
-    retry_policy: Optional[RetryPolicy],
-    timeout: Optional[float],
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
-) -> Optional[List[TaskOutcome]]:
-    """Run the pool path; ``None`` means "fall back to serial".
+    processes: int,
+    initializer: Optional[Callable[..., None]],
+    initargs: Tuple,
+) -> Optional[Tuple[ProcessPoolExecutor, List["Future[TaskOutcome]"]]]:
+    """Start the pool and submit every item; ``None`` when no pool can run.
 
-    Thread backend: purely cooperative timeouts, results drained in
-    order.  Process backend: each future is awaited with the task
-    timeout; a worker that neither finishes nor fails within its budget
-    (or a pool whose process died) gets the pool killed and every
-    unfinished task requeued through the serial subprocess path.
+    Restricted environments (no semaphores, no fork) keep the results
+    identical and just give up the speedup: the caller runs the serial
+    loop instead.
     """
-    executor_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-    task = _ResilientTask(fn, retry_policy, timeout)
     try:
-        pool = executor_cls(
-            max_workers=min(jobs, len(work)),
+        pool = ProcessPoolExecutor(
+            max_workers=min(processes, len(work)),
             initializer=initializer,
             initargs=initargs,
         )
     except (OSError, RuntimeError, PermissionError):
-        # Restricted environments (no spawn semaphores, thread limits):
-        # keep the results identical and just give up the speedup.
         return None
-    outcomes: List[Optional[TaskOutcome]] = [None] * len(work)
+    try:
+        futures = [
+            pool.submit(task, (index, item)) for index, item in enumerate(work)
+        ]
+    except (OSError, RuntimeError, BrokenProcessPool):
+        pool.shutdown(wait=False, cancel_futures=True)
+        return None
+    return pool, futures
+
+
+def _pool_outcomes(
+    pool: ProcessPoolExecutor,
+    futures: Sequence["Future[TaskOutcome]"],
+    fn: Callable[[T], R],
+    work: Sequence[T],
+    retry_policy: Optional[RetryPolicy],
+    timeout: Optional[float],
+) -> Iterator[TaskOutcome]:
+    """Yield pool outcomes as they finish; requeue what a failure strands.
+
+    When no task finishes within ``timeout`` seconds a worker is stuck:
+    the pool is killed.  When a worker dies (crash, OOM kill) the pool
+    is broken.  Either way the finished outcomes are kept and every
+    unfinished task is re-executed serially, each in its own subprocess
+    with a hard timeout per attempt.
+    """
+    index_of: Dict["Future[TaskOutcome]", int] = {
+        future: index for index, future in enumerate(futures)
+    }
+    pending = set(futures)
     requeue: List[int] = []
     with pool:
-        try:
-            futures = [
-                pool.submit(task, (index, item))
-                for index, item in enumerate(work)
-            ]
-        except (OSError, RuntimeError, BrokenProcessPool):
-            return None
-        wait_timeout = timeout if backend == "process" else None
-        for index, future in enumerate(futures):
-            try:
-                outcomes[index] = future.result(timeout=wait_timeout)
-            except FutureTimeoutError:
-                # Stuck worker: kill the pool, requeue everything that
-                # has not finished.  Serial re-execution (isolated, hard
-                # timeout per attempt) happens below, outside the pool.
+        while pending:
+            done, pending = wait(
+                pending, timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            for future in sorted(done, key=index_of.__getitem__):
+                try:
+                    yield future.result()
+                except BrokenProcessPool:
+                    requeue.append(index_of[future])
+            if done and not requeue:
+                continue
+            if not done:  # no task finished within its budget: a worker is stuck
                 _kill_pool_processes(pool)
-                requeue = _drain_after_failure(futures, outcomes)
-                break
-            except BrokenProcessPool:
-                # A worker died (crash, OOM-kill): salvage completed
-                # futures, requeue the rest.
-                requeue = _drain_after_failure(futures, outcomes)
-                break
+            for future in sorted(pending, key=index_of.__getitem__):
+                outcome = _finished_outcome(future)
+                if outcome is None:
+                    future.cancel()
+                    requeue.append(index_of[future])
+                else:
+                    yield outcome
+            break
         pool.shutdown(wait=False)
-    isolate = backend == "process"
-    for index in requeue:
-        outcomes[index] = _execute_task(
-            fn, work[index], index, retry_policy, timeout, isolate=isolate
+    for index in sorted(requeue):
+        yield _execute_task(
+            fn, work[index], index, retry_policy, timeout, isolate=True
         )
-    return [outcome for outcome in outcomes if outcome is not None]
+
+
+def _outcomes(
+    fn: Callable[[T], R],
+    work: Sequence[T],
+    processes: int,
+    retry_policy: Optional[RetryPolicy],
+    timeout: Optional[float],
+    initializer: Optional[Callable[..., None]],
+    initargs: Tuple,
+) -> Iterator[TaskOutcome]:
+    started = None
+    if processes > 1 and len(work) > 1:
+        task = _ResilientTask(fn, retry_policy, timeout)
+        started = _submit_all(task, work, processes, initializer, initargs)
+    if started is not None:
+        yield from _pool_outcomes(*started, fn, work, retry_policy, timeout)
+        return
+    if initializer is not None:
+        initializer(*initargs)
+    for index, item in enumerate(work):
+        yield _execute_task(fn, item, index, retry_policy, timeout)
 
 
 def parallel_map_outcomes(
     fn: Callable[[T], R],
     items: Iterable[T],
-    n_jobs: Optional[int] = None,
-    backend: str = "thread",
+    processes: int = 1,
     retry_policy: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
-) -> List[TaskOutcome]:
-    """Resilient ordered map: one :class:`TaskOutcome` per item, no raising.
-
-    The capture-everything primitive underneath :func:`parallel_map` and
-    the experiment grids: a failing task records its final exception in
-    its outcome instead of discarding the completed siblings, retries
-    follow ``retry_policy`` (transient faults only by default, with a
-    deterministic per-task backoff schedule), and ``timeout`` bounds
-    each task as the backend allows -- cooperatively for threads,
-    hard-kill + serial requeue for processes.
-
-    ``initializer(*initargs)`` runs once per pool worker before any task
-    (the process backend uses it to attach shared-memory payloads); when
-    the map degrades to the serial loop it runs once, in-process, before
-    the first task, so worker state is set up no matter how work is
-    scheduled.  Both must be picklable for ``backend="process"``.
-
-    Task-level exceptions never propagate; infrastructure errors in the
-    caller's own arguments (unknown backend, bad job count) still raise.
-    """
-    if backend not in ("thread", "process"):
-        raise ValueError(
-            f"backend must be 'thread' or 'process', got {backend!r}"
-        )
-    if timeout is not None and not timeout > 0.0:
-        raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
-    work = list(items)
-    jobs = effective_n_jobs(n_jobs)
-    if jobs > 1 and len(work) > 1:
-        pooled = _pooled_outcomes(
-            fn, work, jobs, backend, retry_policy, timeout,
-            initializer, initargs,
-        )
-        if pooled is not None:
-            return pooled
-    if initializer is not None:
-        initializer(*initargs)
-    return [
-        _execute_task(fn, item, index, retry_policy, timeout)
-        for index, item in enumerate(work)
-    ]
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    n_jobs: Optional[int] = None,
-    backend: str = "thread",
-    retry_policy: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
-) -> List[R]:
-    """Map ``fn`` over ``items`` with ordered results.
+) -> Iterator[TaskOutcome]:
+    """Run ``fn`` over ``items``, yielding each :class:`TaskOutcome` as it finishes.
 
     Parameters
     ----------
     fn:
-        The per-item worker.  Must be pure with respect to shared state;
-        for ``backend="process"`` it must also be picklable (a top-level
-        function), which is why ``"thread"`` is the default -- the numpy
-        kernels dominating this codebase release the GIL, and closures
-        over local data (fold builders, experiment cells) stay usable.
+        The per-item worker.  With ``processes > 1`` it, the items and
+        the results must be picklable (a top-level function or an
+        instance of a top-level class).
     items:
-        The work list; consumed eagerly so the result order is defined.
-    n_jobs:
-        Worker count; ``None`` resolves via :func:`effective_n_jobs`
-        (``REPRO_N_JOBS`` or serial).
-    backend:
-        ``"thread"`` or ``"process"``.
+        The work list; consumed eagerly, and each outcome carries its
+        item's ``index`` in it.
+    processes:
+        ``1`` runs the serial loop in this process, in input order.
+        More runs that many worker processes (at most one per item), and
+        outcomes arrive in completion order.  A pool that cannot start
+        falls back to the serial loop -- same values, no speedup.
     retry_policy:
         Optional :class:`~repro.runtime.retry.RetryPolicy`; transient
         faults are re-executed on a deterministic backoff schedule
         before counting as failures.
     timeout:
-        Optional per-task budget in seconds (cooperative for threads,
-        hard kill + requeue for processes); overruns raise
+        Optional per-task budget in seconds: a cooperative deadline for
+        every attempt, plus the pool's hard kill and serial requeue (see
+        the module docstring).  Overruns surface as
         :class:`~repro.runtime.watchdog.TaskTimeout`, which the retry
         policy may re-run.
     initializer, initargs:
-        Optional once-per-worker setup hook, exactly as in
-        :func:`parallel_map_outcomes`.
+        ``initializer(*initargs)`` runs once per pool worker before any
+        task (the grids attach shared-memory payloads with it); when the
+        map runs the serial loop it runs once, in-process, before the
+        first task, so worker state is set up no matter how work is
+        scheduled.
 
-    Results are collected in input order.  When any task ultimately
-    fails, the first failure (in input order) is re-raised in the
-    caller; use :func:`parallel_map_outcomes` to capture per-task
-    failures alongside the completed results instead.  If the pool
-    itself cannot be created the map silently degrades to the serial
-    loop -- same results, no speedup -- so callers never need a
-    fallback path of their own.
+    Task-level exceptions never propagate; they are the ``error`` of
+    their outcome.  Errors in the caller's own arguments (a bad process
+    count or timeout) raise here, before any task runs.
     """
-    outcomes = parallel_map_outcomes(
-        fn,
-        items,
-        n_jobs=n_jobs,
-        backend=backend,
-        retry_policy=retry_policy,
-        timeout=timeout,
-        initializer=initializer,
-        initargs=initargs,
+    if processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
+    if timeout is not None and not timeout > 0.0:
+        raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
+    return _outcomes(
+        fn, list(items), processes, retry_policy, timeout, initializer, initargs
     )
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-    return [outcome.value for outcome in outcomes]

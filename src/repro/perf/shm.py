@@ -1,6 +1,6 @@
 """Zero-copy transport of numpy arrays to worker processes.
 
-The process-backend Table-III grid ships the raw feature matrices and
+The process-pool Table-III grid ships the raw feature matrices and
 their pre-binned code matrices to every worker exactly once, through
 POSIX shared memory, instead of pickling hundreds of megabytes per task.
 The ownership model is deliberately one-sided:
@@ -10,7 +10,8 @@ The ownership model is deliberately one-sided:
   one -- the bundle is a context manager, so segments are freed even
   when a worker crashes or is SIGKILLed mid-task,
 * **workers** attach read-only views via :func:`attach_array` from the
-  picklable :class:`ArraySpec` descriptors and never unlink anything.
+  picklable :class:`ArraySpec` descriptors and never unlink anything;
+  their attachments last as long as the worker process.
 
 Workers are always children of the creating session (pool workers,
 watchdog requeue subprocesses), so they share the parent's
@@ -33,7 +34,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["ArraySpec", "SharedArrayBundle", "attach_array", "detach_all"]
+__all__ = ["ArraySpec", "SharedArrayBundle", "attach_array"]
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,18 @@ class SharedArrayBundle:
     """Parent-owned collection of shared-memory array segments.
 
     ``share`` copies an array into a fresh segment and returns its
-    :class:`ArraySpec`; ``specs`` returns every descriptor keyed by the
-    caller's label, ready to pickle into a pool initializer.  ``close``
-    (also run on context exit) closes **and unlinks** every segment --
-    the parent is the sole owner, so segment lifetime is exactly the
-    bundle's lifetime regardless of what happens to the workers.
+    :class:`ArraySpec`, ready to pickle into a pool initializer.
+    ``close`` (also run on context exit) closes **and unlinks** every
+    segment -- the parent is the sole owner, so segment lifetime is
+    exactly the bundle's lifetime regardless of what happens to the
+    workers.
     """
 
     def __init__(self) -> None:
         self._segments: List[shared_memory.SharedMemory] = []
-        self._specs: Dict[str, ArraySpec] = {}
 
-    def share(self, key: str, array: np.ndarray) -> ArraySpec:
-        """Copy ``array`` into a new segment registered under ``key``."""
-        if key in self._specs:
-            raise ValueError(f"key {key!r} already shared")
+    def share(self, array: np.ndarray) -> ArraySpec:
+        """Copy ``array`` into a new segment owned by this bundle."""
         array = np.ascontiguousarray(array)
         segment = shared_memory.SharedMemory(
             create=True, size=max(array.nbytes, 1)
@@ -75,15 +73,9 @@ class SharedArrayBundle:
         self._segments.append(segment)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
         view[...] = array
-        spec = ArraySpec(
+        return ArraySpec(
             name=segment.name, shape=tuple(array.shape), dtype=str(array.dtype)
         )
-        self._specs[key] = spec
-        return spec
-
-    def specs(self) -> Dict[str, ArraySpec]:
-        """Every shared descriptor, keyed by the label given to ``share``."""
-        return dict(self._specs)
 
     def close(self) -> None:
         """Close and unlink every segment (idempotent)."""
@@ -97,7 +89,6 @@ class SharedArrayBundle:
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
         self._segments = []
-        self._specs = {}
 
     def __enter__(self) -> "SharedArrayBundle":
         return self
@@ -108,7 +99,8 @@ class SharedArrayBundle:
 
 # Worker-side registry of attached segments.  The SharedMemory handles
 # must outlive the array views they back (the buffer would be unmapped
-# under the view otherwise), so they are held here until detach_all.
+# under the view otherwise), so they are held here for the life of the
+# process.
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 
 
@@ -128,13 +120,3 @@ def attach_array(spec: ArraySpec) -> np.ndarray:
     )
     view.flags.writeable = False
     return view
-
-
-def detach_all() -> None:
-    """Close every segment this process attached (worker teardown)."""
-    for segment in _ATTACHED.values():
-        try:
-            segment.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
-            pass
-    _ATTACHED.clear()

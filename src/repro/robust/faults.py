@@ -391,9 +391,9 @@ def _item_draw(item: object, seed: int) -> float:
     """Stable uniform [0, 1) draw for one work item.
 
     Derived from the SHA-256 of ``(seed, repr(item))`` rather than from
-    call order, so the *same* tasks are selected regardless of how a
-    thread pool schedules them -- the selection is reproducible across
-    runs, backends, and worker counts.
+    call order, so the *same* tasks are selected regardless of the order
+    they run in -- the selection is reproducible across runs and
+    retries.
     """
     digest = hashlib.sha256(f"{seed}:{item!r}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
@@ -404,8 +404,9 @@ class ExecutionFault:
 
     Where :class:`FaultInjector` corrupts a feature matrix, an
     execution fault corrupts the act of running a task: :meth:`wrap`
-    takes the per-item callable of a grid (or any
-    :func:`~repro.perf.parallel.parallel_map` worker) and returns a
+    takes the per-item callable of a grid's serial loop (or any
+    :func:`~repro.perf.parallel.parallel_map_outcomes` task run in this
+    process) and returns a
     wrapped callable that misbehaves -- raising transient faults,
     hanging against the watchdog -- for a deterministic, seeded subset
     of items, a limited number of times each.  The runtime's retry and
@@ -463,8 +464,7 @@ class TaskCrashFault(ExecutionFault):
     per item, independent of scheduling order).
 
     Attempt counting is in-process (a shared thread-safe counter), so
-    this injector is meant for the thread/serial backends the stress
-    harness uses.
+    this injector is meant for the serial loop the stress harness uses.
     """
 
     def __init__(

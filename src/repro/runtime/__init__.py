@@ -11,8 +11,8 @@ makes execution itself reliable, in four pieces:
   :class:`PermanentFault` taxonomy and deterministic
   :class:`RetryPolicy` backoff schedules (seeded jitter; two runs sleep
   identically and compute identically),
-* :mod:`repro.runtime.watchdog` -- cooperative deadlines for thread
-  workers, hard-killed subprocess execution for stuck process workers,
+* :mod:`repro.runtime.watchdog` -- cooperative deadlines for every
+  task, hard-killed subprocess execution for stuck worker processes,
 * :mod:`repro.runtime.checkpoint` -- the append-only JSONL
   :class:`RunJournal` keyed by configuration fingerprints, giving
   experiment grids SIGKILL-safe resume with bit-identical results,
@@ -47,7 +47,6 @@ from repro.runtime.retry import (
     PermanentFault,
     RetryPolicy,
     TransientFault,
-    call_with_retry,
     run_attempts,
 )
 from repro.runtime.watchdog import (
@@ -55,11 +54,8 @@ from repro.runtime.watchdog import (
     TaskTimeout,
     WorkerCrash,
     check_deadline,
-    current_deadline,
     deadline_scope,
-    remaining_time,
     run_in_subprocess,
-    run_with_deadline,
 )
 
 __all__ = [
@@ -77,17 +73,13 @@ __all__ = [
     "WorkerCrash",
     "atomic_path",
     "atomic_write",
-    "call_with_retry",
     "canonical_json",
     "cell_fingerprint",
     "check_deadline",
-    "current_deadline",
     "deadline_scope",
     "file_checksum",
-    "remaining_time",
     "run_attempts",
     "run_in_subprocess",
-    "run_with_deadline",
     "verify_artifact",
     "write_checksum",
     "write_json_atomic",

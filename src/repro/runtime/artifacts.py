@@ -104,22 +104,20 @@ def atomic_path(path: PathLike, suffix: Optional[str] = None) -> Iterator[Path]:
 def atomic_write(
     path: PathLike,
     mode: str = "w",
-    encoding: Optional[str] = None,
     newline: Optional[str] = None,
 ) -> Iterator[IO[Any]]:
     """Open a handle whose content atomically replaces ``path`` on success.
 
-    Text mode defaults to UTF-8.  The handle is flushed and fsynced
-    before the rename, so once the block exits the new content is
-    durable; if the block raises, the destination keeps its previous
-    content (or stays absent).
+    Text mode writes UTF-8.  The handle is flushed and fsynced before
+    the rename, so once the block exits the new content is durable; if
+    the block raises, the destination keeps its previous content (or
+    stays absent).
     """
     if "r" in mode or "+" in mode or "a" in mode:
         raise ValueError(
             f"atomic_write only supports fresh writes ('w'/'x' modes), got {mode!r}"
         )
-    if "b" not in mode and encoding is None:
-        encoding = "utf-8"
+    encoding = None if "b" in mode else "utf-8"
     with atomic_path(path) as tmp:
         with open(tmp, mode, encoding=encoding, newline=newline) as handle:
             yield handle
@@ -135,15 +133,15 @@ def write_text_atomic(path: PathLike, text: str) -> Path:
     return path
 
 
-def write_json_atomic(path: PathLike, value: Any, indent: Optional[int] = 2) -> Path:
-    """Atomically write ``value`` as JSON to ``path``; returns the path.
+def write_json_atomic(path: PathLike, value: Any) -> Path:
+    """Atomically write ``value`` as indented JSON to ``path``; returns the path.
 
     Keys are sorted so the artifact is byte-stable for identical
     content -- two runs producing the same results produce the same
     file, which is what the CI resilience job diffs.
     """
     path = Path(path)
-    text = json.dumps(value, indent=indent, sort_keys=True) + "\n"
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     return write_text_atomic(path, text)
 
 
@@ -200,19 +198,17 @@ def _check_digest(path: Path, expected: str, actual: str) -> str:
     return actual
 
 
-def verify_artifact(path: PathLike, expected: Optional[str] = None) -> str:
-    """Validate ``path`` against a digest; returns the actual digest.
+def verify_artifact(path: PathLike) -> str:
+    """Validate ``path`` against its sidecar; returns the actual digest.
 
-    ``expected=None`` reads the ``<name>.sha256`` sidecar written by
-    :func:`write_checksum`.  Raises :class:`ArtifactError` when the
-    sidecar is missing, and :class:`ArtifactCorruptionError` when the
-    sidecar is unparsable or the digests disagree -- readers call this
-    before trusting a restored artifact.
+    The expected digest is the one the ``<name>.sha256`` sidecar written
+    by :func:`write_checksum` records.  Raises :class:`ArtifactError`
+    when the sidecar is missing, and :class:`ArtifactCorruptionError`
+    when the sidecar is unparsable or the digests disagree -- readers
+    call this before trusting a restored artifact.
     """
     path = Path(path)
-    if expected is None:
-        expected = _sidecar_digest(path)
-    return _check_digest(path, expected, file_checksum(path))
+    return _check_digest(path, _sidecar_digest(path), file_checksum(path))
 
 
 def read_verified(path: PathLike) -> bytes:
@@ -221,7 +217,7 @@ def read_verified(path: PathLike) -> bytes:
     The bytes returned are the bytes hashed: a file replaced after the
     check cannot be read in its place, as it could between
     :func:`verify_artifact` and a second read.  Errors are those of
-    :func:`verify_artifact` with ``expected=None``.
+    :func:`verify_artifact`.
     """
     path = Path(path)
     expected = _sidecar_digest(path)

@@ -97,19 +97,9 @@ class RunJournal:
         self._meta: Dict[str, Any] = dict(meta) if meta else {}
         self._header_written = self.path.exists() and self.path.stat().st_size > 0
         # Reentrant: record() holds the lock across the header check and
-        # the cell append so concurrent thread workers interleave whole
-        # lines, never fragments.
+        # the cell append so concurrent writers interleave whole lines,
+        # never fragments.
         self._lock = threading.RLock()
-
-    @property
-    def meta(self) -> Dict[str, Any]:
-        """Header metadata: recorded on disk if present, else pending."""
-        if self.path.exists():
-            for entry in self._entries():
-                if entry.get("kind") == "header":
-                    return dict(entry.get("meta", {}))
-                break
-        return dict(self._meta)
 
     def _entries(self) -> Iterator[Dict[str, Any]]:
         """Yield parsed journal lines, dropping a truncated final line."""
@@ -204,27 +194,23 @@ class RunJournal:
         ``key`` is the human-readable cell identity (stored for
         inspection); ``payload`` is the JSON-serialisable result.  The
         line is flushed and fsynced before returning: once ``record``
-        returns, the cell survives any crash.  Safe to call from
-        concurrent thread workers (one journal object per run); the
-        journal is not meant to be shared across processes.
+        returns, the cell survives any crash.  The grids record every
+        cell from the parent process; concurrent threads are safe too
+        (one journal object per run), but the journal is not meant to be
+        shared across processes.
         """
         if not fingerprint:
             raise ValueError("fingerprint must be non-empty")
         with self._lock:
             self._ensure_header()
-            self._append_cell(fingerprint, key, payload)
-
-    def _append_cell(
-        self, fingerprint: str, key: Any, payload: Mapping[str, Any]
-    ) -> None:
-        self._append(
-            {
-                "kind": "cell",
-                "fingerprint": fingerprint,
-                "key": key,
-                "payload": dict(payload),
-            }
-        )
+            self._append(
+                {
+                    "kind": "cell",
+                    "fingerprint": fingerprint,
+                    "key": key,
+                    "payload": dict(payload),
+                }
+            )
 
     def __len__(self) -> int:
         return len(self.completed())

@@ -20,9 +20,9 @@ to tell those blips apart from real bugs and to re-run them on a
   the same grid sleep the same amounts, in keeping with the repository's
   reproducibility contract (jitter still decorrelates *different* tasks
   so retries do not stampede).
-* :func:`call_with_retry` / :func:`run_attempts` -- the retry loop
-  itself, usable directly or through
-  :func:`repro.perf.parallel.parallel_map`.
+* :func:`run_attempts` -- the retry loop itself, which
+  :func:`repro.perf.parallel.parallel_map_outcomes` runs every grid
+  cell through.
 
 Delays only shape *when* work re-runs, never *what* it computes, so a
 retried grid is bit-identical to a clean one -- the test suite asserts
@@ -42,7 +42,6 @@ __all__ = [
     "PermanentFault",
     "RetryPolicy",
     "TransientFault",
-    "call_with_retry",
     "run_attempts",
 ]
 
@@ -220,18 +219,3 @@ def run_attempts(
             delay = delays[attempt - 1]
             if delay > 0.0:
                 do_sleep(delay)
-
-
-def call_with_retry(
-    fn: AttemptRunner,
-    policy: Optional[RetryPolicy] = None,
-    task_key: int = 0,
-    sleep: Optional[SleepFn] = None,
-) -> object:
-    """Run ``fn`` under ``policy`` and return its value.
-
-    The raising twin of :func:`run_attempts`: when every attempt fails
-    the *final* exception propagates unchanged, so existing ``except``
-    clauses keep working.
-    """
-    return run_attempts(fn, policy=policy, task_key=task_key, sleep=sleep).unwrap()

@@ -1,21 +1,22 @@
 """Task deadlines and a stuck-task watchdog for the execution runtime.
 
 A hung model fit (a pathological LP, a runaway optimiser) must not hang
-the whole experiment grid.  Two mechanisms, matched to the two
-:func:`repro.perf.parallel.parallel_map` backends:
+the whole experiment grid.  Two mechanisms, matched to where a task
+runs (see :func:`repro.perf.parallel.parallel_map_outcomes`):
 
-* **Cooperative deadlines** (thread backend and serial execution).
-  :func:`deadline_scope` installs a per-task deadline on a thread-local
-  stack; instrumented code calls :func:`check_deadline` at convenient
-  points and gets a :class:`TaskTimeout` -- a
-  :class:`~repro.runtime.retry.TransientFault` -- once the budget is
-  spent.  Threads cannot be killed, so this is the honest contract: a
+* **Cooperative deadlines** (every task, in the serial loop and inside
+  each worker process).  :func:`deadline_scope` installs a per-task
+  deadline on a thread-local stack; instrumented code calls
+  :func:`check_deadline` at convenient points and gets a
+  :class:`TaskTimeout` -- a :class:`~repro.runtime.retry.TransientFault`
+  -- once the budget is spent.  A task running in the caller's own
+  process cannot be killed, so this is the honest contract there: a
   task that never checks is never interrupted.
-* **Hard kill** (process backend).  :func:`run_in_subprocess` executes
+* **Hard kill** (worker processes).  :func:`run_in_subprocess` executes
   one task in a dedicated child process with a wall-clock cap: on
   overrun the child is killed and :class:`TaskTimeout` raised; a child
   that dies without reporting (segfault, ``os._exit``) surfaces as
-  :class:`WorkerCrash`.  ``parallel_map`` uses this to requeue tasks
+  :class:`WorkerCrash`.  The process pool uses this to requeue tasks
   serially after killing a stuck pool, so a hung worker degrades the
   grid to serial re-execution instead of aborting it.
 
@@ -39,11 +40,8 @@ __all__ = [
     "TaskTimeout",
     "WorkerCrash",
     "check_deadline",
-    "current_deadline",
     "deadline_scope",
-    "remaining_time",
     "run_in_subprocess",
-    "run_with_deadline",
 ]
 
 T = TypeVar("T")
@@ -135,20 +133,6 @@ def deadline_scope(seconds: Optional[float]) -> Iterator[Optional[Deadline]]:
         stack.pop()
 
 
-def current_deadline() -> Optional[Deadline]:
-    """The innermost active deadline of this thread, or ``None``."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-def remaining_time() -> Optional[float]:
-    """Tightest remaining budget across active deadlines, or ``None``."""
-    stack = _stack()
-    if not stack:
-        return None
-    return min(deadline.remaining() for deadline in stack)
-
-
 def check_deadline() -> None:
     """Raise :class:`TaskTimeout` if any active deadline has passed.
 
@@ -157,12 +141,6 @@ def check_deadline() -> None:
     """
     for deadline in _stack():
         deadline.check()
-
-
-def run_with_deadline(fn: Callable[[], R], seconds: Optional[float]) -> R:
-    """Run ``fn()`` inside a :func:`deadline_scope` of ``seconds``."""
-    with deadline_scope(seconds):
-        return fn()
 
 
 def _subprocess_entry(connection: Any, fn: Callable[..., Any], item: Any, seconds: Optional[float]) -> None:

@@ -34,7 +34,7 @@ reproduces bit-identical data.
 
 from repro.silicon.aging import AgingModel
 from repro.silicon.ate import BurnInFlowSimulator, MeasurementRecord
-from repro.silicon.chip import Chip, ChipPopulation
+from repro.silicon.chip import ChipPopulation
 from repro.silicon.constants import (
     CPD_TEMPERATURE_C,
     MIN_SPEC_V,
@@ -68,7 +68,6 @@ __all__ = [
     "BurnInFlowSimulator",
     "CPD_TEMPERATURE_C",
     "CPDSensorBank",
-    "Chip",
     "ChipPopulation",
     "CornerDrift",
     "CorneredProcessModel",

@@ -17,8 +17,6 @@ future Vmin degradation in the paper's Section IV-D.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.models.base import check_random_state

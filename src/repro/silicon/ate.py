@@ -7,33 +7,24 @@ matrices; this module simulates the flow that produces them
 1. dynamic Dhrystone stress at elevated voltage in the burn-in oven,
 2. a pause at each scheduled read point,
 3. SCAN Vmin test on ATE at -45/25/125 degC,
-4. parametric tests on ATE (time-zero insertion only),
-5. ROD readout on ATE at 25 degC and CPD readout in-situ at 80 degC,
+4. ROD readout on ATE at 25 degC and CPD readout in-situ at 80 degC,
 
-emitting a tidy chronological log of :class:`MeasurementRecord` entries.
-The log form is what a test-floor data pipeline actually sees, and the
-examples use it to demonstrate ingesting flow data into the prediction
-framework.
+emitting a tidy chronological log of :class:`MeasurementRecord` entries
+-- the form a test-floor data pipeline actually sees, and what
+``python -m repro generate --flow-csv`` writes.  The time-zero
+parametric insertion is left out of the log: 1800 channels x n chips
+would dominate it without adding flow structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
-import numpy as np
-
-from repro.silicon.constants import (
-    CPD_TEMPERATURE_C,
-    READ_POINTS_HOURS,
-    ROD_TEMPERATURE_C,
-    STRESS_TEMPERATURE_C,
-    STRESS_VOLTAGE_V,
-    TEMPERATURES_C,
-)
+from repro.silicon.constants import CPD_TEMPERATURE_C, ROD_TEMPERATURE_C
 from repro.silicon.dataset import SiliconDataset
 
-__all__ = ["BurnInFlowSimulator", "FlowLog", "MeasurementRecord"]
+__all__ = ["BurnInFlowSimulator", "MeasurementRecord"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +36,7 @@ class MeasurementRecord:
     read_point_hours:
         Stress time at which the measurement was taken.
     insertion:
-        Which step produced it: ``"scan_vmin"``, ``"parametric"``,
-        ``"rod"``, or ``"cpd"``.
+        Which step produced it: ``"scan_vmin"``, ``"rod"``, or ``"cpd"``.
     temperature_c:
         Test temperature of the insertion.
     chip_index:
@@ -54,8 +44,7 @@ class MeasurementRecord:
     channel:
         Test/sensor channel name.
     value:
-        Measured value (V for scan_vmin, ps for monitors, channel units
-        for parametric).
+        Measured value (V for scan_vmin, ps for monitors).
     """
 
     read_point_hours: int
@@ -73,40 +62,18 @@ class BurnInFlowSimulator:
     ----------
     dataset:
         The generated lot to replay.
-    include_parametric / include_monitors / include_vmin:
-        Which insertions to emit (a log with only monitors approximates
-        the in-field telemetry stream).
     """
 
-    def __init__(
-        self,
-        dataset: SiliconDataset,
-        include_parametric: bool = True,
-        include_monitors: bool = True,
-        include_vmin: bool = True,
-    ) -> None:
+    def __init__(self, dataset: SiliconDataset) -> None:
         self.dataset = dataset
-        self.include_parametric = include_parametric
-        self.include_monitors = include_monitors
-        self.include_vmin = include_vmin
-
-    @property
-    def stress_conditions(self) -> Tuple[float, float]:
-        """(voltage V, temperature degC) applied between read points."""
-        return STRESS_VOLTAGE_V, STRESS_TEMPERATURE_C
 
     def schedule(self) -> List[Tuple[int, str]]:
         """The ordered (read point, insertion) plan of the flow."""
-        plan: List[Tuple[int, str]] = []
-        for hours in self.dataset.read_points:
-            if self.include_vmin:
-                plan.append((hours, "scan_vmin"))
-            if self.include_parametric and hours == 0:
-                plan.append((hours, "parametric"))
-            if self.include_monitors:
-                plan.append((hours, "rod"))
-                plan.append((hours, "cpd"))
-        return plan
+        return [
+            (hours, insertion)
+            for hours in self.dataset.read_points
+            for insertion in ("scan_vmin", "rod", "cpd")
+        ]
 
     def run(self) -> Iterator[MeasurementRecord]:
         """Yield every measurement record in flow order."""
@@ -123,18 +90,6 @@ class BurnInFlowSimulator:
                             chip_index=chip,
                             channel=f"scan_vmin_{int(temperature)}C",
                             value=float(value),
-                        )
-            elif insertion == "parametric":
-                temps = data.parametric_temperatures
-                for column, name in enumerate(data.parametric_names):
-                    for chip in range(data.n_chips):
-                        yield MeasurementRecord(
-                            read_point_hours=hours,
-                            insertion="parametric",
-                            temperature_c=float(temps[column]),
-                            chip_index=chip,
-                            channel=name,
-                            value=float(data.parametric[chip, column]),
                         )
             elif insertion == "rod":
                 block = data.rod[hours]
@@ -160,59 +115,3 @@ class BurnInFlowSimulator:
                             channel=name,
                             value=float(block[chip, column]),
                         )
-
-    def to_arrays(self) -> "FlowLog":
-        """Materialise the log into column arrays for bulk analysis."""
-        hours: List[int] = []
-        insertions: List[str] = []
-        temperatures: List[float] = []
-        chips: List[int] = []
-        channels: List[str] = []
-        values: List[float] = []
-        for record in self.run():
-            hours.append(record.read_point_hours)
-            insertions.append(record.insertion)
-            temperatures.append(record.temperature_c)
-            chips.append(record.chip_index)
-            channels.append(record.channel)
-            values.append(record.value)
-        return FlowLog(
-            read_point_hours=np.asarray(hours),
-            insertion=np.asarray(insertions),
-            temperature_c=np.asarray(temperatures),
-            chip_index=np.asarray(chips),
-            channel=np.asarray(channels),
-            value=np.asarray(values),
-        )
-
-
-@dataclass(frozen=True)
-class FlowLog:
-    """Columnar form of a burn-in measurement log."""
-
-    read_point_hours: np.ndarray
-    insertion: np.ndarray
-    temperature_c: np.ndarray
-    chip_index: np.ndarray
-    channel: np.ndarray
-    value: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.value.shape[0])
-
-    def select(self, **criteria) -> "FlowLog":
-        """Filter rows by exact match on any column, e.g.
-        ``log.select(insertion="rod", read_point_hours=24)``."""
-        mask = np.ones(len(self), dtype=bool)
-        for column, wanted in criteria.items():
-            if not hasattr(self, column):
-                raise ValueError(f"unknown log column {column!r}")
-            mask &= getattr(self, column) == wanted
-        return FlowLog(
-            read_point_hours=self.read_point_hours[mask],
-            insertion=self.insertion[mask],
-            temperature_c=self.temperature_c[mask],
-            chip_index=self.chip_index[mask],
-            channel=self.channel[mask],
-            value=self.value[mask],
-        )

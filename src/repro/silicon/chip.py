@@ -1,9 +1,8 @@
-"""Chip and population views over the latent silicon state.
+"""The latent silicon state of one generated lot.
 
 :class:`ChipPopulation` bundles the three latent samplers' outputs
-(process, aging, defects) for one generated lot; :class:`Chip` is a
-single-chip convenience view used by examples and diagnostics.  Neither
-holds measurements -- those live in
+(process, aging, defects) for one generated lot.  It holds no
+measurements -- those live in
 :class:`~repro.silicon.dataset.SiliconDataset` -- so the latent truth and
 the observable data stay cleanly separated (a predictor can never
 accidentally peek at ground truth).
@@ -13,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.silicon.aging import AgedPopulation
 from repro.silicon.defects import DefectPopulation
 from repro.silicon.process import ProcessSample
 
-__all__ = ["Chip", "ChipPopulation"]
+__all__ = ["ChipPopulation"]
 
 
 @dataclass(frozen=True)
@@ -41,67 +38,3 @@ class ChipPopulation:
     @property
     def n_chips(self) -> int:
         return self.process.n_chips
-
-    def chip(self, index: int) -> "Chip":
-        """Single-chip view by population index."""
-        if not 0 <= index < self.n_chips:
-            raise IndexError(
-                f"chip index {index} out of range for {self.n_chips} chips"
-            )
-        return Chip(population=self, index=index)
-
-    def __iter__(self):
-        return (self.chip(i) for i in range(self.n_chips))
-
-    def __len__(self) -> int:
-        return self.n_chips
-
-
-@dataclass(frozen=True)
-class Chip:
-    """One chip's latent state, read through its population."""
-
-    population: ChipPopulation
-    index: int
-
-    @property
-    def vth_shift(self) -> float:
-        """Global threshold-voltage deviation (V)."""
-        return float(self.population.process.vth_shift[self.index])
-
-    @property
-    def leff_shift(self) -> float:
-        """Normalised channel-length deviation."""
-        return float(self.population.process.leff_shift[self.index])
-
-    @property
-    def leakage_factor(self) -> float:
-        """Log-normal leakage multiplier."""
-        return float(self.population.process.leakage_factor[self.index])
-
-    @property
-    def is_defective(self) -> bool:
-        """Whether the chip carries a latent defect."""
-        return bool(self.population.defects.mask[self.index])
-
-    @property
-    def defect_severity(self) -> float:
-        """Time-zero room-temperature defect Vmin penalty (V); 0 if healthy."""
-        return float(self.population.defects.severity[self.index])
-
-    def aged_vth_shift(self, hours: float) -> float:
-        """Accumulated ΔVth after ``hours`` of stress (V)."""
-        return float(self.population.aging.vth_shift_at(hours)[self.index])
-
-    def speed_grade(self) -> str:
-        """Coarse binning label derived from the global Vth shift.
-
-        Negative shift = fast silicon (leaky, low Vmin), positive = slow.
-        Thresholds at ±1 population sigma assuming the default process
-        model; intended for human-readable summaries only.
-        """
-        if self.vth_shift < -0.010:
-            return "fast"
-        if self.vth_shift > 0.010:
-            return "slow"
-        return "typical"

@@ -10,21 +10,16 @@ from __future__ import annotations
 
 __all__ = [
     "CPD_TEMPERATURE_C",
-    "MILLIVOLT",
     "MIN_SPEC_V",
     "N_CHIPS_DEFAULT",
     "N_CPD_SENSORS",
     "N_PARAMETRIC_TESTS",
     "N_ROD_SENSORS",
-    "PICOSECOND",
     "READ_POINTS_HOURS",
     "ROD_TEMPERATURE_C",
-    "STRESS_TEMPERATURE_C",
-    "STRESS_VOLTAGE_V",
     "TEMPERATURES_C",
     "THERMAL_VOLTAGE_V",
     "VMIN_BASE_V",
-    "V_NOMINAL_V",
     "validate_read_point",
     "validate_temperature",
 ]
@@ -55,9 +50,6 @@ CPD_TEMPERATURE_C = 80.0
 """CPD sensors are read in-situ inside the burn-in oven at 80 degC."""
 
 # -- electrical operating point ----------------------------------------------
-V_NOMINAL_V = 0.80
-"""Nominal supply voltage of the simulated product (V)."""
-
 MIN_SPEC_V = 0.72
 """Product Vmin specification (the min_spec dashed line of Fig. 1); chips
 whose true Vmin exceeds this are spec violations."""
@@ -79,17 +71,6 @@ THERMAL_VOLTAGE_V = {
 }
 """kT/q at each ATE temperature (V), used by the subthreshold-leakage
 parametric test families."""
-
-# -- stress conditions ---------------------------------------------------------
-STRESS_VOLTAGE_V = 0.92
-"""Elevated burn-in supply: accelerates BTI so 1008 oven hours emulate
-years of field life."""
-
-STRESS_TEMPERATURE_C = 80.0
-"""Burn-in oven ambient during dynamic Dhrystone stress."""
-
-PICOSECOND = 1e-12
-MILLIVOLT = 1e-3
 
 
 def validate_temperature(temperature_c: float) -> float:

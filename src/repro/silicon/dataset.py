@@ -12,12 +12,11 @@ single entry point used by examples, tests, and benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.models.base import check_random_state
 from repro.silicon.aging import AgingModel
 from repro.silicon.chip import ChipPopulation
 from repro.silicon.constants import (
@@ -81,9 +80,6 @@ class SiliconDataset:
         n_chips: int = N_CHIPS_DEFAULT,
         seed: int = 0,
         process_model: Optional[ProcessVariationModel] = None,
-        aging_model: Optional[AgingModel] = None,
-        defect_model: Optional[DefectModel] = None,
-        vmin_model: Optional[ScanVminModel] = None,
         wafer_model: Optional[WaferModel] = None,
         read_points: Tuple[int, ...] = READ_POINTS_HOURS,
         temperatures: Tuple[float, ...] = TEMPERATURES_C,
@@ -128,9 +124,7 @@ class SiliconDataset:
         }
 
         process_model = process_model or ProcessVariationModel()
-        aging_model = aging_model or AgingModel()
-        defect_model = defect_model or DefectModel()
-        vmin_model = vmin_model or ScanVminModel()
+        vmin_model = ScanVminModel()
 
         process = process_model.sample(n_chips, seeds["process"])
         wafer_provenance = None
@@ -145,8 +139,8 @@ class SiliconDataset:
                 gradient_x=process.gradient_x,
                 gradient_y=process.gradient_y,
             )
-        aging = aging_model.sample_amplitudes(process.vth_shift, seeds["aging"])
-        defects = defect_model.sample(n_chips, seeds["defects"])
+        aging = AgingModel().sample_amplitudes(process.vth_shift, seeds["aging"])
+        defects = DefectModel().sample(n_chips, seeds["defects"])
         population = ChipPopulation(process=process, aging=aging, defects=defects)
 
         # Monitor banks: design is part of the product.  Without a

@@ -28,7 +28,7 @@ adding lots never reshuffles existing ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -354,26 +354,3 @@ class FleetGenerator:
             dataset=dataset,
             wafer_layout=wafer_model.layout,
         )
-
-    def fleet(
-        self,
-        calendar_hours: int = 0,
-        lot_index: int = 0,
-        n_chips: Optional[int] = None,
-        read_points: Tuple[int, ...] = READ_POINTS_HOURS,
-        temperatures: Tuple[float, ...] = TEMPERATURES_C,
-    ) -> List[FleetLot]:
-        """One lot per (product, fab) pair at the given calendar time."""
-        return [
-            self.lot(
-                product_name,
-                fab_name,
-                calendar_hours=calendar_hours,
-                lot_index=lot_index,
-                n_chips=n_chips,
-                read_points=read_points,
-                temperatures=temperatures,
-            )
-            for product_name in self.products
-            for fab_name in self.fabs
-        ]

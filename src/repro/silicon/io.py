@@ -24,7 +24,6 @@ deep inside numpy.
 from __future__ import annotations
 
 import csv
-import io
 import zipfile
 from pathlib import Path
 from typing import Union
@@ -198,23 +197,16 @@ def load_measurements(path: Union[str, Path]) -> SiliconDataset:
     return dataset
 
 
-def export_flow_csv(
-    dataset: SiliconDataset,
-    path: Union[str, Path],
-    include_parametric: bool = False,
-) -> int:
+def export_flow_csv(dataset: SiliconDataset, path: Union[str, Path]) -> int:
     """Export the burn-in measurement log as CSV; returns the row count.
 
     One row per measurement event (see
-    :class:`~repro.silicon.ate.MeasurementRecord`).  The parametric
-    insertion is off by default — 1800 channels x n chips dominates the
-    file without adding flow structure.  The CSV is written atomically:
-    an interrupted export leaves no partial log behind.
+    :class:`~repro.silicon.ate.MeasurementRecord`); the log carries no
+    parametric insertion.  The CSV is written atomically: an interrupted
+    export leaves no partial log behind.
     """
     path = Path(path)
-    simulator = BurnInFlowSimulator(
-        dataset, include_parametric=include_parametric
-    )
+    simulator = BurnInFlowSimulator(dataset)
     count = 0
     with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -30,7 +30,7 @@ advantage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class ParametricTestBank:
         self._misc_scale = np.exp(rng.normal(0.0, 1.0, _FAMILY_SIZES["misc"]))
 
     # -- metadata --------------------------------------------------------------
-    @property
-    def n_channels(self) -> int:
-        return N_PARAMETRIC_TESTS
-
     def channel_names(self) -> List[str]:
         """Stable channel names, corner-major then family-major."""
         names: List[str] = []

@@ -19,8 +19,7 @@ and are constructor-tunable for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

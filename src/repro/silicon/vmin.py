@@ -23,7 +23,7 @@ CQR's adaptive bands earn their keep (paper Sections I and III-C).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -126,7 +126,3 @@ class ScanVminModel:
         )
         noisy = truth + rng.normal(0.0, 1.0, size=truth.shape) * sigma
         return np.ceil(noisy / self.ate_step_v) * self.ate_step_v
-
-    def noise_sigma(self, temperature_c: float) -> float:
-        """Base test-repeatability sigma at a corner (V)."""
-        return _NOISE_SIGMA_V[validate_temperature(temperature_c)]

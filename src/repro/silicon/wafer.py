@@ -23,7 +23,7 @@ automotive use case: per-wafer-zone coverage guarantees).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -68,7 +68,7 @@ class TestAdaptive:
             QuantileLinearRegression(), alpha=0.1, gamma=0.02, window=50
         ).fit(X[:200], y[:200])
         aci.update(X[200:400], y[200:400])
-        assert aci._current_scores().size == 50
+        assert len(aci._scores._sorted) == len(aci._scores._arrival) == 50
 
     def test_history_recorded(self, stream):
         X, y = stream
@@ -76,8 +76,12 @@ class TestAdaptive:
             QuantileLinearRegression(), alpha=0.1, gamma=0.05
         ).fit(X[:200], y[:200])
         aci.update(X[200:230], y[200:230])
-        assert len(aci.error_history_) == 30
-        assert len(aci.alpha_history_) == 31  # initial + 30 updates
+        assert aci.n_labels_ == 30
+        assert 0 <= aci.n_misses_ <= 30
+        assert aci.long_run_coverage() == 1.0 - aci.n_misses_ / 30
+        # alpha_t moved by gamma * (alpha - err) once per label.
+        expected = 0.1 + 0.05 * (30 * 0.1 - aci.n_misses_)
+        assert aci.alpha_t == pytest.approx(expected)
 
     def test_unfitted_raises(self):
         aci = AdaptiveConformalPredictor(QuantileLinearRegression())
@@ -161,7 +165,7 @@ class TestSortedWindowBitIdentity:
             lo, hi = aci.band_.predict_interval(X[i : i + 1])
             naive.append(float(cqr_score(y[i : i + 1], lo, hi)[0]))
             expected = np.sort(np.asarray(naive[-window:], dtype=np.float64))
-            np.testing.assert_array_equal(aci._current_scores(), expected)
+            np.testing.assert_array_equal(aci._scores._sorted, expected)
             # The margin served off the sorted mirror equals a from-scratch
             # partition of the naive window at the same effective level
             # (its largest score when the rank overflows the window).
@@ -178,15 +182,13 @@ class TestSortedWindowBitIdentity:
         win = _SortedScoreWindow([1.0, 2.0, 1.0], window=3)
         win.append(1.0)  # evicts the oldest 1.0
         win.append(3.0)  # evicts the 2.0
-        np.testing.assert_array_equal(win.sorted_array(), [1.0, 1.0, 3.0])
-        assert len(win) == 3
+        assert win._sorted == [1.0, 1.0, 3.0]
+        assert len(win._arrival) == 3
 
-    def test_long_stream_margin_reads_the_window_in_place(self, monkeypatch):
+    def test_long_stream_margin_reads_the_window_in_place(self):
         """Under the flow's default unbounded window the margin must stay
         a direct read: every margin equals ``conformal_quantile`` on the
-        materialised window (its largest score once the rank overflows),
-        while ``_correction`` never materialises the window itself."""
-        from repro.core.adaptive import _SortedScoreWindow
+        materialised window (its largest score once the rank overflows)."""
         from repro.core.calibration import conformal_quantile
 
         class ShiftedBand:
@@ -197,12 +199,6 @@ class TestSortedWindowBitIdentity:
         aci = AdaptiveConformalPredictor.from_fitted(
             ShiftedBand(), rng.normal(size=40), alpha=0.1, gamma=0.05
         )
-        materialise = _SortedScoreWindow.sorted_array
-
-        def forbidden(window):
-            raise AssertionError("the margin materialised the score window")
-
-        monkeypatch.setattr(_SortedScoreWindow, "sorted_array", forbidden)
         n_rows, overflowed, finite = 0, 0, 0
         while n_rows < 2000:
             size = int(rng.integers(1, 9))
@@ -212,7 +208,7 @@ class TestSortedWindowBitIdentity:
             y = X[:, 0] + drift + rng.normal(scale=0.5, size=size)
             aci.update(X, y)
             n_rows += size
-            window = materialise(aci._scores)
+            window = np.asarray(aci._scores._sorted, dtype=np.float64)
             effective = float(np.clip(aci.alpha_t, 1e-6, 1.0 - 1e-6))
             expected = conformal_quantile(window, effective)
             if np.isfinite(expected):
@@ -221,5 +217,64 @@ class TestSortedWindowBitIdentity:
                 expected = float(window[-1])
                 overflowed += 1
             assert aci._correction() == expected
-        assert len(aci._scores) == 40 + n_rows
+        assert len(aci._scores._arrival) == 40 + n_rows
         assert finite and overflowed
+
+
+class _ShiftedBand:
+    def predict_interval(self, X):
+        return X[:, 0] - 1.0, X[:, 0] + 1.0
+
+
+def _streamed(window, n_labels, seed=3):
+    rng = np.random.default_rng(seed)
+    aci = AdaptiveConformalPredictor.from_fitted(
+        _ShiftedBand(), rng.normal(size=40), alpha=0.1, gamma=0.05, window=window
+    )
+    X = rng.normal(size=(n_labels, 1))
+    aci.update(X, X[:, 0] + rng.normal(scale=1.5, size=n_labels))
+    return aci
+
+
+class TestFeedbackState:
+    def test_twin_copies_nothing_that_grows_with_the_stream(self):
+        """A feedback step swaps in a copy: after N labels that copy holds
+        the bounded score window and a few scalars, nothing of size N."""
+        import copy
+
+        aci = _streamed(window=50, n_labels=2000)
+        twin = copy.copy(aci)
+        assert twin._scores is not aci._scores
+        assert len(twin._scores._arrival) == len(twin._scores._sorted) == 50
+        for name, value in vars(twin).items():
+            if isinstance(value, (list, tuple, dict, np.ndarray)):
+                assert len(value) <= 50, name
+        assert twin.n_labels_ == 2000
+        assert twin.long_run_coverage() == aci.long_run_coverage()
+
+    def test_state_pickled_with_label_histories_keeps_adapting(self):
+        """A state pickled when it still kept one history entry per label
+        loads with the same counts and keeps taking feedback."""
+        import pickle
+
+        aci = _streamed(window=None, n_labels=300)
+        old = dict(vars(aci))
+        del old["n_labels_"], old["n_misses_"]
+        old["error_history_"] = [True] * aci.n_misses_ + [False] * (
+            aci.n_labels_ - aci.n_misses_
+        )
+        old["alpha_history_"] = [0.1] * (aci.n_labels_ + 1)
+        legacy = object.__new__(AdaptiveConformalPredictor)
+        legacy.__dict__.update(old)
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert not hasattr(restored, "error_history_")
+        assert not hasattr(restored, "alpha_history_")
+        assert (restored.n_labels_, restored.n_misses_) == (
+            aci.n_labels_, aci.n_misses_
+        )
+        assert restored.long_run_coverage() == aci.long_run_coverage()
+        X = np.random.default_rng(9).normal(size=(20, 1))
+        restored.update(X, X[:, 0])
+        aci.update(X, X[:, 0])
+        assert restored.alpha_t == aci.alpha_t
+        assert restored.n_labels_ == aci.n_labels_ == 320

@@ -3,9 +3,9 @@
 The tentpole contract under test: fitting through the content-addressed
 binning cache -- one ``FeatureBinner`` fit per distinct training matrix,
 shared across the CQR lo/hi pair, the CV folds, and the grid cells --
-changes **no number anywhere**, and the process-backend grid that ships
+changes **no number anywhere**, and the process-pool grid that ships
 the cached bin codes through shared memory is bit-identical to the
-serial thread path.
+serial loop.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import signal
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.models.oblivious import ObliviousBoostingRegressor
 from repro.models.quantile import QuantileBandRegressor
 from repro.perf import gate
 from repro.perf.bench import BenchRecorder, _git_sha_fallback, peak_rss_mb
-from repro.perf.shm import ArraySpec, SharedArrayBundle, attach_array, detach_all
+from repro.perf.shm import SharedArrayBundle, attach_array
 from tests.oracles.binning import quantile_bin_edges
 
 SMOKE = ExperimentProfile.smoke()
@@ -189,7 +190,7 @@ class TestCachedFitsAreBitIdentical:
         np.testing.assert_array_equal(shared_hi, plain_hi)
 
     def test_region_experiment_folds(self, lot):
-        kwargs = dict(profile=SMOKE, seed=3, n_jobs=1)
+        kwargs = dict(profile=SMOKE, seed=3)
         cached = run_region_experiment(lot, "CQR XGBoost", 25.0, 0, **kwargs)
         assert bin_cache_stats()["hits"] > 0
         with disable_bin_cache():
@@ -240,32 +241,28 @@ class TestGridBinsOnce:
 class TestProcessGrid:
     def test_process_matches_serial_bitwise(self, lot):
         serial = run_region_grid(
-            lot, GRID_METHODS, [25.0], [0], n_jobs=1, backend="thread", **GRID_ARGS
+            lot, GRID_METHODS, [25.0], [0], n_jobs=1, **GRID_ARGS
         )
         clear_bin_cache()
         process = run_region_grid(
-            lot, GRID_METHODS, [25.0], [0], n_jobs=2, backend="process", **GRID_ARGS
+            lot, GRID_METHODS, [25.0], [0], n_jobs=2, **GRID_ARGS
         )
         assert _region_fingerprint(process) == _region_fingerprint(serial)
 
     def test_process_rejects_task_wrapper(self, lot):
-        with pytest.raises(ValueError, match="backend='thread'"):
+        with pytest.raises(ValueError, match="n_jobs=1"):
             run_region_grid(
                 lot,
                 GRID_METHODS[:1],
                 [25.0],
                 [0],
                 n_jobs=2,
-                backend="process",
                 task_wrapper=lambda fn: fn,
                 **GRID_ARGS,
             )
 
     def test_no_segments_leak(self, lot):
-        run_region_grid(
-            lot, GRID_METHODS[:1], [25.0], [0], n_jobs=2, backend="process",
-            **GRID_ARGS,
-        )
+        run_region_grid(lot, GRID_METHODS[:1], [25.0], [0], n_jobs=2, **GRID_ARGS)
         if os.path.isdir("/dev/shm"):
             assert not [
                 name for name in os.listdir("/dev/shm") if name.startswith("psm_")
@@ -282,14 +279,13 @@ def _spawn_probe(spec, queue):
     """Spawn-context worker: attach and report the array checksum."""
     view = attach_array(spec)
     queue.put(float(view.sum()))
-    detach_all()
 
 
 class TestSharedMemoryTransport:
     def test_roundtrip_and_readonly(self, rng):
         payload = rng.normal(size=(17, 5))
         with SharedArrayBundle() as bundle:
-            spec = bundle.share("codes", payload)
+            spec = bundle.share(payload)
             view = attach_array(spec)
             np.testing.assert_array_equal(view, payload)
             with pytest.raises(ValueError):
@@ -297,18 +293,13 @@ class TestSharedMemoryTransport:
             # Re-attach returns a view onto the same mapping.
             again = attach_array(spec)
             np.testing.assert_array_equal(again, payload)
-            detach_all()
-        assert bundle.specs() == {}
-
-    def test_duplicate_key_rejected(self, rng):
-        with SharedArrayBundle() as bundle:
-            bundle.share("codes", rng.normal(size=(2, 2)))
-            with pytest.raises(ValueError):
-                bundle.share("codes", rng.normal(size=(2, 2)))
+        # Closing the bundle unlinked the segment: nothing can attach.
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=spec.name)
 
     def test_close_is_idempotent(self, rng):
         bundle = SharedArrayBundle()
-        bundle.share("codes", rng.normal(size=(2, 2)))
+        bundle.share(rng.normal(size=(2, 2)))
         bundle.close()
         bundle.close()
 
@@ -319,7 +310,7 @@ class TestSharedMemoryTransport:
         payload = rng.normal(size=(32, 4))
         context = multiprocessing.get_context("fork")
         with SharedArrayBundle() as bundle:
-            spec = bundle.share("codes", payload)
+            spec = bundle.share(payload)
             worker = context.Process(target=_attach_and_die, args=(spec,))
             worker.start()
             worker.join(timeout=30)
@@ -330,7 +321,7 @@ class TestSharedMemoryTransport:
         payload = rng.normal(size=(8, 3))
         context = multiprocessing.get_context("spawn")
         with SharedArrayBundle() as bundle:
-            spec = bundle.share("codes", payload)
+            spec = bundle.share(payload)
             queue = context.Queue()
             worker = context.Process(target=_spawn_probe, args=(spec, queue))
             worker.start()

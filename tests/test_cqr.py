@@ -76,15 +76,6 @@ class TestCQR:
         ).fit(X, y)
         assert cqr.quantile_low_ < 0  # shrank the over-wide band
 
-    def test_asymmetric_variant_covers(self, rng):
-        X = rng.normal(size=(600, 2))
-        y = X[:, 0] + rng.standard_t(df=3, size=600)
-        cqr = ConformalizedQuantileRegressor(
-            QuantileLinearRegression(), alpha=0.2, symmetric=False, random_state=0
-        ).fit(X[:400], y[:400])
-        coverage = cqr.predict_interval(X[400:]).coverage(y[400:])
-        assert coverage >= 0.75
-
     def test_band_template_used(self, rng):
         X = rng.normal(size=(80, 2))
         y = rng.normal(size=80)

@@ -56,13 +56,6 @@ class TestMetrics:
         with pytest.raises(ValueError, match="shape"):
             intervals.contains(np.zeros(5))
 
-    def test_clip(self, intervals):
-        clipped = intervals.clip(minimum=0.5, maximum=2.4)
-        assert clipped.lower.min() >= 0.5
-        assert clipped.upper.max() <= 2.4
-        # original untouched (frozen dataclass semantics)
-        assert intervals.upper.max() == 3.0
-
 
 class TestCollapseCrossed:
     def test_crossed_pairs_collapse_to_their_midpoint(self):

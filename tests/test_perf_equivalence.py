@@ -1,6 +1,6 @@
 """Equivalence guarantees of the fast training engine.
 
-Three contracts, each load-bearing for the perf work staying honest:
+Two contracts, each load-bearing for the perf work staying honest:
 
 * the batched exact finder grows *identical* trees to the legacy
   per-feature reference scan (:mod:`tests.oracles.trees`),
@@ -8,9 +8,7 @@ Three contracts, each load-bearing for the perf work staying honest:
   matches the exact grower's training predictions to 1e-12 on
   randomised fixtures and its full structure on shallow fixed-seed
   fixtures (thresholds agree up to bin edges, so test routing between
-  bin edge and exact midpoint may differ -- training partitions cannot),
-* cross-validation harnesses return bit-identical results for every
-  ``n_jobs``.
+  bin edge and exact midpoint may differ -- training partitions cannot).
 
 Plus the hot-loop regression test: node data is sliced once per node
 (through ``_node_view``), never once per candidate feature.
@@ -21,16 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval.crossval import (
-    KFold,
-    cross_validate_intervals,
-    cross_validate_point,
-)
 from repro.models import tree as tree_mod
 from repro.models.binning import FeatureBinner
 from repro.models.histtree import grow_histogram_tree
-from repro.models.linear import LinearRegression, QuantileLinearRegression
-from repro.models.quantile import QuantileBandRegressor
 from repro.models.tree import (
     GradientTree,
     TreeGrowthParams,
@@ -166,48 +157,3 @@ class TestNodeSlicingRegression:
         # features, the historical per-feature slicing would have made
         # ~5x as many.
         assert len(calls) == tree.n_nodes
-
-
-# ---------------------------------------------------------------------------
-# n_jobs never changes cross-validation results
-# ---------------------------------------------------------------------------
-
-class TestParallelCVEquivalence:
-    def test_point_cv_identical(self, linear_data):
-        X, y, _, _ = linear_data
-        kfold = KFold(n_splits=4, shuffle=True, random_state=0)
-
-        def builder(X_train, y_train):
-            return LinearRegression().fit(X_train, y_train)
-
-        serial = cross_validate_point(builder, X, y, kfold, n_jobs=1)
-        threaded = cross_validate_point(builder, X, y, kfold, n_jobs=4)
-        assert serial.r2_per_fold == threaded.r2_per_fold
-        assert serial.rmse_per_fold == threaded.rmse_per_fold
-
-    def test_interval_cv_identical(self, hetero_data):
-        X, y = hetero_data
-        kfold = KFold(n_splits=4, shuffle=True, random_state=0)
-
-        def builder(X_train, y_train):
-            band = QuantileBandRegressor(
-                QuantileLinearRegression(), alpha=0.1
-            )
-            return band.fit(X_train, y_train)
-
-        serial = cross_validate_intervals(builder, X, y, kfold, n_jobs=1)
-        threaded = cross_validate_intervals(builder, X, y, kfold, n_jobs=4)
-        assert serial.coverage_per_fold == threaded.coverage_per_fold
-        assert serial.width_per_fold == threaded.width_per_fold
-
-    def test_band_pair_fit_identical(self, hetero_data):
-        X, y = hetero_data
-        serial = QuantileBandRegressor(
-            QuantileLinearRegression(), alpha=0.1, n_jobs=1
-        ).fit(X, y)
-        threaded = QuantileBandRegressor(
-            QuantileLinearRegression(), alpha=0.1, n_jobs=2
-        ).fit(X, y)
-        for lo_s, lo_t in ((serial.lower_, threaded.lower_),
-                           (serial.upper_, threaded.upper_)):
-            np.testing.assert_array_equal(lo_s.coef_, lo_t.coef_)

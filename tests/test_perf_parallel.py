@@ -1,212 +1,153 @@
-"""Tests for the deterministic parallel execution engine (repro.perf.parallel)."""
+"""Tests for the grid's fan-out (repro.perf.parallel): a serial loop or
+worker processes, one outcome per task."""
 
 from __future__ import annotations
 
-import threading
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.perf import parallel as parallel_mod
-from repro.perf.parallel import (
-    effective_n_jobs,
-    parallel_map,
-    parallel_map_outcomes,
-    spawn_seeds,
-)
+from repro.perf.parallel import parallel_map_outcomes
 from repro.runtime.retry import PermanentFault, RetryPolicy, TransientFault
 from repro.runtime.watchdog import TaskTimeout, check_deadline
 
-
-# ---------------------------------------------------------------------------
-# effective_n_jobs
-# ---------------------------------------------------------------------------
-
-class TestEffectiveNJobs:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "8")
-        assert effective_n_jobs(3) == 3
-
-    def test_none_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
-        assert effective_n_jobs(None) == 1
-
-    def test_none_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "6")
-        assert effective_n_jobs(None) == 6
-
-    def test_empty_environment_is_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "")
-        assert effective_n_jobs(None) == 1
-
-    def test_garbage_environment_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "many")
-        with pytest.raises(ValueError, match="REPRO_N_JOBS"):
-            effective_n_jobs(None)
-
-    def test_minus_one_uses_cpu_count(self):
-        import os
-
-        assert effective_n_jobs(-1) == max(1, os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_nonpositive_raises(self, bad):
-        with pytest.raises(ValueError):
-            effective_n_jobs(bad)
-
-
-# ---------------------------------------------------------------------------
-# spawn_seeds
-# ---------------------------------------------------------------------------
-
-class TestSpawnSeeds:
-    def test_none_parent_gives_none_children(self):
-        assert spawn_seeds(None, 3) == [None, None, None]
-
-    def test_deterministic(self):
-        assert spawn_seeds(42, 5) == spawn_seeds(42, 5)
-
-    def test_children_distinct(self):
-        seeds = spawn_seeds(7, 8)
-        assert len(set(seeds)) == 8
-
-    def test_prefix_stable(self):
-        # Growing the worker count must not reshuffle earlier seeds.
-        assert spawn_seeds(11, 3) == spawn_seeds(11, 6)[:3]
-
-    def test_different_parents_differ(self):
-        assert spawn_seeds(1, 4) != spawn_seeds(2, 4)
-
-
-# ---------------------------------------------------------------------------
-# parallel_map
-# ---------------------------------------------------------------------------
 
 def _square(value):
     return value * value
 
 
+def _by_index(outcomes):
+    return sorted(outcomes, key=lambda outcome: outcome.index)
+
+
+def _values(outcomes):
+    return [outcome.value for outcome in _by_index(outcomes)]
+
+
+def _noisy_sum(seed):
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    return float(X.sum() + np.random.default_rng(seed).normal())
+
+
+def _boom_on_two(value):
+    if value == 2:
+        raise ValueError("bad cell")
+    return value
+
+
+def _explode_on_three(value):
+    if value == 3:
+        raise ValueError("worker exploded")
+    return value
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+# ---------------------------------------------------------------------------
+# the map: order, processes, fallback
+# ---------------------------------------------------------------------------
+
 class TestParallelMap:
     def test_ordered_results_serial(self):
-        assert parallel_map(_square, range(10), n_jobs=1) == [
-            i * i for i in range(10)
-        ]
-
-    def test_ordered_results_threads(self):
-        assert parallel_map(_square, range(20), n_jobs=4) == [
-            i * i for i in range(20)
-        ]
+        outcomes = list(parallel_map_outcomes(_square, range(10)))
+        assert [o.index for o in outcomes] == list(range(10))
+        assert [o.value for o in outcomes] == [i * i for i in range(10)]
 
     def test_ordered_results_processes(self):
-        result = parallel_map(_square, range(6), n_jobs=2, backend="process")
-        assert result == [i * i for i in range(6)]
+        outcomes = parallel_map_outcomes(_square, range(6), processes=2)
+        assert _values(outcomes) == [i * i for i in range(6)]
 
-    def test_closures_work_with_threads(self):
-        data = np.arange(12.0)
-
-        def pick(index):
-            return float(data[index])
-
-        assert parallel_map(pick, range(12), n_jobs=4) == list(map(float, data))
+    def test_tasks_run_in_worker_processes(self):
+        pids = _values(parallel_map_outcomes(_pid, range(4), processes=2))
+        assert os.getpid() not in pids
 
     def test_identical_to_serial(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(40, 3))
-
-        def fit_stub(seed):
-            local = np.random.default_rng(seed)
-            return float(X.sum() + local.normal())
-
-        seeds = spawn_seeds(123, 8)
-        serial = parallel_map(fit_stub, seeds, n_jobs=1)
-        threaded = parallel_map(fit_stub, seeds, n_jobs=4)
-        assert serial == threaded
-
-    def test_exception_propagates_serial(self):
-        def boom(value):
-            raise RuntimeError(f"bad item {value}")
-
-        with pytest.raises(RuntimeError, match="bad item"):
-            parallel_map(boom, [1], n_jobs=1)
-
-    def test_exception_propagates_parallel(self):
-        def maybe_boom(value):
-            if value == 3:
-                raise ValueError("worker exploded")
-            return value
-
-        with pytest.raises(ValueError, match="worker exploded"):
-            parallel_map(maybe_boom, range(8), n_jobs=4)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "1")
-        calls = []
-
-        def record(value):
-            calls.append(value)
-            return value
-
-        assert parallel_map(record, range(5)) == list(range(5))
-        assert calls == list(range(5))  # serial preserves submission order
+        seeds = [3, 1, 4, 1, 5, 9, 2, 6]
+        serial = _values(parallel_map_outcomes(_noisy_sum, seeds))
+        pooled = _values(parallel_map_outcomes(_noisy_sum, seeds, processes=2))
+        assert serial == pooled
 
     def test_single_item_stays_serial(self, monkeypatch):
         def no_pool(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("pool created for a single item")
 
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", no_pool)
-        assert parallel_map(_square, [7], n_jobs=4) == [49]
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        assert _values(parallel_map_outcomes(_square, [7], processes=4)) == [49]
 
     def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
         class Unavailable:
             def __init__(self, *args, **kwargs):
-                raise OSError("no threads in this sandbox")
+                raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", Unavailable)
-        assert parallel_map(_square, range(6), n_jobs=4) == [
-            i * i for i in range(6)
-        ]
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", Unavailable)
+        calls = []
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="backend"):
-            parallel_map(_square, range(3), n_jobs=2, backend="rayon")
+        def record(value):
+            calls.append(value)
+            return value * value
+
+        outcomes = list(parallel_map_outcomes(record, range(6), processes=4))
+        assert [o.value for o in outcomes] == [i * i for i in range(6)]
+        assert calls == list(range(6))  # the serial loop, in input order
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_nonpositive_processes_raise(self, bad):
+        with pytest.raises(ValueError, match="processes"):
+            parallel_map_outcomes(_square, range(3), processes=bad)
 
     def test_empty_items(self):
-        assert parallel_map(_square, [], n_jobs=4) == []
+        assert list(parallel_map_outcomes(_square, [], processes=4)) == []
 
-    def test_first_failure_in_input_order_raised(self):
-        def two_failures(value):
-            if value == 2:
-                raise KeyError("earlier")
-            if value == 5:
-                raise IndexError("later")
+    def test_exception_propagates_serial(self):
+        def boom(value):
+            raise RuntimeError(f"bad item {value}")
+
+        (outcome,) = parallel_map_outcomes(boom, [1])
+        assert isinstance(outcome.error, RuntimeError)
+        assert str(outcome.error) == "bad item 1"
+
+    def test_exception_propagates_parallel(self):
+        outcomes = _by_index(
+            parallel_map_outcomes(_explode_on_three, range(8), processes=2)
+        )
+        assert [o.index for o in outcomes if not o.ok] == [3]
+        assert isinstance(outcomes[3].error, ValueError)
+        assert str(outcomes[3].error) == "worker exploded"
+
+    def test_outcomes_arrive_as_tasks_finish(self):
+        finished = []
+
+        def task(value):
+            finished.append(value)
             return value
 
-        # Task 5 may finish failing before task 2 under a pool; input
-        # order, not completion order, decides which error the caller sees.
-        with pytest.raises(KeyError, match="earlier"):
-            parallel_map(two_failures, range(8), n_jobs=4)
+        for outcome in parallel_map_outcomes(task, range(4)):
+            # Each outcome is handed over before the next task starts.
+            assert finished == list(range(outcome.index + 1))
 
 
 # ---------------------------------------------------------------------------
-# parallel_map_outcomes: capture, retries, timeouts
+# outcomes: capture, retries, timeouts
 # ---------------------------------------------------------------------------
 
 class _Flaky:
-    """Thread-safe per-item failure budget, then success."""
+    """Per-item failure budget, then success."""
 
     def __init__(self, failing_items, n_failures=1):
         self.failing = set(failing_items)
         self.n_failures = n_failures
         self.counts = {}
-        self.lock = threading.Lock()
 
     def __call__(self, item):
-        with self.lock:
-            used = self.counts.get(item, 0)
-            if item in self.failing and used < self.n_failures:
-                self.counts[item] = used + 1
-                raise TransientFault(f"blip on {item}")
+        used = self.counts.get(item, 0)
+        if item in self.failing and used < self.n_failures:
+            self.counts[item] = used + 1
+            raise TransientFault(f"blip on {item}")
         return item * 10
 
 
@@ -226,19 +167,16 @@ def _process_hang(item):  # pragma: no cover - runs in worker processes
 
 
 class TestParallelMapOutcomes:
-    def test_all_success_matches_parallel_map(self):
-        outcomes = parallel_map_outcomes(_square, range(6), n_jobs=3)
+    def test_all_success_matches_serial_loop(self):
+        outcomes = _by_index(parallel_map_outcomes(_square, range(6), processes=3))
         assert [o.value for o in outcomes] == [i * i for i in range(6)]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         assert [o.index for o in outcomes] == list(range(6))
 
     def test_failures_do_not_discard_siblings(self):
-        def boom_on_two(value):
-            if value == 2:
-                raise ValueError("bad cell")
-            return value
-
-        outcomes = parallel_map_outcomes(boom_on_two, range(5), n_jobs=2)
+        outcomes = _by_index(
+            parallel_map_outcomes(_boom_on_two, range(5), processes=2)
+        )
         assert [o.ok for o in outcomes] == [True, True, False, True, True]
         assert isinstance(outcomes[2].error, ValueError)
         assert [o.value for o in outcomes if o.ok] == [0, 1, 3, 4]
@@ -246,7 +184,7 @@ class TestParallelMapOutcomes:
     def test_retry_policy_recovers_transient_faults(self):
         fn = _Flaky(failing_items={1, 3}, n_failures=2)
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
-        outcomes = parallel_map_outcomes(fn, range(5), n_jobs=2, retry_policy=policy)
+        outcomes = list(parallel_map_outcomes(fn, range(5), retry_policy=policy))
         assert all(o.ok for o in outcomes)
         assert [o.value for o in outcomes] == [i * 10 for i in range(5)]
         assert [o.attempts for o in outcomes] == [1, 3, 1, 3, 1]
@@ -256,11 +194,11 @@ class TestParallelMapOutcomes:
             raise PermanentFault("unfixable")
 
         policy = RetryPolicy(max_attempts=5, backoff_base=0.0, jitter=0.0)
-        outcomes = parallel_map_outcomes(permanent, [0], retry_policy=policy)
-        assert not outcomes[0].ok and outcomes[0].attempts == 1
+        (outcome,) = parallel_map_outcomes(permanent, [0], retry_policy=policy)
+        assert not outcome.ok and outcome.attempts == 1
 
     def test_retried_results_identical_to_clean_run(self):
-        clean = parallel_map_outcomes(_square, range(6), n_jobs=2)
+        clean = _values(parallel_map_outcomes(_square, range(6), processes=2))
         flaky = _Flaky(failing_items={0, 2, 4}, n_failures=1)
 
         def flaky_square(item):
@@ -268,29 +206,27 @@ class TestParallelMapOutcomes:
             return item * item
 
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
-        retried = parallel_map_outcomes(
-            flaky_square, range(6), n_jobs=2, retry_policy=policy
-        )
-        assert [o.value for o in retried] == [o.value for o in clean]
+        retried = parallel_map_outcomes(flaky_square, range(6), retry_policy=policy)
+        assert _values(retried) == clean
 
-    def test_cooperative_timeout_threads(self):
-        outcomes = parallel_map_outcomes(
-            _cooperative_hang, range(3), n_jobs=2, timeout=0.2
+    def test_cooperative_timeout_processes(self):
+        outcomes = _by_index(
+            parallel_map_outcomes(
+                _cooperative_hang, range(3), processes=2, timeout=0.5
+            )
         )
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok and outcomes[1].timed_out
         assert isinstance(outcomes[1].error, TaskTimeout)
 
     def test_cooperative_timeout_serial(self):
-        outcomes = parallel_map_outcomes(
-            _cooperative_hang, range(3), n_jobs=1, timeout=0.2
-        )
+        outcomes = parallel_map_outcomes(_cooperative_hang, range(3), timeout=0.2)
         assert [o.ok for o in outcomes] == [True, False, True]
 
     def test_stuck_process_worker_killed_and_requeued(self):
         start = time.monotonic()
-        outcomes = parallel_map_outcomes(
-            _process_hang, range(4), n_jobs=2, backend="process", timeout=1.0
+        outcomes = _by_index(
+            parallel_map_outcomes(_process_hang, range(4), processes=2, timeout=1.0)
         )
         elapsed = time.monotonic() - start
         assert elapsed < 30.0  # the 60 s hang was cut short
@@ -304,4 +240,4 @@ class TestParallelMapOutcomes:
             parallel_map_outcomes(_square, range(3), timeout=0.0)
 
     def test_empty_items(self):
-        assert parallel_map_outcomes(_square, [], n_jobs=4) == []
+        assert list(parallel_map_outcomes(_square, [], processes=4)) == []

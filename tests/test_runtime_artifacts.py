@@ -136,9 +136,11 @@ class TestChecksums:
     def test_verify_against_explicit_digest(self, tmp_path):
         target = write_text_atomic(tmp_path / "a.txt", "payload")
         digest = file_checksum(target)
-        assert verify_artifact(target, expected=digest) == digest
+        write_checksum(target, digest=digest)
+        assert verify_artifact(target) == digest
+        write_checksum(target, digest="0" * 64)
         with pytest.raises(ArtifactError, match="mismatch"):
-            verify_artifact(target, expected="0" * 64)
+            verify_artifact(target)
 
     def test_read_verified_returns_the_checked_bytes(self, tmp_path):
         target = write_text_atomic(tmp_path / "a.txt", "payload")
@@ -188,8 +190,9 @@ class TestCorruptionTaxonomy:
 
     def test_explicit_digest_mismatch_is_corruption(self, tmp_path):
         target = write_text_atomic(tmp_path / "a.txt", "payload")
+        write_checksum(target, digest="0" * 64)
         with pytest.raises(ArtifactCorruptionError):
-            verify_artifact(target, expected="0" * 64)
+            verify_artifact(target)
 
 
 class TestDurability:

@@ -62,7 +62,8 @@ class TestRunJournal:
         assert set(completed) == {"fp1", "fp2"}
         assert completed["fp1"]["payload"] == {"r2": [0.9, 0.8]}
         assert completed["fp1"]["key"] == ["LR", 25.0, 0]
-        assert reread.meta == {"kind": "point"}
+        header = json.loads((tmp_path / "run.jsonl").read_text().splitlines()[0])
+        assert header["meta"] == {"kind": "point"}
 
     def test_header_written_once(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -3,14 +3,20 @@
 The contracts asserted here are the acceptance criteria of the
 resilient execution runtime: an interrupted-and-resumed grid is
 bit-identical to an uninterrupted one, injected transient faults plus
-retries are bit-identical to a clean run, and exhausted failures are
-captured as structured records instead of discarding siblings.
+retries are bit-identical to a clean run, exhausted failures are
+captured as structured records instead of discarding siblings, and a
+grid on worker processes journals each cell as soon as it finishes.
 """
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
+from repro.eval import experiments
+from repro.eval.crossval import PointCVResult
 from repro.eval.experiments import (
     FailureRecord,
     GridResult,
@@ -79,7 +85,7 @@ class TestGridResultType:
 
         cell = ("LR", 25.0, 0)
         direct = run_point_experiment(
-            small_lot, "LR", 25.0, 0, profile=_profile(), seed=0, n_jobs=1
+            small_lot, "LR", 25.0, 0, profile=_profile(), seed=0
         )
         assert clean_grid[cell] == direct
 
@@ -270,6 +276,63 @@ class TestFaultRecovery:
                 small_lot, MODELS, TEMPS, (0,), profile=_profile(), on_error="ignore"
             )
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_n_jobs_rejected(self, small_lot, bad):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_point_grid(
+                small_lot, MODELS, TEMPS, (0,), profile=_profile(), n_jobs=bad
+            )
+
+
+class TestProcessGrid:
+    """``n_jobs=2``: the cells run in worker processes; the parent journals
+    and raises in cell order.  The fake cells below replace
+    ``experiments._run_cell`` before the pool forks, so the workers run
+    them too."""
+
+    def test_first_cell_journaled_while_later_cells_pending(
+        self, small_lot, tmp_path, monkeypatch
+    ):
+        journal_path = tmp_path / "grid.jsonl"
+
+        def journaled_lines():
+            if not journal_path.exists():
+                return 0
+            return len(journal_path.read_text().splitlines())
+
+        def fake_cell(kind, dataset, cell, kwargs):
+            seen = 0.0
+            if cell[2] == 24:
+                # Still pending: wait (bounded) for the header and the
+                # first cell to reach the journal.
+                give_up = time.monotonic() + 60.0
+                while time.monotonic() < give_up and not seen:
+                    seen = float(journaled_lines() >= 2)
+                    time.sleep(0.02)
+            return PointCVResult(r2_per_fold=(seen,), rmse_per_fold=(os.getpid(),))
+
+        monkeypatch.setattr(experiments, "_run_cell", fake_cell)
+        grid = run_point_grid(
+            small_lot, MODELS, TEMPS, HOURS, profile=_profile(), seed=0,
+            n_jobs=2, journal=RunJournal(journal_path),
+        )
+        assert os.getpid() not in {r.rmse_per_fold[0] for r in grid.values()}
+        assert grid[("LR", 25.0, 24)].r2_per_fold == (1.0,)
+        assert journaled_lines() == 3
+
+    def test_first_failure_in_cell_order_raised(self, small_lot, monkeypatch):
+        def fake_cell(kind, dataset, cell, kwargs):
+            if cell[2] == 0:
+                time.sleep(0.5)  # finishes failing after the later cell
+                raise KeyError("earlier")
+            raise IndexError("later")
+
+        monkeypatch.setattr(experiments, "_run_cell", fake_cell)
+        with pytest.raises(KeyError, match="earlier"):
+            run_point_grid(
+                small_lot, MODELS, TEMPS, HOURS, profile=_profile(), n_jobs=2
+            )
+
 
 class TestExecutionCampaign:
     def test_campaign_recovers_every_scenario(self, small_lot):
@@ -279,7 +342,6 @@ class TestExecutionCampaign:
             temperatures=TEMPS,
             read_points=(0,),
             seed=0,
-            n_jobs=2,
             timeout=2.0,
         )
         assert report.all_recovered(), report.to_table()
@@ -302,7 +364,6 @@ class TestExecutionCampaign:
                 ("crash", TaskCrashFault(fraction=1.0, n_failures=1, seed=3)),
             ),
             seed=0,
-            n_jobs=1,
             timeout=2.0,
         )
         table = report.to_table()

@@ -9,7 +9,6 @@ from repro.runtime.retry import (
     PermanentFault,
     RetryPolicy,
     TransientFault,
-    call_with_retry,
     run_attempts,
 )
 
@@ -162,16 +161,3 @@ class TestRunAttempts:
         attempt = Attempt(value=None, error=ValueError("boom"), attempts=1)
         with pytest.raises(ValueError, match="boom"):
             attempt.unwrap()
-
-
-class TestCallWithRetry:
-    def test_returns_value(self):
-        worker = _FlakyWorker(n_failures=1)
-        value = call_with_retry(
-            worker, policy=RetryPolicy(max_attempts=2), sleep=_no_sleep
-        )
-        assert value == 42
-
-    def test_raises_final_error_unchanged(self):
-        with pytest.raises(ZeroDivisionError):
-            call_with_retry(lambda: 1 / 0, policy=RetryPolicy(), sleep=_no_sleep)

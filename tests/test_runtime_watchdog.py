@@ -7,17 +7,15 @@ import time
 
 import pytest
 
+from repro.runtime import watchdog
 from repro.runtime.retry import TransientFault
 from repro.runtime.watchdog import (
     Deadline,
     TaskTimeout,
     WorkerCrash,
     check_deadline,
-    current_deadline,
     deadline_scope,
-    remaining_time,
     run_in_subprocess,
-    run_with_deadline,
 )
 
 
@@ -46,20 +44,19 @@ class TestDeadline:
 
 class TestDeadlineScope:
     def test_no_scope_means_no_deadline(self):
-        assert current_deadline() is None
-        assert remaining_time() is None
+        assert watchdog._stack() == []
         check_deadline()  # free no-op
 
     def test_none_seconds_is_a_no_op_scope(self):
         with deadline_scope(None) as deadline:
             assert deadline is None
-            assert current_deadline() is None
+            assert watchdog._stack() == []
 
     def test_scope_installs_and_removes(self):
         with deadline_scope(30.0) as deadline:
-            assert current_deadline() is deadline
-            assert remaining_time() <= 30.0
-        assert current_deadline() is None
+            assert watchdog._stack() == [deadline]
+            assert deadline.remaining() <= 30.0
+        assert watchdog._stack() == []
 
     def test_nested_scopes_honour_the_tightest(self):
         with deadline_scope(60.0):
@@ -81,11 +78,7 @@ class TestDeadlineScope:
         with pytest.raises(RuntimeError):
             with deadline_scope(30.0):
                 raise RuntimeError("boom")
-        assert current_deadline() is None
-
-    def test_run_with_deadline_returns_value(self):
-        assert run_with_deadline(lambda: 7, 30.0) == 7
-        assert run_with_deadline(lambda: 7, None) == 7
+        assert watchdog._stack() == []
 
 
 def _double(value):

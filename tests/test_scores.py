@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scores import (
-    absolute_residual_score,
-    cqr_score,
-    normalized_residual_score,
-)
+from repro.core.scores import absolute_residual_score, cqr_score
 
 finite = st.floats(-100, 100, allow_nan=False)
 
@@ -80,14 +76,3 @@ class TestCQRScore:
         eps = 1e-9 * max(1.0, abs(y), abs(lo), abs(hi))
         assert lo - score - eps <= y <= hi + score + eps
 
-
-class TestNormalizedScore:
-    def test_scales_by_difficulty(self):
-        scores = normalized_residual_score(
-            np.array([2.0, 2.0]), np.zeros(2), np.array([1.0, 4.0])
-        )
-        np.testing.assert_allclose(scores, [2.0, 0.5])
-
-    def test_rejects_nonpositive_difficulty(self):
-        with pytest.raises(ValueError, match="positive"):
-            normalized_residual_score(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))

@@ -153,10 +153,10 @@ class TestSerializedFeedback:
             assert isinstance(final, AdaptiveConformalPredictor)
             assert any(
                 final.alpha_t == replica.calibration_.alpha_t
-                and final.alpha_history_ == replica.calibration_.alpha_history_
-                and np.array_equal(
-                    final._current_scores(), replica.calibration_._current_scores()
-                )
+                and final.n_labels_ == replica.calibration_.n_labels_
+                and final.n_misses_ == replica.calibration_.n_misses_
+                and list(final._scores._arrival)
+                == list(replica.calibration_._scores._arrival)
                 and model.rolling_coverage() == replica.rolling_coverage()
                 for replica in serial
             )

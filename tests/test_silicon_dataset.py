@@ -1,4 +1,4 @@
-"""Tests for the assembled SiliconDataset, Chip views, and the ATE flow."""
+"""Tests for the assembled SiliconDataset and the ATE flow."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.silicon import (
     SiliconDataset,
     TEMPERATURES_C,
 )
-from repro.silicon.chip import Chip
 
 
 class TestGeneration:
@@ -95,65 +94,35 @@ class TestFeatureAssembly:
         assert len(set(names)) == len(names)
 
 
-class TestChipViews:
-    def test_iteration_and_len(self, small_lot):
-        population = small_lot.population
-        chips = list(population)
-        assert len(chips) == len(population) == 60
-        assert all(isinstance(chip, Chip) for chip in chips)
-
-    def test_chip_properties_consistent(self, small_lot):
-        population = small_lot.population
-        chip = population.chip(3)
-        assert chip.vth_shift == pytest.approx(population.process.vth_shift[3])
-        assert chip.is_defective == bool(population.defects.mask[3])
-        assert chip.aged_vth_shift(1008) > 0
-
-    def test_speed_grade_labels(self, small_lot):
-        grades = {chip.speed_grade() for chip in small_lot.population}
-        assert grades <= {"fast", "typical", "slow"}
-
-    def test_out_of_range_index(self, small_lot):
-        with pytest.raises(IndexError):
-            small_lot.population.chip(999)
-
-
 class TestBurnInFlow:
     def test_schedule_structure(self, small_lot):
-        flow = BurnInFlowSimulator(small_lot)
-        plan = flow.schedule()
-        # Parametric insertion only at time 0.
-        parametric_steps = [s for s in plan if s[1] == "parametric"]
-        assert parametric_steps == [(0, "parametric")]
-        # Monitors at every read point.
-        rod_steps = [s for s in plan if s[1] == "rod"]
-        assert len(rod_steps) == len(small_lot.read_points)
+        plan = BurnInFlowSimulator(small_lot).schedule()
+        # SCAN Vmin, then both monitor banks, at every read point; the
+        # parametric insertion is not part of the log.
+        assert plan == [
+            (hours, insertion)
+            for hours in small_lot.read_points
+            for insertion in ("scan_vmin", "rod", "cpd")
+        ]
 
     def test_log_values_match_dataset(self, small_lot):
-        flow = BurnInFlowSimulator(small_lot, include_parametric=False)
-        log = flow.to_arrays()
-        rod24 = log.select(insertion="rod", read_point_hours=24, chip_index=0)
-        channel0 = rod24.select(channel=small_lot.rod_names[0])
-        assert channel0.value[0] == pytest.approx(small_lot.rod[24][0, 0])
+        records = BurnInFlowSimulator(small_lot).run()
+        channel = small_lot.rod_names[0]
+        value = next(
+            r.value
+            for r in records
+            if (r.insertion, r.read_point_hours, r.chip_index, r.channel)
+            == ("rod", 24, 0, channel)
+        )
+        assert value == pytest.approx(small_lot.rod[24][0, 0])
 
     def test_vmin_records_per_temperature(self, small_lot):
-        flow = BurnInFlowSimulator(
-            small_lot, include_parametric=False, include_monitors=False
-        )
-        log = flow.to_arrays()
-        vmin_records = log.select(insertion="scan_vmin", read_point_hours=0)
-        assert len(vmin_records) == small_lot.n_chips * len(small_lot.temperatures)
-
-    def test_select_rejects_unknown_column(self, small_lot):
-        log = BurnInFlowSimulator(
-            small_lot, include_parametric=False, include_monitors=False
-        ).to_arrays()
-        with pytest.raises(ValueError, match="unknown log column"):
-            log.select(wafer=3)
-
-    def test_stress_conditions_exposed(self, small_lot):
-        voltage, temperature = BurnInFlowSimulator(small_lot).stress_conditions
-        assert voltage > 0.8 and temperature == 80.0
+        records = [
+            r
+            for r in BurnInFlowSimulator(small_lot).run()
+            if r.insertion == "scan_vmin" and r.read_point_hours == 0
+        ]
+        assert len(records) == small_lot.n_chips * len(small_lot.temperatures)
 
 
 class TestWaferIntegration:

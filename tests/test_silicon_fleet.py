@@ -127,14 +127,6 @@ class TestLotStructure:
         assert zones.shape[0] == _vmin(lot).shape[0]
         assert set(np.unique(zones)) <= {0, 1, 2}
 
-    def test_fleet_returns_one_lot_per_product_fab_pair(self, fleet):
-        lots = fleet.fleet(**FAST)
-        assert len(lots) == 2
-        assert {(lot.product, lot.fab) for lot in lots} == {
-            ("alpha", "ref"),
-            ("alpha", "new"),
-        }
-
     def test_n_chips_override(self, fleet):
         lot = fleet.lot("alpha", "ref", n_chips=30, **FAST)
         assert _vmin(lot).shape[0] == 30

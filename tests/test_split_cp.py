@@ -65,22 +65,6 @@ class TestSplitConformal:
         coverage = cp.predict_interval(X[300:]).coverage(y[300:])
         assert coverage >= 0.8
 
-    def test_difficulty_estimator_adapts_width(self, hetero_data):
-        X, y = hetero_data
-        cp = SplitConformalRegressor(
-            LinearRegression(),
-            alpha=0.1,
-            difficulty_estimator=DecisionTreeRegressor(max_depth=3),
-            random_state=0,
-        ).fit(X[:450], y[:450])
-        intervals = cp.predict_interval(X[450:])
-        width = intervals.width
-        assert np.std(width) > 0  # adaptive, not constant
-        # Wider where the true noise is larger (x0 high end).
-        noisy = X[450:, 0] > 1.0
-        assert width[noisy].mean() > width[~noisy].mean()
-        assert intervals.coverage(y[450:]) >= 0.8
-
     def test_template_unfitted_after_use(self, linear_data):
         X, y, *_ = linear_data
         template = LinearRegression()
